@@ -15,9 +15,9 @@ from pathlib import Path
 from . import exprio
 from .exprio import ParseError, SchemaError
 from .homotopy import builtin_chain, verify_chain
-from .monoid import MapValidationError, bezout_pair, oplus, validate
+from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplus, validate
 from .plane import builtin_plane_chain, verify_plane_chain
-from .poly import FormalDegreeError, Poly
+from .poly import FormalDegreeError
 from .projlinear import builtin_matrix_chain, verify_matrix_chain
 from .resultants import resultant_tpoly
 from .rings import NotPrimeError, RingTag
@@ -40,14 +40,19 @@ def cmd_res(args) -> int:
     ng = args.ng if args.ng is not None else max(G.degree_in("X"), 0)
     if nf < F.degree_in("X") or ng < G.degree_in("X"):
         raise FormalDegreeError("formal degree below the actual degree")
-    fc = F.x_coeff_polys("X", "T")
-    gc = G.x_coeff_polys("X", "T")
-    fc += [Poly.zero(ring, "T")] * (nf + 1 - len(fc))
-    gc += [Poly.zero(ring, "T")] * (ng + 1 - len(gc))
+    fc = F.x_coeff_polys("X", "T", nf)
+    gc = G.x_coeff_polys("X", "T", ng)
     r = resultant_tpoly(fc, gc, ring, "T")
     text = exprio.print_poly(r)
     _emit(args, text, {"resultant": text, "n": nf, "m": ng, "ring": ring.name()})
     return 0
+
+
+def _map_error(exc: MapValidationError):
+    """Error kind and detail of a rejected map; the detail of a non-unit
+    resultant is the resultant itself."""
+    detail = exc.res if isinstance(exc, ResultantNotUnitError) else exc
+    return type(exc).__name__.removesuffix("Error"), str(detail)
 
 
 def cmd_validate(args) -> int:
@@ -56,8 +61,7 @@ def cmd_validate(args) -> int:
     try:
         u = validate(f, g, ring)
     except MapValidationError as exc:
-        kind = type(exc).__name__.removesuffix("Error")
-        detail = str(getattr(exc, "res", exc))
+        kind, detail = _map_error(exc)
         _emit(
             args,
             f"invalid: {kind}({detail})",
@@ -78,9 +82,8 @@ def cmd_bezout(args) -> int:
     try:
         u = validate(f, g, ring)
     except MapValidationError as exc:
-        kind = type(exc).__name__.removesuffix("Error")
-        _emit(args, f"invalid: {kind}({getattr(exc, 'res', exc)})",
-              {"valid": False, "error": kind})
+        kind, detail = _map_error(exc)
+        _emit(args, f"invalid: {kind}({detail})", {"valid": False, "error": kind})
         return 1
     w = bezout_pair(u)
     mat = w.matrix()
@@ -105,8 +108,8 @@ def cmd_oplus(args) -> int:
         try:
             maps.append(validate(f, g, ring))
         except MapValidationError as exc:
-            kind = type(exc).__name__.removesuffix("Error")
-            _emit(args, f"invalid operand {text!r}: {kind}({getattr(exc, 'res', exc)})",
+            kind, detail = _map_error(exc)
+            _emit(args, f"invalid operand {text!r}: {kind}({detail})",
                   {"valid": False, "error": kind, "operand": text})
             return 1
     acc = maps[0]
@@ -120,77 +123,37 @@ def _load_json(path: str) -> dict:
     return exprio.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _print_chain_report(args, report, payload):
-    if args.json:
-        print(json.dumps(payload))
-        return
-    for line in report_lines(report):
-        print(line)
-    print("PASS" if report.passed else f"FAIL ({report.first_failure})")
-
-
-def report_lines(report):
-    lines = []
-    for lr in report.links:
-        if getattr(lr, "error", None):
-            lines.append(f"link {lr.index}: INVALID ({lr.error})")
-        elif getattr(lr, "note", None):
-            lines.append(f"link {lr.index}: NOT CERTIFIED ({lr.note})")
-        elif hasattr(lr, "res") and lr.res is not None:
-            lines.append(f"link {lr.index}: valid, res = {exprio.print_poly(lr.res)}")
-        elif hasattr(lr, "det") and lr.det is not None:
-            det = exprio.print_poly(lr.det)
-            base = "ok" if lr.basepoint_ok else "base point leaves the T1-chart"
-            lines.append(f"link {lr.index}: det = {det}, base point {base}")
-        elif hasattr(lr, "cert") and lr.cert is not None:
-            lines.append(
-                f"link {lr.index}: certified with N = {lr.cert.N}, "
-                f"degree <= {lr.cert.coefficient_degree()}"
-            )
-        else:
-            lines.append(f"link {lr.index}: {'ok' if lr.ok else 'failed'}")
-    for jr in report.junctions:
-        verdict = "ok" if jr.ok else "MISMATCH"
-        extra = ""
-        if getattr(jr, "unit", None) is not None:
-            extra = f" (unit {jr.unit})"
-        lines.append(f"junction {jr.label}: {verdict}{extra}")
-    lines.append(f"from: {'ok' if report.from_ok else 'MISMATCH'}")
-    lines.append(f"to: {'ok' if report.to_ok else 'MISMATCH'}")
-    return lines
-
-
-def _chain_report_payload(report, kind: str) -> dict:
-    links = []
-    for lr in report.links:
-        entry = {"index": lr.index, "ok": lr.ok}
-        if getattr(lr, "res", None) is not None:
-            entry["res"] = exprio.print_poly(lr.res)
-        if getattr(lr, "det", None) is not None:
-            entry["det"] = exprio.print_poly(lr.det)
-            entry["basepoint_ok"] = lr.basepoint_ok
-        if getattr(lr, "cert", None) is not None:
-            entry["cert"] = exprio.membership_to_json(lr.cert)
-        if getattr(lr, "error", None):
-            entry["error"] = lr.error
-        if getattr(lr, "note", None):
-            entry["note"] = lr.note
-        links.append(entry)
-    junctions = []
-    for jr in report.junctions:
-        entry = {"label": jr.label, "ok": jr.ok}
-        if getattr(jr, "unit", None) is not None:
-            entry["unit"] = jr.unit
-        junctions.append(entry)
+def _chain_payload(report) -> dict:
     return {
-        "kind": kind,
+        "kind": report.kind,
         "passed": report.passed,
-        "links": links,
-        "junctions": junctions,
+        "links": [
+            {"index": lr.index, "ok": lr.ok, **lr.detail.json_fields()} for lr in report.links
+        ],
+        "junctions": [
+            {"label": jr.label, "ok": jr.ok, **({} if jr.unit is None else {"unit": jr.unit})}
+            for jr in report.junctions
+        ],
         "from_ok": report.from_ok,
         "to_ok": report.to_ok,
         "first_failure": report.first_failure,
     }
+
+
+def _print_chain_report(args, report) -> int:
+    """Print a chain report; the exit code is 0 when it passed, else 1."""
+    if args.json:
+        print(json.dumps(_chain_payload(report)))
+    else:
+        for lr in report.links:
+            print(f"link {lr.index}: {lr.detail.line()}")
+        for jr in report.junctions:
+            unit = "" if jr.unit is None else f" (unit {jr.unit})"
+            print(f"junction {jr.label}: {'ok' if jr.ok else 'MISMATCH'}{unit}")
+        print(f"from: {'ok' if report.from_ok else 'MISMATCH'}")
+        print(f"to: {'ok' if report.to_ok else 'MISMATCH'}")
+        print("PASS" if report.passed else f"FAIL ({report.first_failure})")
+    return 0 if report.passed else 1
 
 
 def cmd_verify_chain(args) -> int:
@@ -198,9 +161,7 @@ def cmd_verify_chain(args) -> int:
         chain = builtin_chain(args.builtin)
     else:
         chain = exprio.chain_from_json(_load_json(args.file))
-    report = verify_chain(chain)
-    _print_chain_report(args, report, _chain_report_payload(report, "homotopy"))
-    return 0 if report.passed else 1
+    return _print_chain_report(args, verify_chain(chain))
 
 
 def cmd_verify_matrix_chain(args) -> int:
@@ -208,9 +169,7 @@ def cmd_verify_matrix_chain(args) -> int:
         chain = builtin_matrix_chain(args.builtin)
     else:
         chain = exprio.matrix_chain_from_json(_load_json(args.file))
-    report = verify_matrix_chain(chain, exact_junctions=args.exact_junctions)
-    _print_chain_report(args, report, _chain_report_payload(report, "matrix"))
-    return 0 if report.passed else 1
+    return _print_chain_report(args, verify_matrix_chain(chain, exact_junctions=args.exact_junctions))
 
 
 def cmd_verify_plane_chain(args) -> int:
@@ -218,9 +177,7 @@ def cmd_verify_plane_chain(args) -> int:
         chain = builtin_plane_chain(args.builtin)
     else:
         chain = exprio.plane_chain_from_json(_load_json(args.file))
-    report = verify_plane_chain(chain, n_max=args.nmax, d_max=args.dmax)
-    _print_chain_report(args, report, _chain_report_payload(report, "plane"))
-    return 0 if report.passed else 1
+    return _print_chain_report(args, verify_plane_chain(chain, n_max=args.nmax, d_max=args.dmax))
 
 
 def cmd_selftest(args) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .homotopy import Chain, ChainLink, HomotopyCert, ORIENTATIONS
+from .chains import ORIENTATIONS
+from .homotopy import Chain, ChainLink, HomotopyCert
 from .monoid import PointedMap, SL2Witness, validate
 from .mpoly import MPoly
 from .poly import Poly
@@ -342,6 +343,11 @@ def _parse_field(d, key, variables, ring, what):
         raise SchemaError(f"{what}.{key}: {exc}") from None
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def poly_to_json(p) -> dict:
     vars = [p.var] if isinstance(p, Poly) else list(p.vars)
     return {"ring": p.ring.name(), "vars": vars, "expr": print_poly(p)}
@@ -369,7 +375,7 @@ def _map_pair_from_json(d, what):
     ring = _ring_from_json(d["ring"], what)
     f = _parse_field(d, "f", ("X",), ring, what)
     g = _parse_field(d, "g", ("X",), ring, what)
-    if not isinstance(d["n"], int) or d["n"] < 0:
+    if not _is_int(d["n"]) or d["n"] < 0:
         raise SchemaError(f"{what}: n must be a natural number")
     if f.actual_degree() != d["n"]:
         raise SchemaError(f"{what}: numerator degree {f.actual_degree()} != n = {d['n']}")
@@ -410,7 +416,7 @@ def _cert_data_from_json(d, what):
     ring = _ring_from_json(d["ring"], what)
     F = _parse_field(d, "f", ("X", "T"), ring, what)
     G = _parse_field(d, "g", ("X", "T"), ring, what)
-    if not isinstance(d["n"], int) or d["n"] < 0:
+    if not _is_int(d["n"]) or d["n"] < 0:
         raise SchemaError(f"{what}: n must be a natural number")
     if F.degree_in("X") != d["n"]:
         raise SchemaError(f"{what}: numerator X-degree {F.degree_in('X')} != n = {d['n']}")
@@ -431,6 +437,10 @@ def _orientation_from_json(v, what) -> str:
 
 
 def chain_to_json(chain: Chain) -> dict:
+    def end(f, g):
+        return {"ring": chain.ring.name(), "n": max(f.actual_degree(), 0),
+                "f": print_poly(f), "g": print_poly(g)}
+
     return {
         "links": [
             {
@@ -439,18 +449,8 @@ def chain_to_json(chain: Chain) -> dict:
             }
             for link in chain.links
         ],
-        "from": {
-            "ring": chain.ring.name(),
-            "n": max(chain.from_pair[0].actual_degree(), 0),
-            "f": print_poly(chain.from_pair[0]),
-            "g": print_poly(chain.from_pair[1]),
-        },
-        "to": {
-            "ring": chain.ring.name(),
-            "n": max(chain.to_pair[0].actual_degree(), 0),
-            "f": print_poly(chain.to_pair[0]),
-            "g": print_poly(chain.to_pair[1]),
-        },
+        "from": end(*chain.from_pair),
+        "to": end(*chain.to_pair),
     }
 
 
@@ -498,7 +498,7 @@ def _mat2_from_json(d, what) -> Mat2:
     vals = []
     for k in ("a", "b", "c", "d"):
         v = d[k]
-        if isinstance(v, int):
+        if _is_int(v):
             vals.append(v)
         elif isinstance(v, str):
             p = _parse_field(d, k, ("T",), ZZ, what)
@@ -568,7 +568,7 @@ def membership_to_json(cert: MembershipCertificate) -> dict:
 
 def membership_from_json(d) -> MembershipCertificate:
     _require(d, ("N", "combos"), "membership certificate")
-    if not isinstance(d["N"], int) or d["N"] < 1:
+    if not _is_int(d["N"]) or d["N"] < 1:
         raise SchemaError("membership certificate: N must be a positive integer")
     if not isinstance(d["combos"], list) or len(d["combos"]) != d["N"] + 1:
         raise SchemaError("membership certificate: combos must list N+1 pairs")

@@ -9,17 +9,15 @@ together, each traversed forward or reversed, with exact junction equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
+from .chains import FORWARD, REVERSED, ChainReport, check_orientation, exact, walk_chain
 from .monoid import MapValidationError, PointedMap, validate
 from .mpoly import MPoly
 from .poly import Poly
 from .resultants import is_unit, resultant_tpoly, resultant_tpoly_oracle
 from .rings import RingTag, ZZ
-
-FORWARD = "forward"
-REVERSED = "reversed"
-ORIENTATIONS = (FORWARD, REVERSED)
 
 XVAR = "X"
 TVAR = "T"
@@ -85,8 +83,7 @@ def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
             f"denominator X-degree {G.degree_in(XVAR)} not below {n}"
         )
     fc = F.x_coeff_polys(XVAR, TVAR)
-    gc = G.x_coeff_polys(XVAR, TVAR)
-    gc += [Poly.zero(ring, TVAR)] * (n + 1 - len(gc))
+    gc = G.x_coeff_polys(XVAR, TVAR, n)
     res = resultant_tpoly(fc, gc, ring, TVAR)
     if not is_unit(res):
         raise CertResultantNotUnitError(res)
@@ -96,8 +93,7 @@ def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
 def cert_resultant_oracle(cert: HomotopyCert) -> Poly:
     """Recompute the certificate resultant by the cofactor route."""
     fc = cert.F.x_coeff_polys(XVAR, TVAR)
-    gc = cert.G.x_coeff_polys(XVAR, TVAR)
-    gc += [Poly.zero(cert.ring, TVAR)] * (cert.n + 1 - len(gc))
+    gc = cert.G.x_coeff_polys(XVAR, TVAR, cert.n)
     return resultant_tpoly_oracle(fc, gc, cert.ring, TVAR)
 
 
@@ -132,8 +128,7 @@ class ChainLink:
     orientation: str
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+        check_orientation(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -146,119 +141,42 @@ class Chain:
     to_pair: tuple
 
 
-@dataclass
-class LinkReport:
-    index: int
-    ok: bool
+@dataclass(frozen=True)
+class CertLinkDetail:
+    """A link's certificate resultant, or why the link is invalid."""
+
     res: Poly | None = None
     error: str | None = None
-    start: PointedMap | None = None
-    end: PointedMap | None = None
+
+    def json_fields(self) -> dict:
+        return {"error": self.error} if self.error else {"res": str(self.res)}
+
+    def line(self) -> str:
+        return f"INVALID ({self.error})" if self.error else f"valid, res = {self.res}"
 
 
-@dataclass
-class JunctionReport:
-    index: int  # junction between links index and index+1 (1-based)
-    ok: bool
-    left: PointedMap | None = None
-    right: PointedMap | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.index}/{self.index + 1}"
-
-
-@dataclass
-class ChainReport:
-    links: list = field(default_factory=list)
-    junctions: list = field(default_factory=list)
-    from_ok: bool = False
-    to_ok: bool = False
-    passed: bool = False
-    first_failure: str | None = None
-
-
-def _maps_equal(a: PointedMap, b: PointedMap) -> bool:
-    # exact structural equality of canonicalized pairs
-    return (
-        a.ring == b.ring
-        and a.n == b.n
-        and a.f == b.f
-        and a.g.trim() == b.g.trim()
-    )
-
-
-def _link_endpoints(link: ChainLink, ring: RingTag):
-    cert = validate_cert(link.F, link.G, ring)
-    e0 = endpoint(cert, 0)
-    e1 = endpoint(cert, 1)
-    if link.orientation == FORWARD:
-        return cert, e0, e1
-    return cert, e1, e0
+def _certify_link(link: ChainLink, ring: RingTag):
+    try:
+        cert = validate_cert(link.F, link.G, ring)
+        ends = (endpoint(cert, 0), endpoint(cert, 1))
+    except (CertValidationError, MapValidationError) as exc:
+        return [str(exc)], None, CertLinkDetail(error=str(exc))
+    return [], ends, CertLinkDetail(res=cert.res)
 
 
 def verify_chain(chain: Chain) -> ChainReport:
-    """Validate every link, then check all junctions and the end maps.
+    """Validate both end maps and every link, then check all junctions.
 
-    Verification never stops early: every link and junction gets a verdict,
-    and first_failure names the first one that failed.
+    Validated maps are canonical, so junctions and ends compare exactly.  An
+    invalid end map is the first failure; the ends are then not compared.
     """
-    report = ChainReport()
-    maps = []
-    for i, link in enumerate(chain.links, start=1):
-        try:
-            cert, start, end = _link_endpoints(link, chain.ring)
-            report.links.append(
-                LinkReport(index=i, ok=True, res=cert.res, start=start, end=end)
-            )
-            maps.append((start, end))
-        except (CertValidationError, MapValidationError) as exc:
-            report.links.append(LinkReport(index=i, ok=False, error=str(exc)))
-            maps.append(None)
-    for i in range(1, len(chain.links)):
-        left = maps[i - 1]
-        right = maps[i]
-        if left is None or right is None:
-            jr = JunctionReport(index=i, ok=False)
-        else:
-            jr = JunctionReport(
-                index=i, ok=_maps_equal(left[1], right[0]), left=left[1], right=right[0]
-            )
-        report.junctions.append(jr)
+    ends, end_failure = (None, None), None
     try:
-        from_map = validate(chain.from_pair[0], chain.from_pair[1], chain.ring)
-        to_map = validate(chain.to_pair[0], chain.to_pair[1], chain.ring)
+        ends = [validate(f, g, chain.ring) for f, g in (chain.from_pair, chain.to_pair)]
     except MapValidationError as exc:
-        report.first_failure = f"end map invalid: {exc}"
-        report.passed = False
-        return report
-    if chain.links:
-        report.from_ok = maps[0] is not None and _maps_equal(maps[0][0], from_map)
-        report.to_ok = maps[-1] is not None and _maps_equal(maps[-1][1], to_map)
-    else:
-        same = _maps_equal(from_map, to_map)
-        report.from_ok = report.to_ok = same
-    # failures in walk order; a broken link outranks its consequences
-    failures = []
-    if not report.from_ok and (not chain.links or maps[0] is not None):
-        failures.append("from mismatch")
-    for i, lr in enumerate(report.links):
-        if not lr.ok:
-            failures.append(f"link {lr.index}: {lr.error}")
-        if i < len(report.junctions):
-            jr = report.junctions[i]
-            if not jr.ok and jr.left is not None:
-                failures.append(f"junction {jr.label}")
-    if not report.to_ok and (not chain.links or maps[-1] is not None):
-        failures.append("to mismatch")
-    report.passed = (
-        report.from_ok
-        and report.to_ok
-        and all(lr.ok for lr in report.links)
-        and all(jr.ok for jr in report.junctions)
-    )
-    report.first_failure = failures[0] if failures else None
-    return report
+        end_failure = f"end map invalid: {exc}"
+    certify = partial(_certify_link, ring=chain.ring)
+    return walk_chain("homotopy", chain.links, certify, exact, *ends, end_failure=end_failure)
 
 
 # ---------------------------------------------------------------------------

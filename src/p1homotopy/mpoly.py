@@ -220,10 +220,12 @@ class MPoly:
             cs[e[i]] = c
         return Poly(self.ring, name, cs)
 
-    def x_coeff_polys(self, xvar: str, tvar: str) -> list:
-        """Dense list of T-polynomial coefficients by X-exponent (empty for 0)."""
+    def x_coeff_polys(self, xvar: str, tvar: str, n: int = -1) -> list:
+        """Dense list of T-polynomial coefficients by X-exponent (empty for 0),
+        padded with zeros up to the formal X-degree n."""
         d = self.degree_in(xvar)
-        return [self.coeff_of(xvar, k).to_poly(tvar) for k in range(d + 1)]
+        cs = [self.coeff_of(xvar, k).to_poly(tvar) for k in range(d + 1)]
+        return cs + [Poly.zero(self.ring, tvar)] * (n - d)
 
     # -- value --------------------------------------------------------
 

@@ -13,15 +13,13 @@ of nonexistence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
+from .chains import FORWARD, REVERSED, ChainReport, check_orientation, exact, walk_chain
 from .linsolve import IntegerSolver, feasible_mod_p
 from .mpoly import MPoly
 from .rings import Scalar, ZZ
-
-FORWARD = "forward"
-REVERSED = "reversed"
-ORIENTATIONS = (FORWARD, REVERSED)
 
 PLANE_VARS = ("T0", "T1", "T")
 POINT_VARS = ("T0", "T1")
@@ -108,11 +106,13 @@ def _monomials_upto(d: int):
     return out
 
 
-def _build_system(fam: PlaneFamily, degree: int):
-    """Rows of the coefficient-matching system and the column monomials.
+def _system(fam: PlaneFamily, N: int, degree: int):
+    """The coefficient-matching system of T0^i*T1^(N-i) = A_i*F0 + B_i*F1.
 
     Columns are (which polynomial, monomial of the unknown multiplier);
-    rows are monomials of the products.
+    rows are the sorted monomials of the products and the targets.  Returns
+    the multiplier monomials, the rows of A and the right-hand side of each
+    target i = 0..N.
     """
     monos = _monomials_upto(degree)
     cols = []
@@ -123,31 +123,29 @@ def _build_system(fam: PlaneFamily, degree: int):
                 key = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
                 col[key] = col.get(key, 0) + int(c.value)
             cols.append(col)
-    return monos, cols
-
-
-def _solve_at(fam: PlaneFamily, N: int, degree: int):
-    monos, cols = _build_system(fam, degree)
-    row_keys = set()
-    for col in cols:
-        row_keys.update(col)
     targets = [(i, N - i, 0) for i in range(N + 1)]
-    row_keys.update(targets)
-    row_index = {key: r for r, key in enumerate(sorted(row_keys))}
-    nrows, ncols = len(row_index), len(cols)
-    a_rows = [[0] * ncols for _ in range(nrows)]
+    row_index = {key: r for r, key in enumerate(sorted(set(targets).union(*cols)))}
+    a_rows = [[0] * len(cols) for _ in row_index]
     for j, col in enumerate(cols):
         for key, v in col.items():
             a_rows[row_index[key]][j] = v
-    solver = IntegerSolver(a_rows, ncols)
-    combos = []
+    rhs_list = []
     for tgt in targets:
-        b = [0] * nrows
+        b = [0] * len(row_index)
         b[row_index[tgt]] = 1
+        rhs_list.append(b)
+    return monos, a_rows, rhs_list
+
+
+def _solve_at(fam: PlaneFamily, N: int, degree: int):
+    monos, a_rows, rhs_list = _system(fam, N, degree)
+    half = len(monos)
+    solver = IntegerSolver(a_rows, 2 * half)
+    combos = []
+    for b in rhs_list:
         x = solver.solve(b)
         if x is None:
             return None
-        half = len(monos)
         a_terms = {m: x[k] for k, m in enumerate(monos) if x[k]}
         b_terms = {m: x[half + k] for k, m in enumerate(monos) if x[half + k]}
         combos.append(
@@ -157,23 +155,7 @@ def _solve_at(fam: PlaneFamily, N: int, degree: int):
 
 
 def _maybe_feasible(fam: PlaneFamily, N: int, degree: int) -> bool:
-    monos, cols = _build_system(fam, degree)
-    row_keys = set()
-    for col in cols:
-        row_keys.update(col)
-    targets = [(i, N - i, 0) for i in range(N + 1)]
-    row_keys.update(targets)
-    row_index = {key: r for r, key in enumerate(sorted(row_keys))}
-    nrows = len(row_index)
-    a_rows = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for key, v in col.items():
-            a_rows[row_index[key]][j] = v
-    rhs_list = []
-    for tgt in targets:
-        b = [0] * nrows
-        b[row_index[tgt]] = 1
-        rhs_list.append(b)
+    _, a_rows, rhs_list = _system(fam, N, degree)
     return all(feasible_mod_p(a_rows, rhs_list))
 
 
@@ -222,8 +204,7 @@ class PlaneChainLink:
     cert: MembershipCertificate | None = None  # supplied, else searched for
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+        check_orientation(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -233,93 +214,44 @@ class PlaneChain:
     to_pair: tuple
 
 
-@dataclass
-class PlaneLinkReport:
-    index: int
-    ok: bool
+@dataclass(frozen=True)
+class MembershipLinkDetail:
+    """A family's membership certificate, or why it has none."""
+
     cert: MembershipCertificate | None = None
     note: str | None = None
-    start: tuple | None = None
-    end: tuple | None = None
+
+    def json_fields(self) -> dict:
+        from .exprio import membership_to_json
+
+        return {"note": self.note} if self.note else {"cert": membership_to_json(self.cert)}
+
+    def line(self) -> str:
+        if self.note:
+            return f"NOT CERTIFIED ({self.note})"
+        return f"certified with N = {self.cert.N}, degree <= {self.cert.coefficient_degree()}"
 
 
-@dataclass
-class PlaneJunctionReport:
-    index: int
-    ok: bool
-    left: tuple | None = None
-    right: tuple | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.index}/{self.index + 1}"
-
-
-@dataclass
-class PlaneChainReport:
-    links: list = field(default_factory=list)
-    junctions: list = field(default_factory=list)
-    from_ok: bool = False
-    to_ok: bool = False
-    passed: bool = False
-    first_failure: str | None = None
+def _certify_family(link: PlaneChainLink, n_max: int, d_max: int | None):
+    cert, note = link.cert, None
+    if cert is not None:
+        verdict = verify_membership(link.family, cert)
+        if not verdict.ok:
+            cert, note = None, f"supplied certificate fails identity {verdict.failing_index}"
+    else:
+        try:
+            cert = find_membership(link.family, n_max, d_max)
+        except MembershipNotFound as exc:
+            note = str(exc)
+    ends = (plane_endpoint(link.family, 0), plane_endpoint(link.family, 1))
+    return [note] if note else [], ends, MembershipLinkDetail(cert, note)
 
 
-def _pair_eq(a, b) -> bool:
-    return a[0] == b[0] and a[1] == b[1]
-
-
-def verify_plane_chain(chain: PlaneChain, n_max: int = 6, d_max: int | None = None) -> PlaneChainReport:
+def verify_plane_chain(chain: PlaneChain, n_max: int = 6, d_max: int | None = None) -> ChainReport:
     """Certify every family (found or supplied certificate), then check the
     junctions under the link orientations and the end pairs, all exactly."""
-    report = PlaneChainReport()
-    for i, link in enumerate(chain.links, start=1):
-        cert = link.cert
-        note = None
-        ok = True
-        if cert is not None:
-            verdict = verify_membership(link.family, cert)
-            if not verdict.ok:
-                ok = False
-                note = f"supplied certificate fails identity {verdict.failing_index}"
-        else:
-            try:
-                cert = find_membership(link.family, n_max, d_max)
-            except MembershipNotFound as exc:
-                ok = False
-                note = str(exc)
-        e0 = plane_endpoint(link.family, 0)
-        e1 = plane_endpoint(link.family, 1)
-        start, end = (e0, e1) if link.orientation == FORWARD else (e1, e0)
-        report.links.append(
-            PlaneLinkReport(index=i, ok=ok, cert=cert if ok else None, note=note,
-                            start=start, end=end)
-        )
-    for i in range(1, len(chain.links)):
-        left = report.links[i - 1].end
-        right = report.links[i].start
-        report.junctions.append(
-            PlaneJunctionReport(index=i, ok=_pair_eq(left, right), left=left, right=right)
-        )
-    if chain.links:
-        report.from_ok = _pair_eq(report.links[0].start, chain.from_pair)
-        report.to_ok = _pair_eq(report.links[-1].end, chain.to_pair)
-    else:
-        same = _pair_eq(chain.from_pair, chain.to_pair)
-        report.from_ok = report.to_ok = same
-    failures = []
-    if not report.from_ok:
-        failures.append("from mismatch")
-    for i, lr in enumerate(report.links):
-        if not lr.ok:
-            failures.append(f"link {lr.index}: {lr.note}")
-        if i < len(report.junctions) and not report.junctions[i].ok:
-            failures.append(f"junction {report.junctions[i].label}")
-    if not report.to_ok:
-        failures.append("to mismatch")
-    report.passed = not failures
-    report.first_failure = failures[0] if failures else None
-    return report
+    certify = partial(_certify_family, n_max=n_max, d_max=d_max)
+    return walk_chain("plane", chain.links, certify, exact, chain.from_pair, chain.to_pair)
 
 
 BUILTIN_PLANE_CHAINS = ("prop_3_4_5",)

@@ -8,15 +8,12 @@ Z[T], i.e. a constant +-1.  The image of the base point infinity = [1:0] is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .chains import FORWARD, REVERSED, ChainReport, check_orientation, walk_chain
 from .poly import Poly
 from .resultants import is_unit
 from .rings import Scalar, ZZ
-
-FORWARD = "forward"
-REVERSED = "reversed"
-ORIENTATIONS = (FORWARD, REVERSED)
 
 TVAR = "T"
 
@@ -100,8 +97,7 @@ class MatrixChainLink:
     orientation: str
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+        check_orientation(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -111,93 +107,41 @@ class MatrixChain:
     to_mat: Mat2
 
 
-@dataclass
-class MatrixLinkReport:
-    index: int
-    det_ok: bool
+@dataclass(frozen=True)
+class FamilyLinkDetail:
+    """A family's determinant and whether it keeps infinity in the T1-chart."""
+
+    det: Poly
     basepoint_ok: bool
-    det: Poly | None = None
-    start: Mat2 | None = None
-    end: Mat2 | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.det_ok and self.basepoint_ok
+    def json_fields(self) -> dict:
+        return {"det": str(self.det), "basepoint_ok": self.basepoint_ok}
 
-
-@dataclass
-class MatrixJunctionReport:
-    index: int
-    ok: bool
-    unit: int | None = None
-    left: Mat2 | None = None
-    right: Mat2 | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.index}/{self.index + 1}"
+    def line(self) -> str:
+        base = "ok" if self.basepoint_ok else "base point leaves the T1-chart"
+        return f"det = {self.det}, base point {base}"
 
 
-@dataclass
-class MatrixChainReport:
-    links: list = field(default_factory=list)
-    junctions: list = field(default_factory=list)
-    from_ok: bool = False
-    to_ok: bool = False
-    passed: bool = False
-    first_failure: str | None = None
+def _certify_family(link: MatrixChainLink):
+    fam = link.family
+    det = det_family(fam)
+    basepoint_ok = image_of_infinity_in_open(fam)
+    reasons = [] if is_unit(det) else [f"determinant {det} is not a unit"]
+    if not basepoint_ok:
+        reasons.append("image of infinity leaves the T1-chart")
+    ends = (endpoint_matrix(fam, 0), endpoint_matrix(fam, 1))
+    return reasons, ends, FamilyLinkDetail(det, basepoint_ok)
 
 
-def verify_matrix_chain(chain: MatrixChain, exact_junctions: bool = False) -> MatrixChainReport:
+def verify_matrix_chain(chain: MatrixChain, exact_junctions: bool = False) -> ChainReport:
     """Check unit determinants, the base-point condition, junctions (projective
     by default, exact on request) and the end matrices."""
-    report = MatrixChainReport()
-    for i, link in enumerate(chain.links, start=1):
-        det = det_family(link.family)
-        lr = MatrixLinkReport(
-            index=i,
-            det_ok=is_unit(det),
-            basepoint_ok=image_of_infinity_in_open(link.family),
-            det=det,
-        )
-        e0 = endpoint_matrix(link.family, 0)
-        e1 = endpoint_matrix(link.family, 1)
-        lr.start, lr.end = (e0, e1) if link.orientation == FORWARD else (e1, e0)
-        report.links.append(lr)
 
-    def _match(a, b):
-        if exact_junctions:
-            return 1 if a == b else None
-        return projective_unit(a, b)
+    def match(a, b):
+        u = (1 if a == b else None) if exact_junctions else projective_unit(a, b)
+        return u is not None, u
 
-    for i in range(1, len(chain.links)):
-        left = report.links[i - 1].end
-        right = report.links[i].start
-        u = _match(left, right)
-        report.junctions.append(
-            MatrixJunctionReport(index=i, ok=u is not None, unit=u, left=left, right=right)
-        )
-    if chain.links:
-        report.from_ok = _match(report.links[0].start, chain.from_mat) is not None
-        report.to_ok = _match(report.links[-1].end, chain.to_mat) is not None
-    else:
-        same = _match(chain.from_mat, chain.to_mat) is not None
-        report.from_ok = report.to_ok = same
-    failures = []
-    if not report.from_ok:
-        failures.append("from mismatch")
-    for i, lr in enumerate(report.links):
-        if not lr.det_ok:
-            failures.append(f"link {lr.index}: determinant {lr.det} is not a unit")
-        if not lr.basepoint_ok:
-            failures.append(f"link {lr.index}: image of infinity leaves the T1-chart")
-        if i < len(report.junctions) and not report.junctions[i].ok:
-            failures.append(f"junction {report.junctions[i].label}")
-    if not report.to_ok:
-        failures.append("to mismatch (endpoint mismatch at T = 1)")
-    report.passed = not failures
-    report.first_failure = failures[0] if failures else None
-    return report
+    return walk_chain("matrix", chain.links, _certify_family, match, chain.from_mat, chain.to_mat)
 
 
 BUILTIN_MATRIX_CHAINS = ("prop_3_4_2",)

@@ -21,14 +21,32 @@ class NotPrimeError(ValueError):
     """Modulus of a prime field is not prime."""
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; callers must keep p below _MR_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,6 +59,8 @@ class RingTag:
         if kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "Fp":
+            if modulus is not None and modulus >= _MR_BOUND:
+                raise NotPrimeError(f"modulus {modulus!r} is too large to certify as prime")
             if modulus is None or not _is_prime(modulus):
                 raise NotPrimeError(f"modulus {modulus!r} is not prime")
         elif modulus is not None:

@@ -11,11 +11,11 @@ import io
 import json
 from dataclasses import dataclass
 
+from .chains import FORWARD
 from .homotopy import (
     CertResultantNotUnitError,
     Chain,
     ChainLink,
-    FORWARD,
     builtin_chain,
     cert_resultant_oracle,
     validate_cert,
@@ -30,7 +30,6 @@ from .monoid import (
     oplus,
     validate,
 )
-from .plane import FORWARD as P_FORWARD
 from .plane import PlaneChain, PlaneChainLink, builtin_plane_chain, verify_plane_chain
 from .poly import Poly
 from .projlinear import (
@@ -163,11 +162,12 @@ def check_builtin_plane_chain(seed, trials, monoid_trials, io_trials) -> CheckRe
     if not report.passed:
         return _fail(name, f"chain failed at {report.first_failure}")
     for lr in report.links:
-        if lr.cert.N > 2 or lr.cert.coefficient_degree() > 4:
+        cert = lr.detail.cert
+        if cert.N > 2 or cert.coefficient_degree() > 4:
             return _fail(
                 name,
-                f"link {lr.index} certificate has N={lr.cert.N}, "
-                f"degree {lr.cert.coefficient_degree()}",
+                f"link {lr.index} certificate has N={cert.N}, "
+                f"degree {cert.coefficient_degree()}",
             )
     return CheckResult(name, True, "6 certificates found with N <= 2, degree <= 4")
 
@@ -252,7 +252,7 @@ def check_negative_controls(seed, trials, monoid_trials, io_trials) -> CheckResu
     pchain = builtin_plane_chain("prop_3_4_5")
     plinks = (
         pchain.links[0],
-        PlaneChainLink(pchain.links[1].family, P_FORWARD),
+        PlaneChainLink(pchain.links[1].family, FORWARD),
     ) + pchain.links[2:]
     preport = verify_plane_chain(
         PlaneChain(links=plinks, from_pair=pchain.from_pair, to_pair=pchain.to_pair),

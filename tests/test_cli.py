@@ -114,6 +114,37 @@ class TestVerifyCommands:
         code, _, err = run(capsys, "verify-chain", str(path))
         assert code == 2 and "missing keys" in err
 
+    @pytest.mark.parametrize("command, blob", [
+        ("verify-chain", {  # map n
+            "links": [],
+            "from": {"ring": "Z", "n": True, "f": "X", "g": "1"},
+            "to": {"ring": "Z", "n": 1, "f": "X", "g": "1"},
+        }),
+        ("verify-chain", {  # certificate n
+            "links": [{"cert": {"ring": "Z", "n": True, "f": "X", "g": "1"},
+                       "orientation": "forward"}],
+            "from": {"ring": "Z", "n": 1, "f": "X", "g": "1"},
+            "to": {"ring": "Z", "n": 1, "f": "X", "g": "1"},
+        }),
+        ("verify-matrix-chain", {  # Mat2 entry
+            "links": [],
+            "from": {"a": True, "b": 0, "c": 0, "d": 1},
+            "to": {"a": 1, "b": 0, "c": 0, "d": 1},
+        }),
+        ("verify-plane-chain", {  # membership N
+            "links": [{"family": {"F0": "T0", "F1": "T1"}, "orientation": "forward",
+                       "cert": {"N": True, "combos": [{"A": "0", "B": "1"},
+                                                      {"A": "1", "B": "0"}]}}],
+            "from": {"F0": "T0", "F1": "T1"},
+            "to": {"F0": "T0", "F1": "T1"},
+        }),
+    ], ids=["map_n", "cert_n", "mat2_entry", "membership_N"])
+    def test_json_true_is_not_an_integer(self, capsys, tmp_path, command, blob):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and err.startswith("error: ")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify-chain", "/nonexistent/chain.json")
         assert code == 2

@@ -117,7 +117,7 @@ class TestVerifyChain:
     def test_builtin_passes(self):
         report = verify_chain(builtin_chain("prop_3_4_3"))
         assert report.passed
-        assert [lr.res for lr in report.links] == [Poly.one(ZZ, "T")] * 4
+        assert [lr.detail.res for lr in report.links] == [Poly.one(ZZ, "T")] * 4
         assert all(jr.ok for jr in report.junctions)
         assert report.from_ok and report.to_ok
 
@@ -158,7 +158,7 @@ class TestVerifyChain:
         )
         report = verify_chain(chain)
         assert not report.passed
-        assert report.links[0].error is not None
+        assert report.links[0].detail.error is not None
         assert report.first_failure.startswith("link 1")
 
     def test_report_walk_reconstructs_connectivity(self):

@@ -103,8 +103,8 @@ class TestChain:
         report = verify_plane_chain(chain, n_max=2, d_max=4)
         assert report.passed
         for lr in report.links:
-            assert lr.cert.N <= 2
-            assert lr.cert.coefficient_degree() <= 4
+            assert lr.detail.cert.N <= 2
+            assert lr.detail.cert.coefficient_degree() <= 4
 
     def test_orientation_flip_fails_at_junction_1_2(self):
         base = builtin_plane_chain()
@@ -131,7 +131,7 @@ class TestChain:
         )
         report = verify_plane_chain(chain)
         assert report.passed
-        assert report.links[0].cert == cert
+        assert report.links[0].detail.cert == cert
 
     def test_uncertifiable_link_reported(self):
         f = fam("T0*T1", "T1")

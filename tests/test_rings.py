@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from p1homotopy.rings import (
     RingTag,
     Scalar,
     ZZ,
+    _is_prime,
 )
 
 F5 = RingTag("Fp", 5)
@@ -88,3 +91,30 @@ def test_q_field_ops(a, b):
     assert (sa + sb) - sb == sa
     if not sb.is_zero():
         assert (sa * sb).exact_div(sb) == sa
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    for n in range(-5, 5000):
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_large_prime_modulus_is_certified_promptly():
+    start = time.perf_counter()
+    ring = RingTag.from_name("fp:2305843009213693951")  # 2^61 - 1
+    assert ring.modulus == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_strong_pseudoprime_is_rejected():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7
+    with pytest.raises(NotPrimeError):
+        RingTag("Fp", 3215031751)
+
+
+def test_modulus_beyond_the_exact_bound_is_refused():
+    with pytest.raises(NotPrimeError, match="too large"):
+        RingTag("Fp", 2**89 - 1)  # prime, but above 3.3e24
