@@ -274,6 +274,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

@@ -5,17 +5,16 @@ reduction to echelon form (gcd pivoting, no fractions anywhere) followed by
 forward substitution with divisibility checks; the reduction is shared
 across right-hand sides.
 
-feasible_mod_p is a sound pre-filter: elimination modulo a fixed prime small
-enough for exact int64 arithmetic.  "No solution mod p" implies "no integer
-solution"; the converse may fail, in which case the exact solver simply does
-the work.
+feasible_mod_p is a sound pre-filter on sparse {row key: int} columns and
+targets: modulo a fixed prime, the columns are reduced to an echelon basis
+keyed by leading (largest) row key, and each target is top-reduced against
+it.  "Not in the span mod p" implies "no integer solution"; the converse may
+fail, in which case the exact solver simply does the work.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-# Mersenne prime 2^31 - 1: products of two residues stay below 2^63.
+# Mersenne prime 2^31 - 1.
 FILTER_PRIME = 2147483647
 
 
@@ -110,33 +109,29 @@ def solve_integer(a_rows, b, ncols: int | None = None):
     return IntegerSolver(a_rows, ncols).solve(b)
 
 
-def feasible_mod_p(a_rows, rhs_list, p: int = FILTER_PRIME):
-    """For each rhs: False = certainly unsolvable over Z, True = maybe."""
-    m = len(a_rows)
-    k = len(rhs_list)
-    if m == 0:
-        return [True] * k
-    n = len(a_rows[0])
-    aug = np.empty((m, n + k), dtype=np.int64)
-    for i, row in enumerate(a_rows):
-        aug[i, :n] = [v % p for v in row]
-        aug[i, n:] = [rhs[i] % p for rhs in rhs_list]
-    r = 0
-    for col in range(n):
-        if r == m:
+def _reduce_mod_p(v: dict, basis: dict, p: int) -> dict:
+    """v mod p top-reduced against basis: empty exactly when v is in its span."""
+    v = {k: c % p for k, c in v.items() if c % p}
+    while v:
+        lead = max(v)
+        piv = basis.get(lead)
+        if piv is None:
             break
-        nz = np.nonzero(aug[r:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, col]), -1, p)
-        aug[r] = (aug[r] * inv) % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[r])) % p
-        r += 1
-    tail = aug[r:, n:]
-    return [bool((tail[:, j] == 0).all()) for j in range(k)]
+        c = v[lead]
+        for k, x in piv.items():
+            v[k] = (v.get(k, 0) - c * x) % p
+            if not v[k]:
+                del v[k]
+    return v
+
+
+def feasible_mod_p(columns, targets, p: int = FILTER_PRIME):
+    """For each target: False = certainly unsolvable over Z, True = maybe."""
+    basis = {}  # leading row key -> reduced column with leading coefficient 1
+    for col in columns:
+        v = _reduce_mod_p(col, basis, p)
+        if v:
+            lead = max(v)
+            inv = pow(v[lead], -1, p)
+            basis[lead] = {k: x * inv % p for k, x in v.items()}
+    return [not _reduce_mod_p(t, basis, p) for t in targets]

@@ -109,10 +109,9 @@ def _monomials_upto(d: int):
 def _system(fam: PlaneFamily, N: int, degree: int):
     """The coefficient-matching system of T0^i*T1^(N-i) = A_i*F0 + B_i*F1.
 
-    Columns are (which polynomial, monomial of the unknown multiplier);
-    rows are the sorted monomials of the products and the targets.  Returns
-    the multiplier monomials, the rows of A and the right-hand side of each
-    target i = 0..N.
+    Columns are (which polynomial, monomial of the unknown multiplier), as
+    sparse {product monomial: coefficient} dicts.  Returns the multiplier
+    monomials, the columns and the sparse target of each i = 0..N.
     """
     monos = _monomials_upto(degree)
     cols = []
@@ -123,26 +122,24 @@ def _system(fam: PlaneFamily, N: int, degree: int):
                 key = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
                 col[key] = col.get(key, 0) + int(c.value)
             cols.append(col)
-    targets = [(i, N - i, 0) for i in range(N + 1)]
-    row_index = {key: r for r, key in enumerate(sorted(set(targets).union(*cols)))}
+    targets = [{(i, N - i, 0): 1} for i in range(N + 1)]
+    return monos, cols, targets
+
+
+def _solve_at(fam: PlaneFamily, N: int, degree: int):
+    monos, cols, targets = _system(fam, N, degree)
+    row_index = {key: r for r, key in enumerate(sorted(set().union(*targets, *cols)))}
     a_rows = [[0] * len(cols) for _ in row_index]
     for j, col in enumerate(cols):
         for key, v in col.items():
             a_rows[row_index[key]][j] = v
-    rhs_list = []
-    for tgt in targets:
-        b = [0] * len(row_index)
-        b[row_index[tgt]] = 1
-        rhs_list.append(b)
-    return monos, a_rows, rhs_list
-
-
-def _solve_at(fam: PlaneFamily, N: int, degree: int):
-    monos, a_rows, rhs_list = _system(fam, N, degree)
     half = len(monos)
     solver = IntegerSolver(a_rows, 2 * half)
     combos = []
-    for b in rhs_list:
+    for tgt in targets:
+        b = [0] * len(row_index)
+        for key, v in tgt.items():
+            b[row_index[key]] = v
         x = solver.solve(b)
         if x is None:
             return None
@@ -155,8 +152,8 @@ def _solve_at(fam: PlaneFamily, N: int, degree: int):
 
 
 def _maybe_feasible(fam: PlaneFamily, N: int, degree: int) -> bool:
-    _, a_rows, rhs_list = _system(fam, N, degree)
-    return all(feasible_mod_p(a_rows, rhs_list))
+    _, cols, targets = _system(fam, N, degree)
+    return all(feasible_mod_p(cols, targets))
 
 
 def default_degree_cap(fam: PlaneFamily, n_max: int) -> int:

@@ -118,7 +118,7 @@ class FamilyLinkDetail:
         return {"det": str(self.det), "basepoint_ok": self.basepoint_ok}
 
     def line(self) -> str:
-        base = "ok" if self.basepoint_ok else "base point leaves the T1-chart"
+        base = "ok" if self.basepoint_ok else "leaves the T1-chart"
         return f"det = {self.det}, base point {base}"
 
 

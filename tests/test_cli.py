@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import p1homotopy
 from p1homotopy import exprio
 from p1homotopy.cli import main
 from p1homotopy.homotopy import builtin_chain
@@ -47,6 +52,11 @@ class TestValidate:
     def test_invalid_exit_1(self, capsys):
         code, out, _ = run(capsys, "validate", "X^2/2", "--ring", "z")
         assert code == 1 and "ResultantNotUnit(4)" in out
+
+    def test_deep_nesting_exit_2(self, capsys):
+        deep = "(" * 3000 + "X" + ")" * 3000 + "/1"
+        code, _, err = run(capsys, "validate", deep)
+        assert code == 2 and err == "error: input is nested too deeply\n"
 
     def test_ring_switch(self, capsys):
         code, _, _ = run(capsys, "validate", "X^2/2", "--ring", "q")
@@ -99,6 +109,12 @@ class TestVerifyCommands:
         path.write_text(json.dumps(exprio.chain_to_json(builtin_chain())))
         code, out, _ = run(capsys, "verify-chain", str(path))
         assert code == 0 and "PASS" in out
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, _, err = run(capsys, "verify-chain", str(path))
+        assert code == 2 and err == "error: input is nested too deeply\n"
 
     def test_failing_chain_file_exits_1(self, capsys, tmp_path):
         blob = exprio.chain_to_json(builtin_chain())
@@ -217,3 +233,21 @@ class TestArgparseContract:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_plane_chain_runs_without_numpy():
+    # the package has no runtime dependency: the whole plane search, mod-p
+    # filter included, runs on Python ints alone
+    code = (
+        "import sys\n"
+        "import p1homotopy.cli\n"
+        "assert p1homotopy.cli.main(['verify-plane-chain', '--builtin', 'prop_3_4_5']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(p1homotopy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,10 +1,37 @@
 import random
+from fractions import Fraction
 
 from p1homotopy.linsolve import IntegerSolver, feasible_mod_p, solve_integer
 
 
 def mat_vec(rows, x):
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def sparse(rows, rhs_list):
+    """Dense rows and right-hand sides as the filter's sparse columns and
+    targets, keyed by row index."""
+    ncols = len(rows[0]) if rows else 0
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+    targets = [{i: v for i, v in enumerate(b) if v} for b in rhs_list]
+    return columns, targets
+
+
+def rank_q(rows):
+    """Rank over Q by Gaussian elimination in Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def test_simple_solvable():
@@ -62,14 +89,29 @@ def test_filter_is_sound():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         x0 = [rng.randint(-5, 5) for _ in range(n)]
         b = mat_vec(rows, x0)
-        assert feasible_mod_p(rows, [b]) == [True]
+        assert feasible_mod_p(*sparse(rows, [b])) == [True]
 
 
 def test_filter_detects_rank_obstructions():
     # x = 1 and x = 2 simultaneously: infeasible mod every prime
-    assert feasible_mod_p([[1], [1]], [[1, 2], [0, 0]]) == [False, True]
+    assert feasible_mod_p(*sparse([[1], [1]], [[1, 2], [0, 0]])) == [False, True]
+
+
+def test_filter_agrees_with_rank_over_q():
+    # entries |a| <= 6 and at most 5 rows: every minor of [A | b] is below
+    # 6^5 * 5^(5/2) < FILTER_PRIME, so the verdict mod p is the verdict over Q
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-6, 6) for _ in range(m)]
+        over_q = rank_q(rows) == rank_q([row + [v] for row, v in zip(rows, b)])
+        assert feasible_mod_p(*sparse(rows, [b])) == [over_q]
+        verdicts.add(over_q)
+    assert verdicts == {True, False}
 
 
 def test_empty_shapes():
     assert solve_integer([], [], ncols=0) == []
-    assert feasible_mod_p([], [[]]) == [True]
+    assert feasible_mod_p(*sparse([], [[]])) == [True]
