@@ -117,9 +117,9 @@ def oplus(u: PointedMap, v: PointedMap) -> PointedMap:
     """
     if u.ring != v.ring:
         raise RingMismatchError(f"{u.ring.name()} vs {v.ring.name()}")
-    w1, w2 = bezout_pair(u), bezout_pair(v)
-    f3 = u.f * v.f - w1.q * v.g
-    g3 = u.g * v.f + w1.p * v.g
+    w = bezout_pair(u)
+    f3 = u.f * v.f - w.q * v.g
+    g3 = u.g * v.f + w.p * v.g
     return validate(f3.trim(), g3.trim(), u.ring)
 
 

@@ -18,11 +18,13 @@ from .monoid import bezout_pair, mat_mul, oplus, validate
 from .poly import Poly
 from .randgen import RandomMapSpec, _gen_valid_map, rand_poly, rand_scalar
 from .resultants import (
+    cofactor_det,
     res_bezout,
     resultant,
     resultant_oracle,
     resultant_product_oracle,
     split_poly,
+    sylvester_entries,
 )
 from .rings import QQ, RingTag, Scalar, ZZ
 
@@ -150,15 +152,29 @@ def scaling_law(rng, trials):
 
 @_property
 def bezout_law(rng, trials):
+    # p = q = 0 satisfies the identity whenever res = 0, so the coefficients
+    # are also compared with the last-row cofactors by expansion by minors
+    # (the determinant with the last row replaced by e_j).  A third of the
+    # pairs share a monic factor h (res = 0; a rank-deficient Sylvester
+    # matrix when deg h >= 2), a sixth have g = 0 at formal degree m.
     for k in range(trials):
         ring, n, m, f, g = _rand_res_inputs(rng)
+        shape, d = rng.randrange(6), rng.randint(1, 4)
+        if shape < 2 and d <= min(n, m):
+            h = rand_poly(rng, ring, d - 1, 3) + Poly(ring, "X", (0,) * d + (1,))
+            f, g = h * rand_poly(rng, ring, n - d, 3), h * rand_poly(rng, ring, m - d, 3)
+        elif shape == 2:
+            g = Poly.zero(ring, "X").pad_to(m)
         if n + m < 1:
             continue
         r = resultant(f, g, n, m)
         p, q = res_bezout(f, g, n, m)
         combo = (p * f + q * g).trim()
-        expected = Poly.constant(ring, "X", r)
-        if combo != expected or p.actual_degree() >= m or q.actual_degree() >= n:
+        top = sylvester_entries(list(f.coeffs), list(g.coeffs), ring.zero())[:-1]
+        units = [[Scalar(ring, int(c == j)) for c in range(n + m)] for j in range(n + m)]
+        y = [cofactor_det(top + [e], ring.one()) for e in units]
+        minors = (Poly(ring, "X", y[:m][::-1]).trim(), Poly(ring, "X", y[m:][::-1]).trim())
+        if combo != Poly.constant(ring, "X", r) or (p, q) != minors:
             return {
                 "trial": k,
                 "ring": ring.name(),
@@ -168,6 +184,7 @@ def bezout_law(rng, trials):
                 "q": str(q),
                 "p*f+q*g": str(combo),
                 "res": str(r),
+                "minors": [str(v) for v in minors],
             }
     return None
 
@@ -224,9 +241,9 @@ def reciprocal_law(rng, trials):
 # Monoid laws
 
 
-def _rand_map(rng, ring=None, max_degree=3):
+def _rand_map(rng, ring=None, degrees=(0, 3)):
     ring = rng.choice(_MAP_RINGS) if ring is None else ring
-    spec = RandomMapSpec(ring, 0, max_degree, 3, seed=0)
+    spec = RandomMapSpec(ring, *degrees, 3, seed=0)
     return _gen_valid_map(rng, spec)
 
 
@@ -238,7 +255,7 @@ def _map_note(u) -> dict:
 def oplus_assoc(rng, trials):
     for k in range(trials):
         ring = rng.choice(_MAP_RINGS)
-        u, v, w = (_rand_map(rng, ring, 2) for _ in range(3))
+        u, v, w = (_rand_map(rng, ring, (0, 2)) for _ in range(3))
         if oplus(oplus(u, v), w) != oplus(u, oplus(v, w)):
             return {"trial": k, "u": _map_note(u), "v": _map_note(v), "w": _map_note(w)}
     return None
@@ -338,9 +355,10 @@ def _field_solve(rows, rhs, modulus, pivot_from_bottom):
 
 
 @_property
-def bezout_unique(rng, trials):
+def bezout_unique(rng, trials, ring=None, degrees=(0, 3)):
+    # no size cap: a caller may fix the ring and degrees above the oracle's 8x8
     for k in range(trials):
-        u = _rand_map(rng, max_degree=3)
+        u = _rand_map(rng, ring, degrees)
         if u.n == 0:
             continue
         w = bezout_pair(u)

@@ -204,25 +204,58 @@ def resultant_tpoly_oracle(fcoeffs: list, gcoeffs: list, ring, tvar: str) -> Pol
 def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     """Polynomials (p, q) with deg p < m, deg q < n and p*f + q*g = res_{n,m}(f,g).
 
-    Coefficients are signed minors of the Sylvester matrix (Cramer on the
-    linear system whose matrix is Sylvester's), so everything stays in the
-    base ring; works even when the resultant is zero.
+    Coefficients are the last-row cofactors of the Sylvester matrix (Cramer
+    on the linear system whose matrix is Sylvester's), all found in one
+    fraction-free elimination, so everything stays in the base ring; works
+    even when the resultant is zero.
     """
     f, g, n, m = _padded_pair(f, g, n, m)
-    size = n + m
-    if size < 1:
+    if n + m < 1:
         raise ValueError("res_bezout needs n + m >= 1")
     ring, var = f.ring, f.var
     rows = sylvester_entries(list(f.coeffs), list(g.coeffs), ring.zero())
-    one = ring.one()
-    y = []
-    for j in range(size):
-        sub = [row[:j] + row[j + 1 :] for row in rows[:-1]]
-        d = bareiss_det(sub, one)
-        y.append(-d if (size - 1 + j) % 2 else d)
+    y = _last_row_cofactors(rows, ring.one())
     p = Poly(ring, var, tuple(reversed(y[:m]))).trim()
     q = Poly(ring, var, tuple(reversed(y[m:]))).trim()
     return p, q
+
+
+def _last_row_cofactors(rows, one):
+    """Cofactors C[last][j] of a square matrix, from one Bareiss pass.
+
+    The last row holds formal symbols z_j as sparse linear forms {j: coeff}
+    and never pivots, so the final entry is sum_j C[last][j] z_j; each form
+    coefficient is a Bareiss entry, so every division stays exact.  A zero
+    pivot is swapped for a later nonzero entry of its row (columns swap,
+    symbols included); a zero row makes every cofactor zero.
+    """
+    size, last, zero = len(rows), len(rows) - 1, one - one
+    m = [list(r) for r in rows[:last]] + [[{j: one} for j in range(size)]]
+    sign, prev = 1, None
+    for k in range(last):
+        c = next((c for c in range(k, size) if not m[k][c].is_zero()), None)
+        if c is None:
+            return [zero] * size
+        if c != k:
+            for row in m[k:]:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1 : last]:
+            for j in range(k + 1, size):
+                e = pivot * row_i[j] - row_i[k] * row_k[j]
+                row_i[j] = e if prev is None else e.exact_div(prev)
+        forms = m[last]
+        for j in range(k + 1, size):
+            e = {s: pivot * a for s, a in forms[j].items()}
+            if not row_k[j].is_zero():
+                for s, b in forms[k].items():
+                    e[s] = e.get(s, zero) - row_k[j] * b
+            e = {s: a for s, a in e.items() if not a.is_zero()}
+            forms[j] = e if prev is None else {s: a.exact_div(prev) for s, a in e.items()}
+        prev = pivot
+    y = [m[last][last].get(j, zero) for j in range(size)]
+    return y if sign == 1 else [-a for a in y]
 
 
 # ---------------------------------------------------------------------------

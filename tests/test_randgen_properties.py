@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,12 +10,14 @@ from p1homotopy.properties import (
     PROPERTIES,
     RESULTANT_LAWS,
     UnknownPropertyError,
+    bezout_unique,
     run_property,
 )
 from p1homotopy.randgen import RandomMapSpec, SamplingBudgetError, gen_valid_map
 from p1homotopy.rings import QQ, RingTag, ZZ
 
 F5 = RingTag("Fp", 5)
+F_BENCH = RingTag("Fp", 1000003)
 
 
 class TestGenValidMap:
@@ -83,3 +86,11 @@ class TestRunProperty:
         a = run_property("oracle_agreement", 25, seed=5)
         b = run_property("oracle_agreement", 25, seed=5)
         assert a.passed and b.passed and a.trials == b.trials
+
+
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("ring", [ZZ, QQ, F_BENCH], ids=lambda r: r.kind)
+def test_bezout_unique_above_the_oracle_cap(ring, n):
+    # the cofactor oracle stops at 8x8; the field solve has no size cap
+    counterexample = bezout_unique(random.Random(n), 2, ring, (n, n))
+    assert counterexample is None, counterexample

@@ -133,9 +133,23 @@ class TestBezout:
         assert (p * f + q * g).trim() == Poly.one(ZZ, "X")
 
     def test_identity_when_resultant_zero(self):
+        # the leading rows of this Sylvester matrix need a column swap; the
+        # last-row cofactors are (0, 1, -1, 0), not zero
         f, g = zx("X^2"), zx("X")
         p, q = res_bezout(f, g, 2, 2)
+        assert p == zx("1") and q == zx("-X")
         assert (p * f + q * g).is_zero()
+
+    def test_rank_deficient_sylvester_gives_zero(self):
+        # a shared quadratic factor, and g = 0 padded to its formal degree
+        f = zx("(X^2 + 1)*(X - 2)")
+        g = zx("(X^2 + 1)*(X + 3)")
+        assert res_bezout(f, g, 3, 3) == (Poly.zero(ZZ, "X"), Poly.zero(ZZ, "X"))
+        zero = Poly.zero(ZZ, "X").pad_to(2)
+        assert res_bezout(zx("X^2 + 2*X + 3"), zero, 2, 2) == (
+            Poly.zero(ZZ, "X"),
+            Poly.zero(ZZ, "X"),
+        )
 
 
 class TestReciprocal:
