@@ -23,7 +23,6 @@ from .poly import FormalDegreeError, Poly
 from .mpoly import MPoly
 from .resultants import (
     OracleSizeError,
-    SylvesterMatrix,
     is_unit,
     reciprocal,
     res_bezout,
@@ -31,7 +30,7 @@ from .resultants import (
     resultant_oracle,
     resultant_product_oracle,
     split_poly,
-    sylvester_matrix,
+    sylvester_entries,
 )
 from .monoid import (
     DegreeTooHighError,

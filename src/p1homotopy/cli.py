@@ -181,13 +181,7 @@ def cmd_verify_plane_chain(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    monoid_trials = max(1, args.trials * 3 // 10)
-    results = run_all(
-        seed=args.seed,
-        trials=args.trials,
-        monoid_trials=monoid_trials,
-        io_trials=args.trials,
-    )
+    results = run_all(seed=args.seed, trials=args.trials)
     if args.json:
         print(json.dumps([
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -256,12 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# smallest accepted value of each integer flag
+FLAG_MINIMUMS = {"nf": 0, "ng": 0, "trials": 0, "nmax": 1, "dmax": 0}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag, low in FLAG_MINIMUMS.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            print(f"error: --{flag} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
     if args.func in (cmd_verify_chain, cmd_verify_matrix_chain, cmd_verify_plane_chain):
         if (args.file is None) == (args.builtin is None):
             print("error: provide exactly one of a chain file or --builtin", file=sys.stderr)

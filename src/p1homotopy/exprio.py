@@ -306,10 +306,6 @@ def print_map(u: PointedMap) -> str:
     return f"{_wrap_side(print_poly(u.f))}/{_wrap_side(print_poly(u.g))}"
 
 
-def print_pair(f, g) -> str:
-    return f"{_wrap_side(print_poly(f))}/{_wrap_side(print_poly(g))}"
-
-
 # ---------------------------------------------------------------------------
 # JSON codecs
 

@@ -125,8 +125,9 @@ def _reduce_mod_p(v: dict, basis: dict, p: int) -> dict:
     return v
 
 
-def feasible_mod_p(columns, targets, p: int = FILTER_PRIME):
+def feasible_mod_p(columns, targets):
     """For each target: False = certainly unsolvable over Z, True = maybe."""
+    p = FILTER_PRIME
     basis = {}  # leading row key -> reduced column with leading coefficient 1
     for col in columns:
         v = _reduce_mod_p(col, basis, p)

@@ -80,9 +80,6 @@ class Poly:
         d = self.actual_degree()
         return self.coeffs[d] if d >= 0 else self.ring.zero()
 
-    def is_monic_of_degree(self, n: int) -> bool:
-        return self.actual_degree() == n and self.coeff(n).is_one()
-
     # -- shape --------------------------------------------------------
 
     def pad_to(self, d: int) -> "Poly":

@@ -28,11 +28,6 @@ class MatrixFamily:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    @staticmethod
-    def from_ints(a, b, c, d) -> "MatrixFamily":
-        mk = lambda v: Poly.constant(ZZ, TVAR, v)
-        return MatrixFamily(mk(a), mk(b), mk(c), mk(d))
-
 
 @dataclass(frozen=True)
 class Mat2:

@@ -1,17 +1,15 @@
 """Sylvester matrices and resultants over exact domains.
 
-The determinant routines are generic over any integral-domain element type
-supporting +, -, *, .exact_div and .is_zero (Scalar and Poly both qualify),
-so the same code computes resultants over Z, Q, F_p and over R[T].
+The elimination is generic over any integral-domain element type supporting
++, -, *, .exact_div and .is_zero (Scalar and Poly both qualify), so the same
+code computes resultants over Z, Q, F_p and over R[T].
 
-Two independent determinant routes are shipped: fraction-free Bareiss
-elimination (the engine) and expansion by minors (the oracle, capped at 8x8).
-They share no code.
+One fraction-free engine, Bareiss elimination with column swaps, serves both
+determinants and the last-row cofactors behind Bezout certificates.  The
+oracle is expansion by minors (capped at 8x8); the two share no code.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .poly import Poly
 from .rings import RingMismatchError, Scalar
@@ -27,28 +25,14 @@ class OracleSizeError(ValueError):
 # Sylvester matrix
 
 
-@dataclass(frozen=True)
-class SylvesterMatrix:
-    """The (n+m) x (n+m) matrix whose determinant is res_{n,m}(f, g).
-
-    Column layout: m columns of down-shifted f coefficients (leading
-    coefficient topmost), then n columns of down-shifted g coefficients.
-    """
-
-    n: int
-    m: int
-    entries: tuple
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m
-
-    def rows(self) -> list:
-        return [list(r) for r in self.entries]
-
-
 def sylvester_entries(fcoeffs, gcoeffs, zero):
-    """Entry grid from dense coefficient lists (index = exponent)."""
+    """Rows of the Sylvester matrix whose determinant is res_{n,m}(f, g).
+
+    fcoeffs/gcoeffs are dense coefficient lists (index = exponent) whose
+    lengths fix the formal degrees n, m.  Column layout: m columns of
+    down-shifted f coefficients (leading coefficient topmost), then n
+    columns of down-shifted g coefficients.
+    """
     n = len(fcoeffs) - 1
     m = len(gcoeffs) - 1
     size = n + m
@@ -65,63 +49,83 @@ def sylvester_entries(fcoeffs, gcoeffs, zero):
     return rows
 
 
-def sylvester_matrix(f: Poly, g: Poly) -> SylvesterMatrix:
-    """Sylvester matrix at the operands' formal degrees."""
+def _sylvester_rows(f: Poly, g: Poly, n, m):
+    """Sylvester rows of f, g padded to formal degrees n, m (default: their
+    own), and m, the number of f columns."""
     if f.ring != g.ring or f.var != g.var:
-        raise RingMismatchError("sylvester_matrix needs a common ring and variable")
-    n, m = f.formal_degree, g.formal_degree
+        raise RingMismatchError("resultant needs a common ring and variable")
+    n = f.formal_degree if n is None else n
+    m = g.formal_degree if m is None else m
     if n < 0 or m < 0:
-        raise ValueError("pad the zero polynomial to a formal degree first")
-    rows = sylvester_entries(list(f.coeffs), list(g.coeffs), f.ring.zero())
-    return SylvesterMatrix(n, m, tuple(tuple(r) for r in rows))
+        raise ValueError("formal degrees must be supplied for the zero polynomial")
+    rows = sylvester_entries(f.pad_to(n).coeffs, g.pad_to(m).coeffs, f.ring.zero())
+    return rows, m
 
 
 # ---------------------------------------------------------------------------
 # Determinants
 
 
-def bareiss_det(rows, one):
-    """Fraction-free determinant with row swaps and sign tracking.
+def _last_row_cofactors(top, forms, one):
+    """Eliminate the rows `top` above a last row of sparse linear forms.
 
-    Every division is exact in the domain (Bareiss invariant); an inexact
-    one raises and signals a bug.  An all-zero pivot column short-circuits
-    to zero.
+    forms[j] is {symbol: coefficient} in column j.  The last row never
+    pivots, so the final entry is the form sum_j C[last][j] * forms[j], with
+    C[last][j] the last-row cofactors; each form coefficient is a Bareiss
+    entry, so every division is exact (an inexact one raises and signals a
+    bug).  A zero pivot is swapped for a later nonzero entry of its row
+    (columns swap, forms included, and the sign flips); a row that is zero
+    from the pivot on makes the result zero.
     """
-    size = len(rows)
-    if size == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = None
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, size):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return one - one
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            head = row_i[k]
-            row_k = m[k]
+    size, last, zero = len(forms), len(top), one - one
+    m = [list(r) for r in top] + [list(forms)]
+    forms, sign, prev = m[last], 1, None
+    for k in range(last):
+        c = next((c for c in range(k, size) if not m[k][c].is_zero()), None)
+        if c is None:
+            return {}
+        if c != k:
+            for row in m[k:]:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1 : last]:
             for j in range(k + 1, size):
-                e = pivot * row_i[j] - head * row_k[j]
-                if prev is not None:
-                    e = e.exact_div(prev)
-                row_i[j] = e
+                e = pivot * row_i[j] - row_i[k] * row_k[j]
+                row_i[j] = e if prev is None else e.exact_div(prev)
+        for j in range(k + 1, size):
+            e = {s: pivot * a for s, a in forms[j].items()}
+            if not row_k[j].is_zero():
+                for s, b in forms[k].items():
+                    e[s] = e.get(s, zero) - row_k[j] * b
+            e = {s: a for s, a in e.items() if not a.is_zero()}
+            forms[j] = e if prev is None else {s: a.exact_div(prev) for s, a in e.items()}
         prev = pivot
-    d = m[size - 1][size - 1]
-    return d if sign == 1 else -d
+    y = forms[last]
+    return y if sign == 1 else {s: -a for s, a in y.items()}
 
 
-def cofactor_det(rows, one, cap: int = ORACLE_SIZE_CAP):
+def bareiss_det(rows, one):
+    """Fraction-free determinant by the one elimination engine.
+
+    _last_row_cofactors (Bareiss with column swaps, which also yields the
+    last-row cofactors for res_bezout) runs with the last row as one-symbol
+    forms {0: entry}; the determinant is the coefficient of symbol 0.
+    cofactor_det is the independent oracle.
+    """
+    if not rows:
+        return one
+    forms = [{0: e} for e in rows[-1]]
+    return _last_row_cofactors(rows[:-1], forms, one).get(0, one - one)
+
+
+def cofactor_det(rows, one):
     """Determinant by expansion by minors (memoized); independent of Bareiss."""
     size = len(rows)
-    if size > cap:
-        raise OracleSizeError(f"cofactor oracle capped at {cap}x{cap}, got {size}")
+    if size > ORACLE_SIZE_CAP:
+        raise OracleSizeError(
+            f"cofactor oracle capped at {ORACLE_SIZE_CAP}x{ORACLE_SIZE_CAP}, got {size}"
+        )
     if size == 0:
         return one
     memo = {}
@@ -154,27 +158,15 @@ def cofactor_det(rows, one, cap: int = ORACLE_SIZE_CAP):
 # Resultants over the scalar rings
 
 
-def _padded_pair(f: Poly, g: Poly, n, m):
-    if f.ring != g.ring or f.var != g.var:
-        raise RingMismatchError("resultant needs a common ring and variable")
-    n = f.formal_degree if n is None else n
-    m = g.formal_degree if m is None else m
-    if n < 0 or m < 0:
-        raise ValueError("formal degrees must be supplied for the zero polynomial")
-    return f.pad_to(n), g.pad_to(m), n, m
-
-
 def resultant(f: Poly, g: Poly, n: int | None = None, m: int | None = None) -> Scalar:
     """res_{n,m}(f, g) by Bareiss elimination (n, m default to formal degrees)."""
-    f, g, n, m = _padded_pair(f, g, n, m)
-    rows = sylvester_entries(list(f.coeffs), list(g.coeffs), f.ring.zero())
+    rows, _ = _sylvester_rows(f, g, n, m)
     return bareiss_det(rows, f.ring.one())
 
 
 def resultant_oracle(f: Poly, g: Poly, n: int | None = None, m: int | None = None) -> Scalar:
     """Same value as resultant(), by the cofactor route (sizes <= 8)."""
-    f, g, n, m = _padded_pair(f, g, n, m)
-    rows = sylvester_entries(list(f.coeffs), list(g.coeffs), f.ring.zero())
+    rows, _ = _sylvester_rows(f, g, n, m)
     return cofactor_det(rows, f.ring.one())
 
 
@@ -206,56 +198,19 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
 
     Coefficients are the last-row cofactors of the Sylvester matrix (Cramer
     on the linear system whose matrix is Sylvester's), all found in one
-    fraction-free elimination, so everything stays in the base ring; works
-    even when the resultant is zero.
+    fraction-free elimination with the last row replaced by symbols z_j, so
+    everything stays in the base ring; works even when the resultant is zero.
     """
-    f, g, n, m = _padded_pair(f, g, n, m)
-    if n + m < 1:
+    rows, m = _sylvester_rows(f, g, n, m)
+    size = len(rows)
+    if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")
-    ring, var = f.ring, f.var
-    rows = sylvester_entries(list(f.coeffs), list(g.coeffs), ring.zero())
-    y = _last_row_cofactors(rows, ring.one())
-    p = Poly(ring, var, tuple(reversed(y[:m]))).trim()
-    q = Poly(ring, var, tuple(reversed(y[m:]))).trim()
+    ring, one = f.ring, f.ring.one()
+    cof = _last_row_cofactors(rows[:-1], [{j: one} for j in range(size)], one)
+    y = [cof.get(j, ring.zero()) for j in range(size)]
+    p = Poly(ring, f.var, tuple(reversed(y[:m]))).trim()
+    q = Poly(ring, f.var, tuple(reversed(y[m:]))).trim()
     return p, q
-
-
-def _last_row_cofactors(rows, one):
-    """Cofactors C[last][j] of a square matrix, from one Bareiss pass.
-
-    The last row holds formal symbols z_j as sparse linear forms {j: coeff}
-    and never pivots, so the final entry is sum_j C[last][j] z_j; each form
-    coefficient is a Bareiss entry, so every division stays exact.  A zero
-    pivot is swapped for a later nonzero entry of its row (columns swap,
-    symbols included); a zero row makes every cofactor zero.
-    """
-    size, last, zero = len(rows), len(rows) - 1, one - one
-    m = [list(r) for r in rows[:last]] + [[{j: one} for j in range(size)]]
-    sign, prev = 1, None
-    for k in range(last):
-        c = next((c for c in range(k, size) if not m[k][c].is_zero()), None)
-        if c is None:
-            return [zero] * size
-        if c != k:
-            for row in m[k:]:
-                row[k], row[c] = row[c], row[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for row_i in m[k + 1 : last]:
-            for j in range(k + 1, size):
-                e = pivot * row_i[j] - row_i[k] * row_k[j]
-                row_i[j] = e if prev is None else e.exact_div(prev)
-        forms = m[last]
-        for j in range(k + 1, size):
-            e = {s: pivot * a for s, a in forms[j].items()}
-            if not row_k[j].is_zero():
-                for s, b in forms[k].items():
-                    e[s] = e.get(s, zero) - row_k[j] * b
-            e = {s: a for s, a in e.items() if not a.is_zero()}
-            forms[j] = e if prev is None else {s: a.exact_div(prev) for s, a in e.items()}
-        prev = pivot
-    y = [m[last][last].get(j, zero) for j in range(size)]
-    return y if sign == 1 else [-a for a in y]
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,6 @@ class RingTag:
             return RingTag("Fp", p)
         raise ValueError(f"unknown ring {text!r} (expected z, q, or fp:P)")
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind in ("Q", "Fp")
-
     def from_int(self, n: int) -> "Scalar":
         return Scalar(self, n)
 

@@ -10,12 +10,10 @@ from p1homotopy.selftest import CHECKS
 
 SEED = 7
 TRIALS = 1000
-MONOID_TRIALS = 300
-IO_TRIALS = 1000
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__.removeprefix("check_"))
 def test_criterion(check):
-    result = check(SEED, TRIALS, MONOID_TRIALS, IO_TRIALS)
+    result = check(SEED, TRIALS)
     print(result.describe())
     assert result.passed, result.detail

@@ -209,6 +209,20 @@ class TestVerifyCommands:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["res", "0", "0", "--nf", "-1", "--ng", "-1"], "--nf"),
+    (["res", "0", "X", "--nf", "-1"], "--nf"),
+    (["res", "X", "0", "--ng", "-1"], "--ng"),
+    (["selftest", "--trials", "-5"], "--trials"),
+    (["verify-plane-chain", "--builtin", "prop_3_4_5", "--nmax", "0"], "--nmax"),
+    (["verify-plane-chain", "--builtin", "prop_3_4_5", "--dmax", "-1"], "--dmax"),
+])
+def test_out_of_range_integer_flag_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
+
+
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "3")

@@ -4,7 +4,7 @@ import pytest
 
 from p1homotopy.exprio import parse_poly
 from p1homotopy.poly import Poly
-from p1homotopy.randgen import rand_poly
+from p1homotopy.randgen import rand_poly, rand_scalar
 from p1homotopy.resultants import (
     OracleSizeError,
     bareiss_det,
@@ -18,7 +18,7 @@ from p1homotopy.resultants import (
     resultant_tpoly,
     resultant_tpoly_oracle,
     split_poly,
-    sylvester_matrix,
+    sylvester_entries,
 )
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
 
@@ -29,27 +29,38 @@ def zx(text):
     return parse_poly(text, ("X",), ZZ)
 
 
-def columns(m):
-    return [tuple(row[j] for row in m.entries) for j in range(m.size)]
+def columns(rows):
+    return [tuple(row[j] for row in rows) for j in range(len(rows))]
+
+
+def sylvester_rows(f, g):
+    return sylvester_entries(list(f.coeffs), list(g.coeffs), Scalar(ZZ, 0))
+
+
+def rand_entry(rng, ring):
+    """A sparse random entry: half zeros; Z[T] entries of T-degree <= 2."""
+    if rng.random() < 0.5:
+        return Poly.zero(ZZ, "T") if ring == "ZT" else ring.zero()
+    if ring == "ZT":
+        return Poly(ZZ, "T", rand_poly(rng, ZZ, rng.randint(0, 2), 3).coeffs)
+    return rand_scalar(rng, ring, 4)
 
 
 class TestSylvesterLayout:
     def test_degree_one_pair(self):
-        m = sylvester_matrix(zx("X"), zx("1").pad_to(1))
-        assert m.entries == (
-            (Scalar(ZZ, 1), Scalar(ZZ, 0)),
-            (Scalar(ZZ, 0), Scalar(ZZ, 1)),
-        )
+        rows = sylvester_rows(zx("X"), zx("1").pad_to(1))
+        assert rows == [
+            [Scalar(ZZ, 1), Scalar(ZZ, 0)],
+            [Scalar(ZZ, 0), Scalar(ZZ, 1)],
+        ]
 
     def test_integer_columns(self):
-        m = sylvester_matrix(zx("X^2 - X + 1"), zx("X - 1").pad_to(2))
+        rows = sylvester_rows(zx("X^2 - X + 1"), zx("X - 1").pad_to(2))
         want = [(1, -1, 1, 0), (0, 1, -1, 1), (0, 1, -1, 0), (0, 0, 1, -1)]
-        assert columns(m) == [tuple(Scalar(ZZ, v) for v in col) for col in want]
+        assert columns(rows) == [tuple(Scalar(ZZ, v) for v in col) for col in want]
 
     def test_t_coefficient_columns(self):
         # f = X^2, g = T*X + 1 at formal degrees 2, 2 over Z[T]
-        from p1homotopy.resultants import sylvester_entries
-
         F = parse_poly("X^2", ("X", "T"), ZZ)
         G = parse_poly("T*X + 1", ("X", "T"), ZZ)
         fc = F.x_coeff_polys("X", "T")
@@ -111,6 +122,35 @@ class TestResultant:
             [Scalar(ZZ, 0), Scalar(ZZ, 5), Scalar(ZZ, 6)],
         ]
         assert bareiss_det(rows, Scalar(ZZ, 1)).is_zero()
+
+    def test_bareiss_matches_cofactor_on_sparse_matrices(self):
+        # not Sylvester-shaped: zero pivots force column swaps, and about a
+        # third of the matrices are singular by construction (zero leading
+        # row, zero leading column or a repeated row), which exercises the
+        # zero-row exit
+        rng = random.Random(23)
+        singular = 0
+        for k in range(300):
+            ring = (ZZ, QQ, RingTag("Fp", 7), "ZT")[k % 4]
+            one = Poly.one(ZZ, "T") if ring == "ZT" else ring.one()
+            size = rng.randint(1, 7)
+            rows = [[rand_entry(rng, ring) for _ in range(size)] for _ in range(size)]
+            shape = rng.randrange(9)
+            if shape == 0:
+                rows[0] = [one - one] * size
+            elif shape == 1:
+                for row in rows:
+                    row[0] = one - one
+            elif shape == 2 and size > 1:
+                i, j = rng.sample(range(size), 2)
+                rows[j] = list(rows[i])
+            det = bareiss_det(rows, one)
+            # a value comparison: Poly == also compares formal degrees
+            assert (det - cofactor_det(rows, one)).is_zero(), (k, rows)
+            if shape < 2 or (shape == 2 and size > 1):
+                singular += 1
+                assert det.is_zero()
+        assert 80 <= singular <= 120
 
 
 class TestBezout:
