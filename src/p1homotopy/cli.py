@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # smallest accepted value of each integer flag
-FLAG_MINIMUMS = {"nf": 0, "ng": 0, "trials": 0, "nmax": 1, "dmax": 0}
+FLAG_MINIMUMS = {"nf": 0, "ng": 0, "trials": 1, "nmax": 1, "dmax": 0}
 
 
 def main(argv=None) -> int:
@@ -279,6 +279,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 only ever means "verification failed"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

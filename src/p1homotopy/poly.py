@@ -5,9 +5,17 @@ exponent; leading coefficients may be zero, and the formal degree is part of
 the value (two representations of the same function with different formal
 degrees are unequal).  The distinguished ZERO polynomial has no formal degree
 of its own; padding assigns it one.
+
+Coefficients are stored in `raw` as raw ring values (int for Z, Fraction for
+Q, int in [0, p) for F_p) and the arithmetic runs on them, with the ring's
+`norm` and `exact_div` as context.  Scalars are only the boundary: the
+constructor takes ints, Fractions or Scalars of the ring, and `coeffs`,
+`coeff`, `leading` and `eval` return Scalars.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .rings import ExactDivisionError, RingMismatchError, RingTag, Scalar
 
@@ -16,17 +24,27 @@ class FormalDegreeError(ValueError):
     """Requested formal degree is below the actual degree."""
 
 
+def _top(raw) -> int:
+    """Index of the last nonzero raw value; -1 when there is none."""
+    for i in range(len(raw) - 1, -1, -1):
+        if raw[i]:
+            return i
+    return -1
+
+
 class Poly:
-    __slots__ = ("ring", "var", "coeffs")
+    __slots__ = ("ring", "var", "raw")
 
     def __init__(self, ring: RingTag, var: str, coeffs):
+        """coeffs are ints, Fractions or Scalars of `ring`, by exponent."""
         self.ring = ring
         self.var = var
-        cs = tuple(c if isinstance(c, Scalar) else Scalar(ring, c) for c in coeffs)
-        for c in cs:
-            if c.ring != ring:
-                raise RingMismatchError(f"coefficient in {c.ring.name()}, poly over {ring.name()}")
-        self.coeffs = cs
+        self.raw = tuple(map(ring.norm, coeffs))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Scalars, by exponent."""
+        return tuple(Scalar(self.ring, c) for c in self.raw)
 
     # -- constructors -------------------------------------------------
 
@@ -45,40 +63,32 @@ class Poly:
 
     @staticmethod
     def constant(ring: RingTag, var: str, value) -> "Poly":
-        s = value if isinstance(value, Scalar) else Scalar(ring, value)
-        if s.is_zero():
-            return Poly.zero(ring, var)
-        return Poly(ring, var, (s,))
+        v = ring.norm(value)
+        return Poly(ring, var, (v,) if v else ())
 
     # -- degrees ------------------------------------------------------
 
     @property
     def formal_degree(self) -> int:
         """len(coeffs) - 1; -1 marks the distinguished ZERO."""
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     def actual_degree(self) -> int:
         """Largest exponent with a nonzero coefficient; -1 when the value is zero."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return i
-        return -1
+        return _top(self.raw)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.raw)
 
     def is_canonical_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     def coeff(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero()
+        return Scalar(self.ring, self.raw[k] if 0 <= k < len(self.raw) else 0)
 
     def leading(self) -> Scalar:
         """Coefficient at the actual degree (zero for a zero-valued polynomial)."""
-        d = self.actual_degree()
-        return self.coeffs[d] if d >= 0 else self.ring.zero()
+        return self.coeff(_top(self.raw))
 
     # -- shape --------------------------------------------------------
 
@@ -88,65 +98,49 @@ class Poly:
             raise FormalDegreeError(
                 f"cannot pad to degree {d}: actual degree is {self.actual_degree()}"
             )
-        z = self.ring.zero()
-        return Poly(self.ring, self.var, self.coeffs + (z,) * (d + 1 - len(self.coeffs)))
+        return Poly(self.ring, self.var, self.raw + (0,) * (d + 1 - len(self.raw)))
 
     def trim(self) -> "Poly":
         """Same value at its natural formal degree (ZERO when zero-valued)."""
-        return Poly(self.ring, self.var, self.coeffs[: self.actual_degree() + 1])
+        return Poly(self.ring, self.var, self.raw[: _top(self.raw) + 1])
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic (on raw values; the constructor normalises) -------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring.name()} vs {other.ring.name()}")
         if self.var != other.var:
             raise RingMismatchError(f"variable {self.var} vs {other.var}")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if other.is_canonical_zero():
-            return self
-        if self.is_canonical_zero():
-            return other
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.ring, self.var, tuple(self.coeff(i) + other.coeff(i) for i in range(n))
-        )
+        pairs = zip_longest(self.raw, other.raw, fillvalue=0)
+        return Poly(self.ring, self.var, [a + b for a, b in pairs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if other.is_canonical_zero():
-            return self
-        if self.is_canonical_zero():
-            return -other
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.ring, self.var, tuple(self.coeff(i) - other.coeff(i) for i in range(n))
-        )
+        pairs = zip_longest(self.raw, other.raw, fillvalue=0)
+        return Poly(self.ring, self.var, [a - b for a, b in pairs])
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, self.var, tuple(-c for c in self.coeffs))
+        return Poly(self.ring, self.var, [-c for c in self.raw])
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_canonical_zero() or other.is_canonical_zero():
+        a, b = self.raw, other.raw
+        if not a or not b:
             return Poly.zero(self.ring, self.var)
         # formal degree of a product is the sum of the formal degrees
-        da, db = self.formal_degree, other.formal_degree
-        z = self.ring.zero()
-        out = [z] * (da + db + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
         return Poly(self.ring, self.var, out)
 
     def scale(self, s: Scalar) -> "Poly":
-        if s.ring != self.ring:
-            raise RingMismatchError(f"{s.ring.name()} vs {self.ring.name()}")
-        return Poly(self.ring, self.var, tuple(c * s for c in self.coeffs))
+        v = self.ring.norm(s)
+        return Poly(self.ring, self.var, [c * v for c in self.raw])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -157,40 +151,38 @@ class Poly:
         return out
 
     def eval(self, point: Scalar) -> Scalar:
-        if point.ring != self.ring:
-            raise RingMismatchError(f"{point.ring.name()} vs {self.ring.name()}")
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        norm = self.ring.norm
+        v, acc = norm(point), 0
+        for c in reversed(self.raw):
+            acc = norm(acc * v + c)
+        return Scalar(self.ring, acc)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact polynomial division; any remainder or inexact coefficient
         division is a hard error (it signals an elimination bug upstream)."""
         self._check(other)
-        if other.is_zero():
+        den = other.raw[: _top(other.raw) + 1]
+        if not den:
             raise ExactDivisionError("division by the zero polynomial")
-        rem = list(self.trim().coeffs)
-        den = other.trim().coeffs
-        dd = len(den) - 1
-        lead = den[-1]
+        rem = list(self.raw[: _top(self.raw) + 1])
+        dd, lead = len(den) - 1, den[-1]
         if len(rem) - 1 < dd:
-            if all(c.is_zero() for c in rem):
+            if not rem:
                 return Poly.zero(self.ring, self.var)
             raise ExactDivisionError("degree of dividend below divisor")
-        q = [self.ring.zero()] * (len(rem) - dd)
+        norm, div = self.ring.norm, self.ring.exact_div
+        q = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c.is_zero():
+            c = norm(rem[k])
+            if not c:
                 continue
             # exact overall division forces every step to divide exactly
-            step = c.exact_div(lead)
-            q[k - dd] = step
-            for i in range(dd + 1):
-                rem[k - dd + i] = rem[k - dd + i] - step * den[i]
-        if any(not c.is_zero() for c in rem):
+            step = q[k - dd] = div(c, lead)
+            for i, d in enumerate(den, k - dd):
+                rem[i] -= step * d
+        if any(map(norm, rem)):
             raise ExactDivisionError("inexact polynomial division")
-        return Poly(self.ring, self.var, q).trim()
+        return Poly(self.ring, self.var, q[: _top(q) + 1])
 
     # -- value --------------------------------------------------------
 
@@ -199,14 +191,14 @@ class Poly:
             isinstance(other, Poly)
             and self.ring == other.ring
             and self.var == other.var
-            and self.coeffs == other.coeffs
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.ring, self.var, self.coeffs))
+        return hash((self.ring, self.var, self.raw))
 
     def __repr__(self):
-        return f"Poly({self.ring.name()}, {self.var!r}, {[str(c) for c in self.coeffs]})"
+        return f"Poly({self.ring.name()}, {self.var!r}, {[str(c) for c in self.raw]})"
 
     def __str__(self):
         from .exprio import print_poly

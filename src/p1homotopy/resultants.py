@@ -1,8 +1,10 @@
 """Sylvester matrices and resultants over exact domains.
 
 The elimination is generic over any integral-domain element type supporting
-+, -, *, .exact_div and .is_zero (Scalar and Poly both qualify), so the same
-code computes resultants over Z, Q, F_p and over R[T].
++, -, *, .exact_div and .is_zero: Scalar entries give resultants over Z, Q
+and F_p, Poly entries resultants over R[T].  A Poly keeps its coefficients
+as raw ring values, so Bareiss over R[T] does plain int, Fraction or residue
+arithmetic and builds no Scalar per coefficient.
 
 One fraction-free engine, Bareiss elimination with column swaps, serves both
 determinants and the last-row cofactors behind Bezout certificates.  The

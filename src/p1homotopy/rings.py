@@ -1,7 +1,8 @@
 """Exact base rings: unbounded integers, rationals, and prime fields.
 
 Every scalar is immutable and carries its ring tag; mixing rings raises
-RingMismatchError instead of coercing.
+RingMismatchError instead of coercing.  The ring rules live on RingTag as
+operations on raw values (`norm`, `exact_div`), which Scalar and Poly share.
 """
 
 from __future__ import annotations
@@ -111,28 +112,46 @@ class RingTag:
     def one(self) -> "Scalar":
         return Scalar(self, 1)
 
+    # -- raw values: int for Z, Fraction for Q, int in [0, p) for F_p -----
+
+    def norm(self, value):
+        """The raw value of an int, a Fraction or a Scalar of this ring."""
+        t, k = type(value), self.kind
+        if t is Scalar:
+            if value.ring is not self and value.ring != self:
+                raise RingMismatchError(f"{value.ring.name()} value in {self.name()}")
+            return value.value
+        if k == "Q":
+            return value if t is Fraction else Fraction(value)
+        if t is not int and isinstance(value, Fraction):
+            if k == "Fp":
+                p = self.modulus
+                if value.denominator % p == 0:
+                    raise ExactDivisionError(f"{value} has no residue mod {p}")
+                return value.numerator * pow(value.denominator, -1, p) % p
+            if value.denominator != 1:
+                raise ExactDivisionError(f"{value} is not an integer")
+        if k == "Z":
+            return value if t is int else int(value)
+        return int(value) % self.modulus
+
+    def exact_div(self, a, b):
+        """a / b on raw values; raises ExactDivisionError when b does not divide a."""
+        if b == 0:
+            raise ExactDivisionError("division by zero")
+        k = self.kind
+        if k == "Z":
+            q, r = divmod(a, b)
+            if r:
+                raise ExactDivisionError(f"{a} not divisible by {b}")
+            return q
+        if k == "Q":
+            return Fraction(a) / b
+        return a * pow(b, -1, self.modulus) % self.modulus
+
 
 ZZ = RingTag("Z")
 QQ = RingTag("Q")
-
-
-def _normalize(ring: RingTag, value):
-    k = ring.kind
-    if k == "Z":
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ExactDivisionError(f"{value} is not an integer")
-            return int(value)
-        return int(value)
-    if k == "Q":
-        return Fraction(value)
-    # F_p residues live in [0, p)
-    if isinstance(value, Fraction):
-        if value.denominator % ring.modulus == 0:
-            raise ExactDivisionError(f"{value} has no residue mod {ring.modulus}")
-        num = value.numerator % ring.modulus
-        return num * pow(value.denominator, -1, ring.modulus) % ring.modulus
-    return int(value) % ring.modulus
 
 
 class Scalar:
@@ -146,10 +165,10 @@ class Scalar:
 
     def __init__(self, ring: RingTag, value):
         self.ring = ring
-        self.value = _normalize(ring, value)
+        self.value = ring.norm(value)
 
     def _check(self, other: "Scalar"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring.name()} vs {other.ring.name()}")
 
     def __add__(self, other):
@@ -177,18 +196,7 @@ class Scalar:
     def exact_div(self, other: "Scalar") -> "Scalar":
         """Exact division; raises ExactDivisionError when b does not divide a."""
         self._check(other)
-        if other.value == 0:
-            raise ExactDivisionError("division by zero")
-        k = self.ring.kind
-        if k == "Z":
-            q, r = divmod(self.value, other.value)
-            if r != 0:
-                raise ExactDivisionError(f"{self.value} not divisible by {other.value}")
-            return Scalar(self.ring, q)
-        if k == "Q":
-            return Scalar(self.ring, Fraction(self.value) / other.value)
-        inv = pow(other.value, -1, self.ring.modulus)
-        return Scalar(self.ring, self.value * inv)
+        return Scalar(self.ring, self.ring.exact_div(self.value, other.value))
 
     def is_zero(self) -> bool:
         return self.value == 0

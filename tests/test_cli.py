@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import p1homotopy
-from p1homotopy import exprio
+from p1homotopy import cli, exprio
 from p1homotopy.cli import main
 from p1homotopy.homotopy import builtin_chain
 from p1homotopy.plane import builtin_plane_chain
@@ -216,11 +216,25 @@ class TestVerifyCommands:
     (["selftest", "--trials", "-5"], "--trials"),
     (["verify-plane-chain", "--builtin", "prop_3_4_5", "--nmax", "0"], "--nmax"),
     (["verify-plane-chain", "--builtin", "prop_3_4_5", "--dmax", "-1"], "--dmax"),
+    (["selftest", "--trials", "0"], "--trials"),
 ])
 def test_out_of_range_integer_flag_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"), TypeError("bad operand")])
+def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch, exc):
+    # an engine bug must not read as "verification failed" (exit 1) or
+    # print a traceback
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_res", broken)
+    code, out, err = run(capsys, "res", "X", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
 
 
 class TestSelftest:

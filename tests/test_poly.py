@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from p1homotopy.poly import FormalDegreeError, Poly
-from p1homotopy.rings import ExactDivisionError, RingMismatchError, Scalar, ZZ
+from p1homotopy.rings import ExactDivisionError, QQ, RingMismatchError, RingTag, Scalar, ZZ
+
+F7 = RingTag("Fp", 7)
 
 
 def P(*coeffs):
@@ -67,6 +71,47 @@ def test_exact_div_examples():
 def test_var_and_ring_mismatch():
     with pytest.raises(RingMismatchError):
         X + Poly.x(ZZ, "T")
+
+
+@pytest.mark.parametrize("ring, values", [
+    (ZZ, (3, 0, -2)),
+    (QQ, (Fraction(1, 2), 0, -3)),
+    (F7, (6, 0, 1)),
+])
+def test_ints_and_scalars_give_one_value(ring, values):
+    # coefficients are stored as raw ring values; Scalars are only the
+    # boundary, so both spellings must build the same polynomial
+    from_raw = Poly(ring, "T", values)
+    from_scalars = Poly(ring, "T", [Scalar(ring, v) for v in values])
+    assert from_raw == from_scalars and hash(from_raw) == hash(from_scalars)
+    for i, c in enumerate(from_raw.coeffs):
+        assert isinstance(c, Scalar) and c.ring == ring and c == Scalar(ring, values[i])
+    for k in (0, 2, 5, -1):
+        c = from_raw.coeff(k)
+        assert isinstance(c, Scalar) and c.ring == ring
+    assert from_raw.leading() == Scalar(ring, values[-1])
+    assert from_raw.eval(Scalar(ring, 1)).ring == ring
+
+
+def test_scalar_of_another_ring_is_refused():
+    with pytest.raises(RingMismatchError):
+        Poly(ZZ, "X", (1, Scalar(QQ, 2)))
+    with pytest.raises(RingMismatchError):
+        Poly(F7, "X", (Scalar(RingTag("Fp", 5), 1),))
+    with pytest.raises(RingMismatchError):
+        P(1, 1).eval(Scalar(F7, 1))
+    with pytest.raises(RingMismatchError):
+        P(1, 1).scale(Scalar(QQ, 1))
+
+
+def test_fp_inputs_are_reduced():
+    p = Poly(F7, "X", (-1, 7, 15, Fraction(1, 2)))
+    assert p == Poly(F7, "X", (6, 0, 1, 4))
+    assert p.coeff(0) == Scalar(F7, 6) and p.coeff(1).is_zero()
+    assert Poly(F7, "X", (7, 14)).is_zero()
+    # products and sums are reduced as well
+    q = Poly(F7, "X", (3, 5)) * Poly(F7, "X", (5, 4))
+    assert q == Poly(F7, "X", (1, 2, 6))
 
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=7)

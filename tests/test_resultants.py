@@ -37,6 +37,15 @@ def sylvester_rows(f, g):
     return sylvester_entries(list(f.coeffs), list(g.coeffs), Scalar(ZZ, 0))
 
 
+def xmul(a, b):
+    """Product of two X-polynomials given as lists of T-polynomials."""
+    out = [Poly.zero(a[0].ring, "T")] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
 def rand_entry(rng, ring):
     """A sparse random entry: half zeros; Z[T] entries of T-degree <= 2."""
     if rng.random() < 0.5:
@@ -151,6 +160,40 @@ class TestResultant:
                 singular += 1
                 assert det.is_zero()
         assert 80 <= singular <= 120
+
+    def test_tpoly_matches_oracle_over_every_ring(self):
+        # Poly keeps raw ints, Fractions and residues, so Z[T], Q[T] and
+        # F_p[T] each run their own arithmetic through the elimination.  A
+        # third of the pairs share a factor X - c (the resultant is zero) and
+        # a quarter of the rest have a zero leading X-coefficient.
+        rng = random.Random(29)
+        shared = zero_lead = 0
+        for k in range(64):
+            ring = (ZZ, QQ, RingTag("Fp", 2), RingTag("Fp", 7))[k % 4]
+
+            def xpoly(degree):
+                return [
+                    Poly(ring, "T", rand_poly(rng, ring, rng.randint(-1, 3), 3).coeffs)
+                    for _ in range(degree + 1)
+                ]
+
+            n = rng.randint(1, 5)
+            m = rng.randint(1, 8 - n)
+            if k % 3 == 0:
+                c = Poly(ring, "T", (rand_scalar(rng, ring, 3),))
+                h = [c, Poly.one(ring, "T")]
+                fc, gc = xmul(h, xpoly(n - 1)), xmul(h, xpoly(m - 1))
+                shared += 1
+            else:
+                fc, gc = xpoly(n), xpoly(m)
+                if rng.random() < 0.25:
+                    fc[-1] = Poly.zero(ring, "T")
+                    zero_lead += 1
+            got = resultant_tpoly(fc, gc, ring, "T")
+            assert got == resultant_tpoly_oracle(fc, gc, ring, "T"), (ring, fc, gc)
+            if k % 3 == 0:
+                assert got.is_zero()
+        assert shared >= 20 and zero_lead >= 5
 
 
 class TestBezout:
