@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     for flag, low in FLAG_MINIMUMS.items():
-        value = getattr(args, flag, None)
+        value = vars(args).get(flag)
         if value is not None and value < low:
             print(f"error: --{flag} must be at least {low}, got {value}", file=sys.stderr)
             return 2

@@ -5,11 +5,13 @@ reduction to echelon form (gcd pivoting, no fractions anywhere) followed by
 forward substitution with divisibility checks; the reduction is shared
 across right-hand sides.
 
-feasible_mod_p is a sound pre-filter on sparse {row key: int} columns and
-targets: modulo a fixed prime, the columns are reduced to an echelon basis
-keyed by leading (largest) row key, and each target is top-reduced against
-it.  "Not in the span mod p" implies "no integer solution"; the converse may
-fail, in which case the exact solver simply does the work.
+feasible_mod_p is a sound pre-filter on layers of sparse {row key: int}
+columns and on targets: modulo a fixed prime, the columns are reduced layer
+by layer to an echelon basis keyed by leading (largest) row key, and each
+target is top-reduced against it.  The leading keys are distinct, so a
+target lies in the span of the first k layers exactly when its reduction
+uses only basis vectors born in them.  "Not in that span mod p" implies "no
+integer solution from those columns"; the converse may fail.
 """
 
 from __future__ import annotations
@@ -109,30 +111,38 @@ def solve_integer(a_rows, b, ncols: int | None = None):
     return IntegerSolver(a_rows, ncols).solve(b)
 
 
-def _reduce_mod_p(v: dict, basis: dict, p: int) -> dict:
-    """v mod p top-reduced against basis: empty exactly when v is in its span."""
+def _reduce_mod_p(v: dict, basis: dict, p: int):
+    """v mod p top-reduced against basis, and the latest layer count among
+    the vectors used: v is in the span exactly when the remainder is empty."""
     v = {k: c % p for k, c in v.items() if c % p}
+    used = 0
     while v:
         lead = max(v)
-        piv = basis.get(lead)
-        if piv is None:
+        entry = basis.get(lead)
+        if entry is None:
             break
+        piv, born = entry
+        used = max(used, born)
         c = v[lead]
         for k, x in piv.items():
             v[k] = (v.get(k, 0) - c * x) % p
             if not v[k]:
                 del v[k]
-    return v
+    return v, used
 
 
-def feasible_mod_p(columns, targets):
-    """For each target: False = certainly unsolvable over Z, True = maybe."""
+def feasible_mod_p(layers, targets):
+    """Per target, the length of the shortest prefix of layers (lists of
+    columns) whose span mod p holds it, or None when no prefix does: None
+    means certainly unsolvable over Z with all the columns."""
     p = FILTER_PRIME
-    basis = {}  # leading row key -> reduced column with leading coefficient 1
-    for col in columns:
-        v = _reduce_mod_p(col, basis, p)
-        if v:
-            lead = max(v)
-            inv = pow(v[lead], -1, p)
-            basis[lead] = {k: x * inv % p for k, x in v.items()}
-    return [not _reduce_mod_p(t, basis, p) for t in targets]
+    basis = {}  # leading row key -> (column with leading coefficient 1, layers to reach it)
+    for born, layer in enumerate(layers, start=1):
+        for col in layer:
+            v, _ = _reduce_mod_p(col, basis, p)
+            if v:
+                lead = max(v)
+                inv = pow(v[lead], -1, p)
+                basis[lead] = ({k: x * inv % p for k, x in v.items()}, born)
+    reduced = (_reduce_mod_p(t, basis, p) for t in targets)
+    return [None if v else used for v, used in reduced]

@@ -6,8 +6,9 @@ meets only the origin is a membership certificate: polynomials A_i, B_i with
     T0^i * T1^(N-i) = A_i*F0 + B_i*F1   for every 0 <= i <= N,
 
 i.e. (T0,T1)^N is contained in the ideal (F0, F1).  Certificates are
-searched for over Z with bounded N and bounded coefficient total degree by
-exact integer linear algebra; a failed search is inconclusive, never a proof
+searched for over Z with bounded N and bounded coefficient total degree: one
+modular pass per family, then exact integer linear algebra with one system
+per degree shared by all N.  A failed search is inconclusive, never a proof
 of nonexistence.
 """
 
@@ -106,54 +107,52 @@ def _monomials_upto(d: int):
     return out
 
 
-def _system(fam: PlaneFamily, N: int, degree: int):
-    """The coefficient-matching system of T0^i*T1^(N-i) = A_i*F0 + B_i*F1.
+def _columns(fam: PlaneFamily, monos) -> dict:
+    """Sparse columns (F0*m, F1*m) of each multiplier m; they do not depend on N."""
+    return {
+        m: tuple(
+            {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): int(c.value) for e, c in poly.terms.items()}
+            for poly in (fam.F0, fam.F1)
+        )
+        for m in monos
+    }
 
-    Columns are (which polynomial, monomial of the unknown multiplier), as
-    sparse {product monomial: coefficient} dicts.  Returns the multiplier
-    monomials, the columns and the sparse target of each i = 0..N.
-    """
+
+def _exact_solver(cols: dict, degree: int, target_keys):
+    """N -> certificate or None from one integer system: columns F0*m, then
+    F1*m, over _monomials_upto(degree); rows the sorted column and target
+    keys (a target key no column has is a zero row, which the echelon skips)."""
     monos = _monomials_upto(degree)
-    cols = []
-    for poly in (fam.F0, fam.F1):
-        for m in monos:
-            col = {}
-            for e, c in poly.terms.items():
-                key = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
-                col[key] = col.get(key, 0) + int(c.value)
-            cols.append(col)
-    targets = [{(i, N - i, 0): 1} for i in range(N + 1)]
-    return monos, cols, targets
-
-
-def _solve_at(fam: PlaneFamily, N: int, degree: int):
-    monos, cols, targets = _system(fam, N, degree)
-    row_index = {key: r for r, key in enumerate(sorted(set().union(*targets, *cols)))}
-    a_rows = [[0] * len(cols) for _ in row_index]
-    for j, col in enumerate(cols):
+    columns = [cols[m][0] for m in monos] + [cols[m][1] for m in monos]
+    row_index = {key: r for r, key in enumerate(sorted(set(target_keys).union(*columns)))}
+    a_rows = [[0] * len(columns) for _ in row_index]
+    for j, col in enumerate(columns):
         for key, v in col.items():
             a_rows[row_index[key]][j] = v
-    half = len(monos)
-    solver = IntegerSolver(a_rows, 2 * half)
-    combos = []
-    for tgt in targets:
-        b = [0] * len(row_index)
-        for key, v in tgt.items():
-            b[row_index[key]] = v
-        x = solver.solve(b)
-        if x is None:
-            return None
-        a_terms = {m: x[k] for k, m in enumerate(monos) if x[k]}
-        b_terms = {m: x[half + k] for k, m in enumerate(monos) if x[half + k]}
-        combos.append(
-            (MPoly(ZZ, PLANE_VARS, a_terms), MPoly(ZZ, PLANE_VARS, b_terms))
-        )
-    return MembershipCertificate(N, tuple(combos))
+    solver, half = IntegerSolver(a_rows, len(columns)), len(monos)
+
+    def certificate(N):
+        combos = []
+        for i in range(N + 1):
+            b = [0] * len(row_index)
+            b[row_index[(i, N - i, 0)]] = 1
+            x = solver.solve(b)
+            if x is None:
+                return None
+            a_terms = {m: x[k] for k, m in enumerate(monos) if x[k]}
+            b_terms = {m: x[half + k] for k, m in enumerate(monos) if x[half + k]}
+            combos.append(
+                (MPoly(ZZ, PLANE_VARS, a_terms), MPoly(ZZ, PLANE_VARS, b_terms))
+            )
+        return MembershipCertificate(N, tuple(combos))
+
+    return certificate
 
 
-def _maybe_feasible(fam: PlaneFamily, N: int, degree: int) -> bool:
-    _, cols, targets = _system(fam, N, degree)
-    return all(feasible_mod_p(cols, targets))
+# Largest N and coefficient degree cap a search accepts: the systems grow with
+# the cube of the cap, and at both limits a mod-q family takes seconds.
+N_LIMIT = 12
+DEGREE_LIMIT = 12
 
 
 def default_degree_cap(fam: PlaneFamily, n_max: int) -> int:
@@ -163,22 +162,43 @@ def default_degree_cap(fam: PlaneFamily, n_max: int) -> int:
 def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) -> MembershipCertificate:
     """Smallest-N, then smallest-degree certificate within the bounds.
 
-    For each N a one-shot modular elimination at the degree cap prunes
-    hopeless N (solvability is monotone in the degree bound); the exact
-    integer search then ascends through the degrees.  Deterministic given
-    the bounds.  Raises MembershipNotFound when the bounds are exhausted.
+    One modular pass gives each N the least degree whose columns span its
+    targets mod p.  A solution over Z reduces mod p, and one at degree d is
+    one at d + 1, so the exact search for N starts there, skips N when the
+    cap fails too, and else ascends.  Deterministic given the bounds.
+    Raises ValueError above N_LIMIT or DEGREE_LIMIT, and MembershipNotFound
+    when the bounds are exhausted.
     """
     d_cap = default_degree_cap(fam, n_max) if d_max is None else d_max
+    if n_max > N_LIMIT or d_cap > DEGREE_LIMIT:
+        raise ValueError(f"membership search bounds N <= {n_max}, degree <= {d_cap} exceed "
+                         f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
+    monos = _monomials_upto(d_cap)
+    cols = _columns(fam, monos)
+    layers = [[c for m in monos if sum(m) == d for c in cols[m]] for d in range(d_cap + 1)]
+    target_keys = [(i, N - i, 0) for N in range(1, n_max + 1) for i in range(N + 1)]
+    prefixes = iter(feasible_mod_p(layers, [{key: 1} for key in target_keys]))
+    solvers = {}
+
+    def solve(N, degree):
+        if degree not in solvers:
+            solvers[degree] = _exact_solver(cols, degree, target_keys)
+        return solvers[degree](N)
+
     for N in range(1, n_max + 1):
-        if not _maybe_feasible(fam, N, d_cap):
+        lengths = [next(prefixes) for _ in range(N + 1)]
+        if None in lengths:
             continue
-        for degree in range(d_cap + 1):
-            cert = _solve_at(fam, N, degree)
-            if cert is not None:
-                verdict = verify_membership(fam, cert)
-                if not verdict.ok:
-                    raise AssertionError("solver produced a bad certificate")
-                return cert
+        degree = max(lengths) - 1
+        cert = solve(N, degree)
+        if cert is None and solve(N, d_cap) is None:
+            continue  # unsolvable at the cap, so at every degree
+        while cert is None:
+            degree += 1
+            cert = solve(N, degree)
+        if not verify_membership(fam, cert).ok:
+            raise AssertionError("solver produced a bad certificate")
+        return cert
     raise MembershipNotFound(n_max, d_cap)
 
 

@@ -17,6 +17,12 @@ def sparse(rows, rhs_list):
     return columns, targets
 
 
+def in_span(columns, targets):
+    """The filter's verdict with every column in one layer: True = maybe
+    solvable, False = certainly not."""
+    return [n is not None for n in feasible_mod_p([columns], targets)]
+
+
 def rank_q(rows):
     """Rank over Q by Gaussian elimination in Fractions."""
     m = [[Fraction(v) for v in row] for row in rows]
@@ -89,12 +95,12 @@ def test_filter_is_sound():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         x0 = [rng.randint(-5, 5) for _ in range(n)]
         b = mat_vec(rows, x0)
-        assert feasible_mod_p(*sparse(rows, [b])) == [True]
+        assert in_span(*sparse(rows, [b])) == [True]
 
 
 def test_filter_detects_rank_obstructions():
     # x = 1 and x = 2 simultaneously: infeasible mod every prime
-    assert feasible_mod_p(*sparse([[1], [1]], [[1, 2], [0, 0]])) == [False, True]
+    assert in_span(*sparse([[1], [1]], [[1, 2], [0, 0]])) == [False, True]
 
 
 def test_filter_agrees_with_rank_over_q():
@@ -107,11 +113,41 @@ def test_filter_agrees_with_rank_over_q():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-6, 6) for _ in range(m)]
         over_q = rank_q(rows) == rank_q([row + [v] for row, v in zip(rows, b)])
-        assert feasible_mod_p(*sparse(rows, [b])) == [over_q]
+        assert in_span(*sparse(rows, [b])) == [over_q]
         verdicts.add(over_q)
     assert verdicts == {True, False}
 
 
 def test_empty_shapes():
     assert solve_integer([], [], ncols=0) == []
-    assert feasible_mod_p(*sparse([], [[]])) == [True]
+    assert in_span(*sparse([], [[]])) == [True]
+
+
+def test_least_prefix_agrees_with_rank_over_q():
+    # layers of random columns (entries |a| <= 6, at most 5 rows, so the
+    # verdict mod p is the verdict over Q): the reported prefix length is
+    # the first k whose columns span b, by a Fraction rank test per prefix
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        sizes = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+        layers = [[[rng.randint(-6, 6) for _ in range(m)] for _ in range(s)] for s in sizes]
+        targets = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(3)]
+        targets.append([0] * m)
+        if rng.random() < 0.5:  # a target inside some prefix's span
+            k = rng.randrange(len(layers))
+            cols = [c for layer in layers[: k + 1] for c in layer]
+            targets.append([sum(rng.randint(-2, 2) * c[i] for c in cols) for i in range(m)])
+
+        def spans(k, b):
+            cols = [c for layer in layers[:k] for c in layer]
+            rows = [[c[i] for c in cols] for i in range(m)]
+            return rank_q(rows) == rank_q([r + [v] for r, v in zip(rows, b)])
+
+        expect = [next((k for k in range(len(layers) + 1) if spans(k, b)), None) for b in targets]
+        columns = [[{i: v for i, v in enumerate(c) if v} for c in layer] for layer in layers]
+        got = feasible_mod_p(columns, [{i: v for i, v in enumerate(b) if v} for b in targets])
+        assert got == expect
+        seen.update(expect)
+    assert None in seen and 0 in seen and {1, 2, 3, 4} & seen == {1, 2, 3, 4}
