@@ -224,6 +224,38 @@ def test_out_of_range_integer_flag_exits_2(capsys, argv, flag):
     assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
 
 
+def _degree_7_chain(tmp_path):
+    fam = {"F0": "T0 + T*T1^6", "F1": "T1"}
+    path = tmp_path / "degree7.json"
+    path.write_text(json.dumps({
+        "links": [{"family": fam, "orientation": "forward"}],
+        "from": {"F0": "T0", "F1": "T1"},
+        "to": {"F0": "T0 + T1^6", "F1": "T1"},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    (["--builtin", "prop_3_4_5", "--nmax", "13", "--dmax", "4"], "N <= 13, degree <= 4"),
+    (["--builtin", "prop_3_4_5", "--dmax", "13"], "N <= 6, degree <= 13"),
+    (["--builtin", "prop_3_4_5", "--nmax", "9"], "N <= 9, degree <= 13"),  # default cap 4 + 9
+    (["DEGREE_7_FILE"], "N <= 6, degree <= 13"),  # default cap 7 + 6, from the file
+], ids=["nmax", "dmax", "default_cap_builtin", "default_cap_file"])
+def test_plane_search_bounds_exit_2(capsys, tmp_path, argv, bounds):
+    argv = [_degree_7_chain(tmp_path) if a == "DEGREE_7_FILE" else a for a in argv]
+    code, out, err = run(capsys, "verify-plane-chain", *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: membership search bounds {bounds} exceed the limits "
+                   "N <= 12, degree <= 12\n")
+
+
+def test_plane_search_at_the_bounds_runs(capsys, tmp_path):
+    code, _, _ = run(capsys, "verify-plane-chain", "--builtin", "prop_3_4_5", "--nmax", "8")
+    assert code == 0  # default cap 4 + 8 = 12
+    code, out, _ = run(capsys, "verify-plane-chain", _degree_7_chain(tmp_path), "--nmax", "5")
+    assert code == 0 and "degree <= 6" in out
+
+
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"), TypeError("bad operand")])
 def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch, exc):
     # an engine bug must not read as "verification failed" (exit 1) or

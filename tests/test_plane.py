@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
+from p1homotopy import plane
 from p1homotopy.exprio import parse_poly
+from p1homotopy.linsolve import solve_integer
+from p1homotopy.mpoly import MPoly
 from p1homotopy.plane import (
     FORWARD,
     MembershipCertificate,
@@ -10,6 +15,7 @@ from p1homotopy.plane import (
     PlaneFamily,
     REVERSED,
     builtin_plane_chain,
+    default_degree_cap,
     find_membership,
     plane_endpoint,
     verify_membership,
@@ -85,6 +91,115 @@ class TestFindMembership:
         f = fam("T*T0 + T1^2", "-T0")
         cert = find_membership(f)
         assert cert.N == 2 and cert.coefficient_degree() <= 1
+
+
+def reference_search(f, n_max, d_cap, least=0, first=1):
+    """The exhaustive ascending (N, degree) scan, one dense integer solve per
+    target: columns F0*m then F1*m over the sorted multiplier monomials m of
+    total degree <= degree, rows the sorted keys of the columns and of the
+    targets of N.  N below `first` and degrees below `least` count as
+    unsolvable.  None when nothing within the bounds solves."""
+    for N in range(first, n_max + 1):
+        targets = [(i, N - i, 0) for i in range(N + 1)]
+        for degree in range(least, d_cap + 1):
+            monos = sorted(
+                (e0, e1, et)
+                for e0 in range(degree + 1)
+                for e1 in range(degree + 1 - e0)
+                for et in range(degree + 1 - e0 - e1)
+            )
+            cols = [
+                {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): c.value for e, c in poly.terms.items()}
+                for poly in (f.F0, f.F1)
+                for m in monos
+            ]
+            keys = sorted(set(targets).union(*cols))
+            rows = [[col.get(k, 0) for col in cols] for k in keys]
+            combos = []
+            for t in targets:
+                x = solve_integer(rows, [int(k == t) for k in keys], len(cols))
+                if x is None:
+                    break
+                half = len(monos)
+                combos.append((
+                    MPoly(ZZ, V3, {m: x[j] for j, m in enumerate(monos) if x[j]}),
+                    MPoly(ZZ, V3, {m: x[half + j] for j, m in enumerate(monos) if x[half + j]}),
+                ))
+            else:
+                return MembershipCertificate(N, tuple(combos))
+    return None
+
+
+def search(f, n_max, d_max):
+    try:
+        return find_membership(f, n_max, d_max)
+    except MembershipNotFound:
+        return None
+
+
+SHAPES = [
+    ("automorphism", "T0 + 2*T1 + (2 - T)*T1^2", "T0 + 3*T1 + (2 - T)*T1^2", 2, 4),
+    ("line", "(T0 + T1)*(T0 - T)", "(T0 + T1)*(2*T1 + 1)", 3, 3),
+    ("mod q", "2*T0 + 2*T1 + T*T1", "T1^2", 3, 4),
+    ("mod q, substituted", "3*(T0 + T1) + 2*T*(T0 + 2*T1)", "(T0 + 2*T1)^2", 2, 3),
+]
+
+
+def random_family(rng):
+    """A unimodular linear part plus small random terms of degree <= 2."""
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b and a + b + c <= 2]
+    a, b = rng.choice(((1, 0), (1, 1), (2, 1), (1, -1)))
+    polys = []
+    for lin in ({(1, 0, 0): a, (0, 1, 0): b}, {(1, 0, 0): a - 1 if a > 1 else 0, (0, 1, 0): 1}):
+        terms = dict(lin) if rng.random() < 0.8 else {}
+        for m in rng.sample(monos, rng.randint(0, 2)):
+            terms[m] = terms.get(m, 0) + rng.choice((-2, -1, 1, 2))
+        polys.append(MPoly(ZZ, V3, terms or {(0, 0, 1): 1}))
+    return PlaneFamily(*polys)
+
+
+class TestSearchMatchesReferenceScan:
+    def test_builtin_families(self):
+        for link in builtin_plane_chain().links:
+            assert find_membership(link.family, 2, 4) == reference_search(link.family, 2, 4)
+
+    @pytest.mark.parametrize("name, f0, f1, n_max, d_max", SHAPES, ids=[s[0] for s in SHAPES])
+    def test_shapes(self, name, f0, f1, n_max, d_max):
+        f = fam(f0, f1)
+        assert search(f, n_max, d_max) == reference_search(f, n_max, d_max)
+
+    def test_random_small_families(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(50):
+            f = random_family(rng)
+            got = search(f, 3, 3)
+            assert got == reference_search(f, 3, 3)
+            found += got is not None
+        assert 0 < found < 50  # both outcomes occur
+
+    def test_default_cap(self):
+        f = fam("T*T0 + T1^2", "-T0")
+        assert find_membership(f, 3) == reference_search(f, 3, default_degree_cap(f, 3))
+
+    def test_ascent_above_the_mod_p_degree(self, monkeypatch):
+        # no family seen so far is solvable over Z only above its mod-p
+        # degree; a fake that is monotone in the degree makes N = 1
+        # unsolvable everywhere and N = 2 below degree 3
+        real, built = plane._exact_solver, []
+
+        def fake(cols, degree, target_keys):
+            built.append(degree)
+            solve = real(cols, degree, target_keys)
+            return lambda N: None if N == 1 or degree < 3 else solve(N)
+
+        monkeypatch.setattr(plane, "_exact_solver", fake)
+        f = fam("T0", "T1")
+        cert = find_membership(f, 3, 5)
+        # N = 1: mod-p degree 0 and the cap fail; N = 2 ascends from 0
+        assert built == [0, 5, 1, 2, 3]
+        assert cert == reference_search(f, 3, 5, least=3, first=2)
+        assert cert.N == 2 and cert.coefficient_degree() <= 3
 
 
 class TestEndpoints:
