@@ -95,10 +95,10 @@ def bezout_pair(u: PointedMap) -> SL2Witness:
         return SL2Witness(u, one, Poly.zero(u.ring, u.f.var))
     p0, q0 = res_bezout(u.f, u.g.pad_to(u.n), u.n, u.n)
     inv = u.ring.one().exact_div(u.res)
-    p = p0.scale(inv)
-    q = q0.scale(inv)
-    # deg p < n-1 is automatic: the leading terms of p*f and q*g must cancel
-    assert p.actual_degree() < u.n - 1 and q.actual_degree() < u.n
+    p, q = p0.scale(inv), q0.scale(inv)
+    # deg p < n-1 is automatic (leading terms cancel); a failure is an engine bug
+    if p.actual_degree() >= u.n - 1 or q.actual_degree() >= u.n:
+        raise ArithmeticError(f"Bezout witness outside the degree bounds for n = {u.n}")
     return SL2Witness(u, p, q)
 
 

@@ -170,14 +170,14 @@ class Poly:
             if not rem:
                 return Poly.zero(self.ring, self.var)
             raise ExactDivisionError("degree of dividend below divisor")
-        norm, div = self.ring.norm, self.ring.exact_div
+        norm, div = self.ring.norm, self.ring.divider(lead)
         q = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = norm(rem[k])
             if not c:
                 continue
             # exact overall division forces every step to divide exactly
-            step = q[k - dd] = div(c, lead)
+            step = q[k - dd] = div(c)
             for i, d in enumerate(den, k - dd):
                 rem[i] -= step * d
         if any(map(norm, rem)):

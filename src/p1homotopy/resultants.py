@@ -1,20 +1,22 @@
 """Sylvester matrices and resultants over exact domains.
 
-The elimination is generic over any integral-domain element type supporting
-+, -, *, .exact_div and .is_zero: Scalar entries give resultants over Z, Q
-and F_p, Poly entries resultants over R[T].  A Poly keeps its coefficients
-as raw ring values, so Bareiss over R[T] does plain int, Fraction or residue
-arithmetic and builds no Scalar per coefficient.
-
 One fraction-free engine, Bareiss elimination with column swaps, serves both
-determinants and the last-row cofactors behind Bezout certificates.  The
-oracle is expansion by minors (capped at 8x8); the two share no code.
+determinants and the last-row cofactors behind Bezout certificates.  Poly
+entries give resultants over R[T]; Scalar entries run as raw values, with
+Scalars only at the boundary: ints over Z, residues over F_p (reduced before
+any zero test), and over Q the integers of A*D, D the diagonal of column
+denominator lcms d_j: det A = det(A*D) / det D, and last-row cofactor j is
+that of A*D times d_j / det D.  The oracle, expansion by minors (capped at
+8x8), shares no code with it.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
+from operator import not_
+
 from .poly import Poly
-from .rings import RingMismatchError, Scalar
+from .rings import QQ, ZZ, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
 
@@ -68,43 +70,57 @@ def _sylvester_rows(f: Poly, g: Poly, n, m):
 # Determinants
 
 
-def _last_row_cofactors(top, forms, one):
+def _last_row_cofactors(top, forms, divider, is_zero):
     """Eliminate the rows `top` above a last row of sparse linear forms.
 
     forms[j] is {symbol: coefficient} in column j.  The last row never
     pivots, so the final entry is the form sum_j C[last][j] * forms[j], with
-    C[last][j] the last-row cofactors; each form coefficient is a Bareiss
-    entry, so every division is exact (an inexact one raises and signals a
-    bug).  A zero pivot is swapped for a later nonzero entry of its row
-    (columns swap, forms included, and the sign flips); a row that is zero
-    from the pivot on makes the result zero.
+    C[last][j] the last-row cofactors.  divider(prev) divides a new entry by
+    the previous pivot and reduces it (prev None: reduction alone), is_zero
+    tests a reduced entry; every division is exact (an inexact one raises and
+    signals a bug).  A zero pivot is swapped for a later nonzero entry of its
+    row (columns swap, forms included, and the sign flips); a row that is
+    zero from the pivot on makes the result zero.
     """
-    size, last, zero = len(forms), len(top), one - one
+    size, last = len(forms), len(top)
     m = [list(r) for r in top] + [list(forms)]
-    forms, sign, prev = m[last], 1, None
+    forms, sign, div = m[last], 1, divider(None)
     for k in range(last):
-        c = next((c for c in range(k, size) if not m[k][c].is_zero()), None)
+        c = next((c for c in range(k, size) if not is_zero(m[k][c])), None)
         if c is None:
             return {}
         if c != k:
             for row in m[k:]:
                 row[k], row[c] = row[c], row[k]
             sign = -sign
-        pivot, row_k = m[k][k], m[k]
+        pivot, tail = m[k][k], m[k][k + 1 :]
         for row_i in m[k + 1 : last]:
-            for j in range(k + 1, size):
-                e = pivot * row_i[j] - row_i[k] * row_k[j]
-                row_i[j] = e if prev is None else e.exact_div(prev)
-        for j in range(k + 1, size):
+            a = row_i[k]
+            row_i[k + 1 :] = [div(pivot * x - a * y) for x, y in zip(row_i[k + 1 :], tail)]
+        for j, b in enumerate(tail, k + 1):
             e = {s: pivot * a for s, a in forms[j].items()}
-            if not row_k[j].is_zero():
-                for s, b in forms[k].items():
-                    e[s] = e.get(s, zero) - row_k[j] * b
-            e = {s: a for s, a in e.items() if not a.is_zero()}
-            forms[j] = e if prev is None else {s: a.exact_div(prev) for s, a in e.items()}
-        prev = pivot
+            if not is_zero(b):
+                for s, a in forms[k].items():
+                    e[s] = e[s] - b * a if s in e else -(b * a)
+            forms[j] = {s: a for s, a in zip(e, map(div, e.values())) if not is_zero(a)}
+        div = divider(pivot)
     y = forms[last]
     return y if sign == 1 else {s: -a for s, a in y.items()}
+
+
+def _poly_divider(prev):
+    """The divider of _last_row_cofactors for Poly entries."""
+    return (lambda e: e) if prev is None else (lambda e: e.exact_div(prev))
+
+
+def _raw_rows(rows, ring):
+    """Raw rows, their divider, and over Q the column scales d (rows of A*D)."""
+    raw = [list(map(ring.norm, r)) for r in rows]
+    if ring.kind != "Q":
+        return raw, ring.divider, None
+    d = [lcm(*(v.denominator for v in col)) for col in zip(*raw)]
+    raw = [[v.numerator * (dj // v.denominator) for v, dj in zip(r, d)] for r in raw]
+    return raw, ZZ.divider, d
 
 
 def bareiss_det(rows, one):
@@ -117,8 +133,12 @@ def bareiss_det(rows, one):
     """
     if not rows:
         return one
-    forms = [{0: e} for e in rows[-1]]
-    return _last_row_cofactors(rows[:-1], forms, one).get(0, one - one)
+    if isinstance(one, Poly):
+        forms = [{0: e} for e in rows[-1]]
+        return _last_row_cofactors(rows[:-1], forms, _poly_divider, Poly.is_zero).get(0, one - one)
+    raw, divider, d = _raw_rows(rows, one.ring)
+    det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider, not_).get(0, 0)
+    return Scalar(one.ring, det if d is None else QQ.exact_div(det, prod(d)))
 
 
 def cofactor_det(rows, one):
@@ -178,17 +198,13 @@ def resultant_tpoly(fcoeffs: list, gcoeffs: list, ring, tvar: str) -> Poly:
     fcoeffs/gcoeffs are dense X-coefficient lists of T-polynomials; their
     lengths fix the formal degrees.  Returns a trimmed T-polynomial.
     """
-    zero = Poly.zero(ring, tvar)
-    one = Poly.one(ring, tvar)
-    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), zero)
-    return bareiss_det(rows, one).trim()
+    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), Poly.zero(ring, tvar))
+    return bareiss_det(rows, Poly.one(ring, tvar)).trim()
 
 
 def resultant_tpoly_oracle(fcoeffs: list, gcoeffs: list, ring, tvar: str) -> Poly:
-    zero = Poly.zero(ring, tvar)
-    one = Poly.one(ring, tvar)
-    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), zero)
-    return cofactor_det(rows, one).trim()
+    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), Poly.zero(ring, tvar))
+    return cofactor_det(rows, Poly.one(ring, tvar)).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +223,13 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     size = len(rows)
     if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")
-    ring, one = f.ring, f.ring.one()
-    cof = _last_row_cofactors(rows[:-1], [{j: one} for j in range(size)], one)
-    y = [cof.get(j, ring.zero()) for j in range(size)]
-    p = Poly(ring, f.var, tuple(reversed(y[:m]))).trim()
-    q = Poly(ring, f.var, tuple(reversed(y[m:]))).trim()
-    return p, q
+    raw, divider, d = _raw_rows(rows, f.ring)
+    cof = _last_row_cofactors(raw[:-1], [{j: 1} for j in range(size)], divider, not_)
+    y = [cof.get(j, 0) for j in range(size)]
+    if d is not None:  # cofactor j of A is that of A*D times d_j / det D
+        den = prod(d)
+        y = [QQ.exact_div(c * dj, den) for c, dj in zip(y, d)]
+    return tuple(Poly(f.ring, f.var, c[::-1]).trim() for c in (y[:m], y[m:]))
 
 
 # ---------------------------------------------------------------------------

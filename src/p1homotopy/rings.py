@@ -2,7 +2,8 @@
 
 Every scalar is immutable and carries its ring tag; mixing rings raises
 RingMismatchError instead of coercing.  The ring rules live on RingTag as
-operations on raw values (`norm`, `exact_div`), which Scalar and Poly share.
+operations on raw values (`norm`, `exact_div`, `divider`); Poly and the
+Bareiss elimination compute on raw values, and Scalar is their boundary.
 """
 
 from __future__ import annotations
@@ -139,15 +140,27 @@ class RingTag:
         """a / b on raw values; raises ExactDivisionError when b does not divide a."""
         if b == 0:
             raise ExactDivisionError("division by zero")
-        k = self.kind
-        if k == "Z":
+        return self.divider(b)(a)
+
+    def divider(self, b):
+        """The map a -> exact_div(a, b), with b's inverse found once over F_p;
+        b None gives the reduction alone (F_p residues, the identity elsewhere)."""
+        k, p = self.kind, self.modulus
+        if k == "Fp":
+            inv = 1 if b is None else pow(b, -1, p)
+            return lambda a: a * inv % p
+        if b is None:
+            return lambda a: a
+        if k == "Q":
+            return lambda a: Fraction(a) / b
+
+        def div(a):
             q, r = divmod(a, b)
             if r:
                 raise ExactDivisionError(f"{a} not divisible by {b}")
             return q
-        if k == "Q":
-            return Fraction(a) / b
-        return a * pow(b, -1, self.modulus) % self.modulus
+
+        return div
 
 
 ZZ = RingTag("Z")

@@ -98,6 +98,15 @@ class TestBezoutPair:
             assert w.q.actual_degree() < u.n
             assert (w.p * u.f + w.q * u.g).trim() == Poly.one(ZZ, "X")
 
+    def test_witness_outside_the_bounds_raises(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        import p1homotopy.monoid as monoid
+
+        u = validate(zx("X^2 - X + 1"), zx("X - 1"))
+        monkeypatch.setattr(monoid, "res_bezout", lambda *a: (zx("X"), zx("-X")))
+        with pytest.raises(ArithmeticError, match="degree bounds"):
+            bezout_pair(u)
+
 
 class TestOplus:
     def test_headline_sum(self):

@@ -1,0 +1,173 @@
+"""Scalar Bareiss on raw ring values: the F_p reduction hazard, resultants
+and Bezout witnesses above the cofactor oracle's cap, and the Scalar
+boundary of the elimination."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from p1homotopy import rings
+from p1homotopy.poly import Poly
+from p1homotopy.resultants import (
+    bareiss_det,
+    cofactor_det,
+    res_bezout,
+    resultant,
+    resultant_product_oracle,
+    split_poly,
+    sylvester_entries,
+)
+from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
+
+F3, F5, F101 = RingTag("Fp", 3), RingTag("Fp", 5), RingTag("Fp", 101)
+
+
+def sylvester(f, g):
+    return sylvester_entries(list(f.coeffs), list(g.coeffs), f.ring.zero())
+
+
+def first_step_hazard(rows, p):
+    """The second pivot's entry after one Bareiss step, on plain integers, is
+    a nonzero multiple of p: left unreduced it would be taken as a pivot where
+    the elimination over F_p must swap columns."""
+    a = [[e.value for e in row] for row in rows]
+    e11 = a[0][0] * a[1][1] - a[1][0] * a[0][1]
+    return a[0][0] != 0 and e11 != 0 and e11 % p == 0
+
+
+def oracle_witness(f, g):
+    """(p, q) from the last-row cofactors by expansion by minors."""
+    ring, n, m = f.ring, f.formal_degree, g.formal_degree
+    top = sylvester(f, g)[:-1]
+    units = [[Scalar(ring, int(c == j)) for c in range(n + m)] for j in range(n + m)]
+    y = [cofactor_det(top + [e], ring.one()) for e in units]
+    return Poly(ring, "X", y[:m][::-1]).trim(), Poly(ring, "X", y[m:][::-1]).trim()
+
+
+def fp(ring, *coeffs):
+    """Polynomial over `ring` from coefficients listed highest first."""
+    return Poly(ring, "X", coeffs[::-1])
+
+
+class TestFpReduction:
+    # f = X^2 + 4X + c, g = 2X + 3 over F_5: the rows start [1, 2, 0] and
+    # [4, 3, 2], so the first step leaves 1*3 - 4*2 = -5 where the next pivot
+    # would be, and column 2 must be swapped in.  g has the root 1 and
+    # f(1) = c, so c = 0 makes the determinant 0.
+    @pytest.mark.parametrize("c, zero", [(1, False), (0, True)])
+    def test_sylvester_needing_a_swap(self, c, zero):
+        f, g = fp(F5, 1, 4, c), fp(F5, 2, 3)
+        rows = sylvester(f, g)
+        assert first_step_hazard(rows, 5)
+        det = bareiss_det(rows, F5.one())
+        assert det == cofactor_det(rows, F5.one())
+        assert det.is_zero() == zero
+        assert res_bezout(f, g) == oracle_witness(f, g)
+
+    def test_square_matrix_needing_a_swap(self):
+        vals = [[1, 2, 0, 1], [4, 3, 2, 0], [2, 1, 1, 3], [3, 0, 1, 4]]
+        rows = [[Scalar(F5, v) for v in row] for row in vals]
+        assert first_step_hazard(rows, 5)
+        det = bareiss_det(rows, F5.one())
+        assert det == cofactor_det(rows, F5.one()) and not det.is_zero()
+        rows[3] = [a + b for a, b in zip(rows[0], rows[2])]
+        assert bareiss_det(rows, F5.one()).is_zero()
+        assert cofactor_det(rows, F5.one()).is_zero()
+
+    def test_random_hazards_over_f3(self):
+        # Sylvester pairs up to 8x8 over F_3, kept only when the first step
+        # leaves a nonzero multiple of 3 at the next pivot
+        rng = random.Random(41)
+        seen = zeros = 0
+        while seen < 40:
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            f = Poly(F3, "X", [rng.randrange(3) for _ in range(n)] + [1])
+            g = Poly(F3, "X", [rng.randrange(3) for _ in range(m + 1)])
+            rows = sylvester(f, g)
+            if not first_step_hazard(rows, 3):
+                continue
+            seen += 1
+            det = bareiss_det(rows, F3.one())
+            assert det == cofactor_det(rows, F3.one()), (f, g)
+            assert res_bezout(f, g) == oracle_witness(f, g), (f, g)
+            zeros += det.is_zero()
+        assert zeros >= 5
+
+
+def split_pair(rng, ring, n, m, shared):
+    """Split f, g of degrees n, m with their roots and leading coefficients;
+    g takes one root of f when `shared`, and none otherwise."""
+
+    def root():
+        if ring is QQ:  # mixed denominators
+            return Scalar(QQ, Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7))))
+        if ring is ZZ:
+            return Scalar(ZZ, rng.randint(-9, 9))
+        return Scalar(ring, rng.randrange(ring.modulus))
+
+    def lead():
+        if ring is QQ:
+            return Scalar(QQ, Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 3, 4))))
+        return Scalar(ring, rng.choice((-2, -1, 1, 3)))
+
+    rf, rg = [root() for _ in range(n)], []
+    while len(rg) < m:
+        r = root()
+        rg += [] if r in rf else [r]
+    if shared:
+        rg[0] = rf[0]
+    lf, lg = lead(), lead()
+    return split_poly(ring, "X", lf, rf), split_poly(ring, "X", lg, rg), rf, rg, lf, lg
+
+
+class TestAboveTheOracleCap:
+    # Sylvester sizes up to 24, the largest the maps workload builds; the
+    # product formula and the identity p*f + q*g = res share no code with the
+    # elimination
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F101], ids=["Z", "Q", "Fp"])
+    def test_resultant_against_product_formula(self, ring):
+        rng = random.Random(53)
+        for n, m in ((12, 12), (11, 12), (12, 9), (10, 10)):
+            f, g, rf, rg, lf, lg = split_pair(rng, ring, n, m, shared=False)
+            assert resultant(f, g) == resultant_product_oracle(rf, rg, lf, lg)
+            f, g, rf, rg, lf, lg = split_pair(rng, ring, n, m, shared=True)
+            assert resultant(f, g).is_zero()
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F101], ids=["Z", "Q", "Fp"])
+    def test_bezout_identity(self, ring):
+        rng = random.Random(59)
+        nonzero_witness = 0
+        for n, m, shared in ((12, 12, False), (12, 11, False), (12, 12, True), (9, 12, True)):
+            f, g, *_ = split_pair(rng, ring, n, m, shared)
+            res = resultant(f, g)
+            p, q = res_bezout(f, g)
+            assert p.actual_degree() < m and q.actual_degree() < n
+            assert (p * f + q * g).trim() == Poly.constant(ring, "X", res)
+            assert res.is_zero() == shared
+            nonzero_witness += shared and not (p.is_zero() and q.is_zero())
+        assert nonzero_witness >= 1
+
+
+class TestScalarBoundary:
+    """The elimination runs on raw values: Scalars are built only to read the
+    input and write the output, never per entry operation."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F101], ids=["Z", "Q", "Fp"])
+    def test_scalar_constructions_grow_with_size_only(self, ring, monkeypatch):
+        rng = random.Random(61)
+        f, g, *_ = split_pair(rng, ring, 12, 12, shared=False)
+        made = []
+        init = rings.Scalar.__init__
+
+        def counting(self, r, value):
+            made.append(1)
+            init(self, r, value)
+
+        monkeypatch.setattr(rings.Scalar, "__init__", counting)
+        size = 24
+        for run in (lambda: resultant(f, g), lambda: res_bezout(f, g)):
+            made.clear()
+            run()
+            # the full 24x24 elimination makes about 4,300 entry operations
+            assert len(made) <= 2 * size, len(made)
