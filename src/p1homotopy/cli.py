@@ -8,6 +8,7 @@ subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplu
 from .plane import builtin_plane_chain, verify_plane_chain
 from .poly import FormalDegreeError
 from .projlinear import builtin_matrix_chain, verify_matrix_chain
-from .resultants import resultant_tpoly
+from .resultants import check_sylvester_size, resultant_tpoly
 from .rings import NotPrimeError, RingTag
 from .selftest import run_all
 
@@ -40,6 +41,7 @@ def cmd_res(args) -> int:
     ng = args.ng if args.ng is not None else max(G.degree_in("X"), 0)
     if nf < F.degree_in("X") or ng < G.degree_in("X"):
         raise FormalDegreeError("formal degree below the actual degree")
+    check_sylvester_size(nf, ng)  # before padding to the formal degrees
     fc = F.x_coeff_polys("X", "T", nf)
     gc = G.x_coeff_polys("X", "T", ng)
     r = resultant_tpoly(fc, gc, ring, "T")
@@ -194,56 +196,57 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="p1homotopy",
         description="Exact algebra of pointed rational maps on the projective line",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
+    def add(name, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("res", cmd_res, "resultant of two polynomials (coefficients may use T)")
+    p = add("res", "resultant of two polynomials (coefficients may use T)")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--nf", type=int, default=None, help="formal degree of f")
     p.add_argument("--ng", type=int, default=None, help="formal degree of g")
     p.add_argument("--ring", default="z", help="z, q, or fp:P")
 
-    p = add("validate", cmd_validate, "check that '<f>/<g>' is a valid pointed map")
+    p = add("validate", "check that '<f>/<g>' is a valid pointed map")
     p.add_argument("pair")
     p.add_argument("--ring", default="z")
 
-    p = add("bezout", cmd_bezout, "unique Bezout pair and SL2 matrix of a map")
+    p = add("bezout", "unique Bezout pair and SL2 matrix of a map")
     p.add_argument("pair")
     p.add_argument("--ring", default="z")
 
-    p = add("oplus", cmd_oplus, "monoid sum of two or more maps (left fold)")
+    p = add("oplus", "monoid sum of two or more maps (left fold)")
     p.add_argument("pairs", nargs="+")
     p.add_argument("--ring", default="z")
 
-    p = add("verify-chain", cmd_verify_chain, "verify a homotopy certificate chain")
+    p = add("verify-chain", "verify a homotopy certificate chain")
     p.add_argument("file", nargs="?")
     p.add_argument("--builtin", choices=["prop_3_4_3"], default=None)
 
-    p = add("verify-matrix-chain", cmd_verify_matrix_chain, "verify a projective-linear family chain")
+    p = add("verify-matrix-chain", "verify a projective-linear family chain")
     p.add_argument("file", nargs="?")
     p.add_argument("--builtin", choices=["prop_3_4_2"], default=None)
     p.add_argument("--exact-junctions", action="store_true",
                    help="require exact junction equality instead of projective")
 
-    p = add("verify-plane-chain", cmd_verify_plane_chain, "verify a punctured-plane family chain")
+    p = add("verify-plane-chain", "verify a punctured-plane family chain")
     p.add_argument("file", nargs="?")
     p.add_argument("--builtin", choices=["prop_3_4_5"], default=None)
     p.add_argument("--nmax", type=int, default=6, help="largest certificate exponent N")
     p.add_argument("--dmax", type=int, default=None,
                    help="largest certificate coefficient degree (default: input degree + nmax)")
 
-    p = add("selftest", cmd_selftest, "run the acceptance suite")
+    p = add("selftest", "run the acceptance suite")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=1000)
 
@@ -255,9 +258,8 @@ FLAG_MINIMUMS = {"nf": 0, "ng": 0, "trials": 1, "nmax": 1, "dmax": 0}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     for flag, low in FLAG_MINIMUMS.items():
@@ -265,12 +267,17 @@ def main(argv=None) -> int:
         if value is not None and value < low:
             print(f"error: --{flag} must be at least {low}, got {value}", file=sys.stderr)
             return 2
-    if args.func in (cmd_verify_chain, cmd_verify_matrix_chain, cmd_verify_plane_chain):
-        if (args.file is None) == (args.builtin is None):
-            print("error: provide exactly one of a chain file or --builtin", file=sys.stderr)
-            return 2
+    if args.command.startswith("verify-") and (args.file is None) == (args.builtin is None):
+        print("error: provide exactly one of a chain file or --builtin", file=sys.stderr)
+        return 2
+    # looked up per call, so the module's current functions are the ones run
+    commands = {
+        "res": cmd_res, "validate": cmd_validate, "bezout": cmd_bezout, "oplus": cmd_oplus,
+        "verify-chain": cmd_verify_chain, "verify-matrix-chain": cmd_verify_matrix_chain,
+        "verify-plane-chain": cmd_verify_plane_chain, "selftest": cmd_selftest,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ParseError, SchemaError, NotPrimeError, FormalDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

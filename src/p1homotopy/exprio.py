@@ -33,7 +33,7 @@ from .plane import (
     PlaneFamily,
 )
 from .projlinear import Mat2, MatrixChain, MatrixChainLink, MatrixFamily
-from .rings import QQ, RingTag, Scalar, ZZ
+from .rings import QQ, RingTag, ZZ
 
 MAX_EXPONENT = 4096
 
@@ -248,13 +248,6 @@ def parse_pair(text: str, variables, ring: RingTag):
 # Canonical printing
 
 
-def _scalar_sign_and_magnitude(c: Scalar):
-    v = c.value
-    if c.ring.kind in ("Z", "Q") and v < 0:
-        return True, str(-v)
-    return False, str(v)
-
-
 def _term_string(magnitude: str, vars, exps) -> str:
     factors = []
     powers = []
@@ -270,25 +263,22 @@ def _term_string(magnitude: str, vars, exps) -> str:
 
 
 def print_poly(p) -> str:
-    """Canonical text form: descending exponents, explicit '*', '^' powers."""
+    """Canonical text form: descending exponents, explicit '*', '^' powers.
+    Raw values print as they are: F_p residues are never negative."""
     if isinstance(p, Poly):
         vars = (p.var,)
-        items = [
-            ((k,), c)
-            for k, c in sorted(enumerate(p.coeffs), reverse=True)
-            if not c.is_zero()
-        ]
+        items = [((k,), c) for k, c in reversed(list(enumerate(p.raw))) if c]
     elif isinstance(p, MPoly):
         vars = p.vars
-        items = sorted(p.terms.items(), reverse=True)
+        items = sorted(p.raw.items(), reverse=True)
     else:
         raise TypeError(f"cannot print {type(p).__name__}")
     if not items:
         return "0"
     parts = []
     for idx, (exps, c) in enumerate(items):
-        neg, mag = _scalar_sign_and_magnitude(c)
-        t = _term_string(mag, vars, exps)
+        neg = c < 0
+        t = _term_string(str(-c if neg else c), vars, exps)
         if idx == 0:
             parts.append("-" + t if neg else t)
         else:

@@ -75,8 +75,7 @@ def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
     n = F.degree_in(XVAR)
     if n < 0:
         raise NotMonicInXError("zero numerator")
-    lead = F.coeff_of(XVAR, n)
-    if not (lead.total_degree() == 0 and lead.to_poly(TVAR).coeff(0).is_one()):
+    if F.coeff_of(XVAR, n).raw != {(0,): 1}:
         raise NotMonicInXError(f"X^{n} coefficient must be the constant 1")
     if G.degree_in(XVAR) >= n:
         raise XDegreeTooHighError(
@@ -101,9 +100,8 @@ def endpoint(cert: HomotopyCert, t: int) -> PointedMap:
     """The map at T = t (t in {0, 1}); a unit resultant specializes to a unit."""
     if t not in (0, 1):
         raise ValueError("endpoints live at T = 0 and T = 1")
-    s = cert.ring.from_int(t)
-    f = cert.F.subst(TVAR, s).to_poly(XVAR)
-    g = cert.G.subst(TVAR, s).to_poly(XVAR)
+    f = cert.F.subst(TVAR, t).to_poly(XVAR)
+    g = cert.G.subst(TVAR, t).to_poly(XVAR)
     return validate(f, g, cert.ring)
 
 

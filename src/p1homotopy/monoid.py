@@ -76,7 +76,7 @@ def validate(f: Poly, g: Poly, ring: RingTag | None = None) -> PointedMap:
         raise RingMismatchError(f"variable {f.var} vs {g.var}")
     f = f.trim()
     n = f.actual_degree()
-    if n < 0 or not f.coeff(n).is_one():
+    if n < 0 or f.raw[n] != 1:
         raise NotMonicError(f"numerator must be monic, got {f!r}")
     if g.actual_degree() >= n:
         raise DegreeTooHighError(
@@ -145,14 +145,8 @@ def named(name: str) -> PointedMap:
 def homogenize(u: PointedMap):
     """(F0, F1) = (T1^n f(T0/T1), T1^n g(T0/T1)) as polynomials in (T0, T1)."""
     vars = ("T0", "T1")
-    f0 = {}
-    f1 = {}
-    for i, c in enumerate(u.f.coeffs):
-        if not c.is_zero():
-            f0[(i, u.n - i)] = c
-    for i, c in enumerate(u.g.coeffs):
-        if not c.is_zero():
-            f1[(i, u.n - i)] = c
+    f0 = {(i, u.n - i): c for i, c in enumerate(u.f.raw)}
+    f1 = {(i, u.n - i): c for i, c in enumerate(u.g.raw)}
     return MPoly(u.ring, vars, f0), MPoly(u.ring, vars, f1)
 
 
@@ -169,11 +163,11 @@ def dehomogenize(F0: MPoly, F1: MPoly) -> PointedMap:
         raise MapValidationError("zero numerator")
     if not (F1.is_zero() or F1.total_degree() == n):
         raise MapValidationError("degrees differ")
-    if not F0.terms.get((n, 0), F0.ring.zero()).is_one():
+    if F0.raw.get((n, 0)) != 1:
         raise MapValidationError("T0^n coefficient of F0 must be 1")
-    if (n, 0) in F1.terms:
+    if (n, 0) in F1.raw:
         raise MapValidationError("T0^n coefficient of F1 must be 0")
     ring = F0.ring
-    fc = [F0.terms.get((i, n - i), ring.zero()) for i in range(n + 1)]
-    gc = [F1.terms.get((i, n - i), ring.zero()) for i in range(n + 1)]
+    fc = [F0.raw.get((i, n - i), 0) for i in range(n + 1)]
+    gc = [F1.raw.get((i, n - i), 0) for i in range(n + 1)]
     return validate(Poly(ring, "X", fc), Poly(ring, "X", gc).trim(), ring)

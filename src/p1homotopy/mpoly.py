@@ -1,34 +1,43 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
-Terms map exponent vectors (aligned with an ordered variable tuple) to
-nonzero scalars.  The primary use is Z[T][X], Z[T0,T1] and Z[T0,T1,T]; the
-type accepts any RingTag so the same machinery serves certificates over a
-field as well.
+`raw` maps exponent vectors (aligned with an ordered variable tuple) to
+nonzero raw ring values (int for Z, Fraction for Q, int in [0, p) for F_p),
+normalised by the ring's `norm` as in Poly.  Scalars are only the boundary:
+the constructor takes ints, Fractions or Scalars, and `terms` and `eval`
+return Scalars.  The primary use is Z[T][X], Z[T0,T1] and Z[T0,T1,T]; any
+RingTag serves, so certificates over a field work as well.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
 
 from .rings import RingMismatchError, RingTag, Scalar
 from .poly import Poly
 
 
 class MPoly:
-    __slots__ = ("ring", "vars", "terms")
+    __slots__ = ("ring", "vars", "raw")
 
     def __init__(self, ring: RingTag, vars: tuple, terms: dict):
+        """terms maps exponent vectors to ints, Fractions or Scalars of `ring`."""
         self.ring = ring
         self.vars = tuple(vars)
-        nv = len(self.vars)
+        nv, norm = len(self.vars), ring.norm
         clean = {}
         for exps, c in terms.items():
             if len(exps) != nv:
                 raise ValueError(f"exponent vector {exps} has wrong length (vars {self.vars})")
-            s = c if isinstance(c, Scalar) else Scalar(ring, c)
-            if s.ring != ring:
-                raise RingMismatchError(f"{s.ring.name()} coefficient in {ring.name()} polynomial")
-            if not s.is_zero():
-                clean[tuple(int(e) for e in exps)] = s
-        self.terms = clean
+            c = norm(c)
+            if c:
+                clean[tuple(map(int, exps))] = c
+        self.raw = clean
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients as Scalars, by exponent vector."""
+        return {e: Scalar(self.ring, c) for e, c in self.raw.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -58,8 +67,8 @@ class MPoly:
             raise ValueError(f"variable {p.var!r} not among {vars}")
         idx = vars.index(p.var)
         terms = {}
-        for k, c in enumerate(p.coeffs):
-            if not c.is_zero():
+        for k, c in enumerate(p.raw):
+            if c:
                 e = [0] * len(vars)
                 e[idx] = k
                 terms[tuple(e)] = c
@@ -68,15 +77,15 @@ class MPoly:
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.raw), default=-1)
 
     def degree_in(self, name: str) -> int:
         i = self._index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self.raw), default=-1)
 
     def _index(self, name: str) -> int:
         try:
@@ -89,16 +98,16 @@ class MPoly:
         i = self._index(name)
         rest = self.vars[:i] + self.vars[i + 1 :]
         terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.raw.items():
             if e[i] == k:
                 terms[e[:i] + e[i + 1 :]] = c
         return MPoly(self.ring, rest, terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.raw}
         return len(degs) <= 1
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic (on raw values; the constructor normalises) -------
 
     def _check(self, other: "MPoly"):
         if not isinstance(other, MPoly):
@@ -110,14 +119,13 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
+        terms = dict(self.raw)
+        for e, c in other.raw.items():
+            terms[e] = terms.get(e, 0) + c
         return MPoly(self.ring, self.vars, terms)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.ring, self.vars, {e: -c for e, c in self.raw.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -125,12 +133,10 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                p = c1 * c2
-                terms[e] = p if s is None else s + p
+        for e1, c1 in self.raw.items():
+            for e2, c2 in other.raw.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MPoly(self.ring, self.vars, terms)
 
     def __pow__(self, n: int) -> "MPoly":
@@ -141,26 +147,23 @@ class MPoly:
             out = out * self
         return out
 
-    def scale(self, s: Scalar) -> "MPoly":
-        return MPoly(self.ring, self.vars, {e: c * s for e, c in self.terms.items()})
-
     # -- substitution -------------------------------------------------
 
     def subst(self, name: str, value) -> "MPoly":
-        """Substitute a Scalar, Poly, or MPoly for one variable.
+        """Substitute a ring value (int, Fraction or Scalar of the ring), a
+        Poly, or an MPoly for one variable.
 
         The substituted variable is dropped from the result; variables of a
         polynomial value are merged in (so T -> 1-T style substitutions work).
         """
         i = self._index(name)
         rest = self.vars[:i] + self.vars[i + 1 :]
-        if isinstance(value, Scalar):
+        if isinstance(value, (int, Fraction, Scalar)):
+            v = self.ring.norm(value)
             terms = {}
-            for e, c in self.terms.items():
+            for e, c in self.raw.items():
                 ne = e[:i] + e[i + 1 :]
-                s = c * value ** e[i]
-                prev = terms.get(ne)
-                terms[ne] = s if prev is None else prev + s
+                terms[ne] = terms.get(ne, 0) + c * v ** e[i]
             return MPoly(self.ring, rest, terms)
         if isinstance(value, Poly):
             value = MPoly.from_poly(value)
@@ -170,7 +173,7 @@ class MPoly:
         val = value._embed(out_vars)
         out = MPoly.zero(self.ring, out_vars)
         powers = {0: MPoly.constant(self.ring, out_vars, 1)}
-        for e, c in self.terms.items():
+        for e, c in self.raw.items():
             k = e[i]
             if k not in powers:
                 powers[k] = val**k
@@ -181,7 +184,7 @@ class MPoly:
     def _embed(self, vars: tuple) -> "MPoly":
         idx = [vars.index(v) for v in self.vars]
         terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.raw.items():
             ne = [0] * len(vars)
             for j, k in zip(idx, e):
                 ne[j] = k
@@ -189,14 +192,15 @@ class MPoly:
         return MPoly(self.ring, vars, terms)
 
     def eval(self, point: dict) -> Scalar:
-        acc = self.ring.zero()
-        order = [point[v] for v in self.vars]
-        for e, c in self.terms.items():
-            t = c
+        """The value at point[name], a ring value for every variable."""
+        norm = self.ring.norm
+        order = [norm(point[v]) for v in self.vars]
+        acc = 0
+        for e, c in self.raw.items():
             for v, k in zip(order, e):
-                t = t * v**k
-            acc = acc + t
-        return acc
+                c = c * v**k
+            acc = norm(acc + c)
+        return Scalar(self.ring, acc)
 
     def to_poly(self, name: str) -> Poly:
         """Convert to a dense univariate polynomial (requires every other
@@ -204,19 +208,14 @@ class MPoly:
         if name not in self.vars:
             if self.total_degree() > 0:
                 raise ValueError(f"not univariate in {name!r}: {self.vars}")
-            if self.is_zero():
-                return Poly.zero(self.ring, name)
-            return Poly.constant(self.ring, name, self.terms[(0,) * len(self.vars)])
+            return Poly.constant(self.ring, name, self.raw.get((0,) * len(self.vars), 0))
         i = self._index(name)
-        for e in self.terms:
+        for e in self.raw:
             for j, k in enumerate(e):
                 if j != i and k != 0:
                     raise ValueError(f"not univariate in {name!r}: {self.vars}")
-        d = self.degree_in(name)
-        if d < 0:
-            return Poly.zero(self.ring, name)
-        cs = [self.ring.zero()] * (d + 1)
-        for e, c in self.terms.items():
+        cs = [0] * (self.degree_in(name) + 1)
+        for e, c in self.raw.items():
             cs[e[i]] = c
         return Poly(self.ring, name, cs)
 
@@ -234,14 +233,14 @@ class MPoly:
             isinstance(other, MPoly)
             and self.ring == other.ring
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.ring, self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.ring, self.vars, tuple(sorted(self.raw.items()))))
 
     def __repr__(self):
-        return f"MPoly({self.ring.name()}, {self.vars}, {{{', '.join(f'{e}: {c}' for e, c in sorted(self.terms.items(), reverse=True))}}})"
+        return f"MPoly({self.ring.name()}, {self.vars}, {{{', '.join(f'{e}: {c}' for e, c in sorted(self.raw.items(), reverse=True))}}})"
 
     def __str__(self):
         from .exprio import print_poly

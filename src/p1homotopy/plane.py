@@ -20,7 +20,7 @@ from functools import partial
 from .chains import FORWARD, REVERSED, ChainReport, check_orientation, exact, walk_chain
 from .linsolve import IntegerSolver, feasible_mod_p
 from .mpoly import MPoly
-from .rings import Scalar, ZZ
+from .rings import ZZ
 
 PLANE_VARS = ("T0", "T1", "T")
 POINT_VARS = ("T0", "T1")
@@ -111,7 +111,7 @@ def _columns(fam: PlaneFamily, monos) -> dict:
     """Sparse columns (F0*m, F1*m) of each multiplier m; they do not depend on N."""
     return {
         m: tuple(
-            {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): int(c.value) for e, c in poly.terms.items()}
+            {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): c for e, c in poly.raw.items()}
             for poly in (fam.F0, fam.F1)
         )
         for m in monos
@@ -210,8 +210,7 @@ def plane_endpoint(fam: PlaneFamily, t: int):
     """The endomorphism pair at T = t, as polynomials in (T0, T1)."""
     if t not in (0, 1):
         raise ValueError("endpoints live at T = 0 and T = 1")
-    s = Scalar(ZZ, t)
-    return fam.F0.subst("T", s), fam.F1.subst("T", s)
+    return fam.F0.subst("T", t), fam.F1.subst("T", t)
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,8 @@ class Poly:
             out = out * self
         return out
 
-    def eval(self, point: Scalar) -> Scalar:
+    def eval(self, point) -> Scalar:
+        """The value at a ring value (int, Fraction or Scalar of the ring)."""
         norm = self.ring.norm
         v, acc = norm(point), 0
         for c in reversed(self.raw):

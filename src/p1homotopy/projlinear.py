@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .chains import FORWARD, REVERSED, ChainReport, check_orientation, walk_chain
 from .poly import Poly
 from .resultants import is_unit
-from .rings import Scalar, ZZ
+from .rings import ZZ
 
 TVAR = "T"
 
@@ -56,8 +56,7 @@ def is_valid_family(M: MatrixFamily) -> bool:
 def endpoint_matrix(M: MatrixFamily, t: int) -> Mat2:
     if t not in (0, 1):
         raise ValueError("endpoints live at T = 0 and T = 1")
-    s = Scalar(ZZ, t)
-    return Mat2(*(int(p.eval(s).value) for p in M.entries()))
+    return Mat2(*(p.eval(t).value for p in M.entries()))
 
 
 def projective_unit(M: Mat2, N: Mat2):

@@ -20,6 +20,10 @@ from .rings import QQ, ZZ, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
 
+# Largest Sylvester matrix (n + m rows) built: at it `res X 1 --nf 100` over
+# Z[T], the slowest CLI case, takes seconds, and the cost grows cubically
+SYLVESTER_SIZE_LIMIT = 100
+
 
 class OracleSizeError(ValueError):
     """Cofactor oracle invoked beyond its size cap."""
@@ -29,16 +33,24 @@ class OracleSizeError(ValueError):
 # Sylvester matrix
 
 
+def check_sylvester_size(n: int, m: int):
+    """ValueError when res_{n,m} needs a matrix above SYLVESTER_SIZE_LIMIT."""
+    if n + m > SYLVESTER_SIZE_LIMIT:
+        raise ValueError(f"Sylvester matrix of size {n + m} exceeds the limit {SYLVESTER_SIZE_LIMIT}")
+
+
 def sylvester_entries(fcoeffs, gcoeffs, zero):
     """Rows of the Sylvester matrix whose determinant is res_{n,m}(f, g).
 
     fcoeffs/gcoeffs are dense coefficient lists (index = exponent) whose
     lengths fix the formal degrees n, m.  Column layout: m columns of
     down-shifted f coefficients (leading coefficient topmost), then n
-    columns of down-shifted g coefficients.
+    columns of down-shifted g coefficients.  Every resultant route builds
+    its matrix here, so n + m above SYLVESTER_SIZE_LIMIT raises ValueError.
     """
     n = len(fcoeffs) - 1
     m = len(gcoeffs) - 1
+    check_sylvester_size(n, m)
     size = n + m
     rows = []
     for r in range(size):

@@ -12,6 +12,7 @@ from p1homotopy.cli import main
 from p1homotopy.homotopy import builtin_chain
 from p1homotopy.plane import builtin_plane_chain
 from p1homotopy.projlinear import builtin_matrix_chain
+from p1homotopy.resultants import SYLVESTER_SIZE_LIMIT
 
 
 def run(capsys, *argv):
@@ -311,3 +312,42 @@ def test_plane_chain_runs_without_numpy():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "res", "X^2 - X + 1", "X - 1")[0] == 0
+    assert run(capsys, "validate", "X/1")[0] == 0
+    assert run(capsys, "res", "X", "--nf")[0] == 2
+    assert run(capsys, "verify-chain", "--builtin", "prop_3_4_3")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 3
+
+
+def run_subprocess(*argv):
+    src = str(Path(p1homotopy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "p1homotopy.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("res", "X", "1", "--nf", str(SYLVESTER_SIZE_LIMIT + 1)),
+    ("res", "X", "1", "--nf", str(10**12)),  # rejected before padding to the formal degree
+    ("validate", f"X^{SYLVESTER_SIZE_LIMIT // 2 + 1}/1"),
+    ("validate", "X^4096/1"),
+])
+def test_sylvester_size_above_the_limit_exits_2(argv):
+    result = run_subprocess(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: Sylvester matrix of size ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_sylvester_size_at_the_limit_runs():
+    # validate pads g to the degree n of f: the matrix has 2n rows
+    result = run_subprocess("validate", f"X^{SYLVESTER_SIZE_LIMIT // 2}/1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("valid: ")

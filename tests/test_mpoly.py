@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
+from p1homotopy import rings
 from p1homotopy.exprio import parse_poly
+from p1homotopy.homotopy import builtin_chain, endpoint, validate_cert
+from p1homotopy.monoid import validate
 from p1homotopy.mpoly import MPoly
+from p1homotopy.plane import builtin_plane_chain, find_membership, verify_membership
 from p1homotopy.poly import Poly
-from p1homotopy.rings import RingMismatchError, Scalar, ZZ
+from p1homotopy.rings import QQ, RingMismatchError, RingTag, Scalar, ZZ
 
 XT = ("X", "T")
 
@@ -83,3 +89,98 @@ def test_eval():
     p = xt("X^2 + 2*T*X + 2*T")
     v = p.eval({"X": Scalar(ZZ, 2), "T": Scalar(ZZ, 3)})
     assert v == Scalar(ZZ, 4 + 12 + 6)
+
+
+F7 = RingTag("Fp", 7)
+
+
+class TestRawCoefficients:
+    def test_fp_cancels_and_reduces(self):
+        assert parse_poly("3*X + 4*X", XT, F7).raw == {}
+        p = parse_poly("5*X*T - 9*T + 20 - (X + 6)*(X + 6)", XT, F7)
+        assert p.raw == {(1, 1): 5, (0, 1): 5, (2, 0): 6, (1, 0): 2, (0, 0): 5}
+        for q in (p, p * p, -p, p.subst("T", 3), p.subst("T", Fraction(1, 2))):
+            assert all(type(c) is int and 0 <= c < 7 for c in q.raw.values())
+
+    def test_q_keeps_fractions(self):
+        p = parse_poly("1/2*X*T + 3 - 2/3*T", XT, QQ)
+        assert p.raw == {(1, 1): Fraction(1, 2), (0, 0): Fraction(3), (0, 1): Fraction(-2, 3)}
+        for q in (p, p * p - p, p.subst("T", 5), p.subst("X", Fraction(1, 3))):
+            assert all(type(c) is Fraction for c in q.raw.values())
+        assert (p + parse_poly("1/3*T", XT, QQ) * MPoly.constant(QQ, XT, 2)).raw[(0, 0)] == 3
+        assert p.eval({"X": 2, "T": Fraction(3, 2)}) == Scalar(QQ, Fraction(3, 2) + 3 - 1)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F7], ids=["Z", "Q", "Fp"])
+    def test_int_fraction_and_scalar_inputs_agree(self, ring):
+        e = (1, 0)
+        built = [
+            MPoly(ring, XT, {e: 3, (0, 1): -1}),
+            MPoly(ring, XT, {e: Fraction(3), (0, 1): Fraction(-1)}),
+            MPoly(ring, XT, {e: Scalar(ring, 3), (0, 1): Scalar(ring, -1)}),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(p) for p in built}) == 1
+        assert built[0].terms == {e: Scalar(ring, 3), (0, 1): Scalar(ring, -1)}
+        assert all(c.ring == ring for c in built[0].terms.values())
+        other = QQ if ring != QQ else ZZ
+        with pytest.raises(RingMismatchError):
+            MPoly(ring, XT, {e: Scalar(other, 3)})
+        with pytest.raises(RingMismatchError):
+            built[0].subst("T", Scalar(other, 1))
+
+    def test_plain_values_substitute_like_scalars(self):
+        p = xt("X^2 + 2*T*X + 2*T")
+        for t in (0, 1, -3):
+            assert p.subst("T", t) == p.subst("T", Scalar(ZZ, t))
+        assert p.eval({"X": 2, "T": 3}) == p.eval({"X": Scalar(ZZ, 2), "T": Scalar(ZZ, 3)})
+        with pytest.raises(TypeError):
+            p.subst("T", "1")
+
+
+class TestScalarBoundary:
+    """MPoly arithmetic runs on raw values: parsing, certificate validation,
+    endpoints and membership checks build no Scalar per term operation."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        init = rings.Scalar.__init__
+
+        def counting(self, r, value):
+            made.append(1)
+            init(self, r, value)
+
+        monkeypatch.setattr(rings.Scalar, "__init__", counting)
+        return made
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F7], ids=["Z", "Q", "Fp"])
+    def test_parse_builds_none(self, made, ring):
+        parse_poly("(X + 2*T + 1)^12 - 3*X*T*(X - T)^5", XT, ring)
+        parse_poly("(T0 + T*T1)^6 + 2*T0*T1", ("T0", "T1", "T"), ring)
+        assert made == []
+
+    def test_certificates_and_endpoints(self, made):
+        chain = builtin_chain()
+        for link in chain.links:
+            made.clear()
+            cert = validate_cert(link.F, link.G, ZZ)
+            # one Scalar, for the unit test of the resultant
+            assert len(made) <= 1, len(made)
+            for t in (0, 1):
+                f = link.F.subst("T", t).to_poly("X")
+                g = link.G.subst("T", t).to_poly("X")
+                made.clear()
+                validate(f, g, ZZ)
+                expected = len(made)
+                made.clear()
+                endpoint(cert, t)
+                # only the resultant's own boundary, none for the substitution
+                assert len(made) == expected, (len(made), expected)
+
+    def test_verify_membership_builds_none(self, made):
+        for link in builtin_plane_chain().links:
+            fam = link.family
+            cert = find_membership(fam)
+            made.clear()
+            assert verify_membership(fam, cert).ok
+            assert made == []
