@@ -1,17 +1,21 @@
 """Sylvester matrices and resultants over exact domains.
 
 One fraction-free engine, Bareiss elimination with column swaps, serves both
-determinants and the last-row cofactors behind Bezout certificates.  Poly
-entries give resultants over R[T]; Scalar entries run as raw values, with
-Scalars only at the boundary: ints over Z, residues over F_p (reduced before
-any zero test), and over Q the integers of A*D, D the diagonal of column
-denominator lcms d_j: det A = det(A*D) / det D, and last-row cofactor j is
-that of A*D times d_j / det D.  The oracle, expansion by minors (capped at
-8x8), shares no code with it.
+determinants and the last-row cofactors behind Bezout certificates.  Scalar
+entries run as raw values, with Scalars only at the boundary: ints over Z,
+residues over F_p (reduced before any zero test), and over Q the integers of
+A*D, D the diagonal of column denominator lcms d_j: det A = det(A*D) / det D,
+and last-row cofactor j is that of A*D times d_j / det D.  Poly entries give
+resultants over R[T]: over Z[T] and Q[T] (scaled the same way) each entry is
+packed into one int by Kronecker substitution T = 2^B, with B from Hadamard's
+bound, and the determinant is read back as balanced base-2^B digits; F_p[T]
+has no such packing and eliminates the Polys.  The oracle, expansion by
+minors (capped at 8x8), shares no code with it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import lcm, prod
 from operator import not_
 
@@ -121,18 +125,62 @@ def _last_row_cofactors(top, forms, divider, is_zero):
 
 
 def _poly_divider(prev):
-    """The divider of _last_row_cofactors for Poly entries."""
+    """The divider of _last_row_cofactors for Poly entries (F_p[T] only)."""
     return (lambda e: e) if prev is None else (lambda e: e.exact_div(prev))
 
 
-def _raw_rows(rows, ring):
-    """Raw rows, their divider, and over Q the column scales d (rows of A*D)."""
-    raw = [list(map(ring.norm, r)) for r in rows]
+def _raw_rows(rows, ring, tpoly=False):
+    """Raw rows, their divider, and over Q the column scales d (rows of A*D).
+
+    tpoly: the entries are Polys, kept as tuples of raw coefficients, and
+    d_j clears every coefficient in column j.
+    """
+    raw = [[e.raw for e in r] if tpoly else list(map(ring.norm, r)) for r in rows]
     if ring.kind != "Q":
         return raw, ring.divider, None
-    d = [lcm(*(v.denominator for v in col)) for col in zip(*raw)]
-    raw = [[v.numerator * (dj // v.denominator) for v, dj in zip(r, d)] for r in raw]
+    if tpoly:
+        d = [lcm(*(c.denominator for e in col for c in e)) for col in zip(*raw)]
+        raw = [[tuple(c.numerator * (dj // c.denominator) for c in e) for e, dj in zip(r, d)] for r in raw]
+    else:
+        d = [lcm(*(v.denominator for v in col)) for col in zip(*raw)]
+        raw = [[v.numerator * (dj // v.denominator) for v, dj in zip(r, d)] for r in raw]
     return raw, ZZ.divider, d
+
+
+def _pack(raw):
+    """Kronecker substitution T = 2^B: each tuple of integer coefficients
+    becomes one int, and B the digit width.
+
+    The elimination of the packed ints is integer Bareiss on A(2^B), exact
+    whatever B, so it yields det A(2^B).  By Hadamard's inequality on
+    |T| = 1, no coefficient of det A(T) exceeds
+    H = prod_j (sum_i |a_ij|_1^2)^(1/2), nor the same product over the rows;
+    with 2^(B-1) > H the balanced base-2^B digits of det A(2^B) are those
+    coefficients.
+    """
+    sq = [[sum(map(abs, e)) ** 2 for e in r] for r in raw]
+    h2 = min(prod(map(sum, lines)) for lines in (sq, zip(*sq)))
+    width = (h2.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
+
+    def pack(e):
+        acc = 0
+        for c in reversed(e):
+            acc = (acc << width) + c
+        return acc
+
+    return [list(map(pack, r)) for r in raw], width
+
+
+def _unpack(v, width):
+    """The balanced base-2^width digits of v, lowest first."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> width
+    return out
 
 
 def bareiss_det(rows, one):
@@ -140,17 +188,28 @@ def bareiss_det(rows, one):
 
     _last_row_cofactors (Bareiss with column swaps, which also yields the
     last-row cofactors for res_bezout) runs with the last row as one-symbol
-    forms {0: entry}; the determinant is the coefficient of symbol 0.
-    cofactor_det is the independent oracle.
+    forms {0: entry}; the determinant is the coefficient of symbol 0.  Over
+    Z[T] and Q[T] the entries are packed into ints (_pack) and the digits of
+    the result read back; F_p[T] has no such packing (lifted residues grow
+    with the matrix) and eliminates Polys.  cofactor_det is the independent
+    oracle.
     """
     if not rows:
         return one
-    if isinstance(one, Poly):
+    ring, tpoly = one.ring, isinstance(one, Poly)
+    if tpoly and any(e.ring != ring or e.var != one.var for r in rows for e in r):
+        raise RingMismatchError(f"entries outside {ring.name()}[{one.var}]")
+    if tpoly and ring.kind == "Fp":
         forms = [{0: e} for e in rows[-1]]
         return _last_row_cofactors(rows[:-1], forms, _poly_divider, Poly.is_zero).get(0, one - one)
-    raw, divider, d = _raw_rows(rows, one.ring)
+    raw, divider, d = _raw_rows(rows, ring, tpoly)
+    if tpoly:
+        raw, width = _pack(raw)
     det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider, not_).get(0, 0)
-    return Scalar(one.ring, det if d is None else QQ.exact_div(det, prod(d)))
+    value = (lambda c: c) if d is None else partial(QQ.exact_div, b=prod(d))
+    if tpoly:
+        return Poly(ring, one.var, [value(c) for c in _unpack(det, width)])
+    return Scalar(ring, value(det))
 
 
 def cofactor_det(rows, one):

@@ -113,12 +113,16 @@ class RingTag:
     # -- raw values: int for Z, Fraction for Q, int in [0, p) for F_p -----
 
     def norm(self, value):
-        """The raw value of an int, a Fraction or a Scalar of this ring."""
+        """The raw value of an int, a Fraction or a Scalar of this ring;
+        anything else (a float, a string, a bool) raises TypeError."""
         t, k = type(value), self.kind
-        if t is Scalar:
-            if value.ring is not self and value.ring != self:
-                raise RingMismatchError(f"{value.ring.name()} value in {self.name()}")
-            return value.value
+        if t is not int and t is not Fraction:
+            if t is Scalar:
+                if value.ring is not self and value.ring != self:
+                    raise RingMismatchError(f"{value.ring.name()} value in {self.name()}")
+                return value.value
+            if t is bool or not isinstance(value, (int, Fraction)):
+                raise TypeError(f"{t.__name__} {value!r} is not an exact {self.name()} value")
         if k == "Q":
             return value if t is Fraction else Fraction(value)
         if t is not int and isinstance(value, Fraction):

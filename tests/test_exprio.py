@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,7 +75,7 @@ class TestGrammar:
 
     def test_rational_literals_only_over_q(self):
         p = parse_poly("1/2*X + 3/2", X, QQ)
-        assert p == Poly(QQ, "X", ("3/2", "1/2"))
+        assert p == Poly(QQ, "X", (Fraction(3, 2), Fraction(1, 2)))
         with pytest.raises(ParseError):
             zx("1/2")
         with pytest.raises(ParseError):
@@ -113,7 +114,7 @@ class TestPrinting:
         assert print_poly(Poly(ZZ, "X", (0, 0, 0))) == "0"
         assert print_poly(Poly(ZZ, "X", (1, 0, -1))) == "-X^2 + 1"
         assert print_poly(Poly(ZZ, "X", (0, -2))) == "-2*X"
-        assert print_poly(Poly(QQ, "X", ("1/2",))) == "1/2"
+        assert print_poly(Poly(QQ, "X", (Fraction(1, 2),))) == "1/2"
 
     def test_mpoly_descending_lex(self):
         p = parse_poly("(T0 + T*T1)^2", ("T0", "T1", "T"), ZZ)

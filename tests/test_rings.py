@@ -1,9 +1,12 @@
 import time
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from p1homotopy.mpoly import MPoly
+from p1homotopy.poly import Poly
 from p1homotopy.rings import (
     ExactDivisionError,
     NotPrimeError,
@@ -40,6 +43,35 @@ def test_rationals_lowest_terms():
 def test_prime_field_canonical_range():
     assert Scalar(F5, -3).value == 2
     assert Scalar(F5, 13).value == 3
+
+
+# values that are not exact ring elements: truncating or parsing them would
+# change the input silently
+INEXACT = [0.5, 1.0, 0.9, "7", "1/2", True, Decimal(1), 1j, None]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=str)
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_inexact_values_are_refused_at_every_boundary(ring, value):
+    with pytest.raises(TypeError):
+        Scalar(ring, value)
+    with pytest.raises(TypeError):
+        Poly(ring, "X", [1, value])
+    with pytest.raises(TypeError):
+        Poly(ring, "X", (1, 1)).eval(value)
+    with pytest.raises(TypeError):
+        MPoly(ring, ("X", "T"), {(1, 0): value})
+    with pytest.raises(TypeError):
+        MPoly(ring, ("X",), {(1,): 1}).eval({"X": value})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=str)
+def test_exact_values_are_accepted(ring):
+    values = [3, Fraction(6, 2), Scalar(ring, 3)]
+    assert {Scalar(ring, v) for v in values} == {Scalar(ring, 3)}
+    assert Poly(ring, "X", values).raw == (ring.norm(3),) * 3
+    assert Poly(ring, "X", (1, 1)).eval(Fraction(2, 1)) == Scalar(ring, 3)
+    assert MPoly(ring, ("X",), {(1,): Scalar(ring, 2)}).eval({"X": 2}) == Scalar(ring, 4)
 
 
 def test_ring_mismatch():
