@@ -9,20 +9,24 @@ Grammar (whitespace-insensitive; multiplication always explicit):
     number := integer ('/' positive-integer)?      -- the '/' form only over Q
 
 '^' binds tighter than '*', '*' tighter than '+'/'-'; a leading '-' negates
-the whole first term, so printed polynomials round-trip exactly.  Canonical
-printing orders terms by descending exponent (descending lexicographic
-exponent vectors for multivariate polynomials).
+the whole first term, so printed polynomials round-trip exactly.  Integers
+are ASCII digits.  A parse accumulates one raw term dict {exponent vector:
+raw coefficient}; '*' and '^' go through `mpoly.mul_terms`, which applies
+MPoly's one normalisation, and make at most MAX_PARSE_WORK coefficient
+products in all.  Canonical printing orders terms by descending exponent
+(descending lexicographic exponent vectors for multivariate polynomials).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chains import ORIENTATIONS
-from .homotopy import Chain, ChainLink, HomotopyCert
+from .homotopy import Chain, ChainLink
 from .monoid import PointedMap, SL2Witness, validate
-from .mpoly import MPoly
+from .mpoly import MPoly, mul_terms
 from .poly import Poly
 from .plane import (
     MembershipCertificate,
@@ -36,8 +40,9 @@ from .projlinear import Mat2, MatrixChain, MatrixChainLink, MatrixFamily
 from .rings import QQ, RingTag, ZZ
 
 MAX_EXPONENT = 4096
-
-_CANONICAL_VAR_ORDER = ("X", "T", "T0", "T1")
+# Coefficient products (len(a) * len(b) per raw product) one parse may make:
+# (X+T+1)^50 needs 66,300 and (X+T+1)^300 about 13.6 million.
+MAX_PARSE_WORK = 200_000
 
 
 class ParseError(ValueError):
@@ -52,166 +57,134 @@ class SchemaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str):
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
-    return out
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 class _Parser:
-    def __init__(self, tokens, vars, ring: RingTag):
-        self.tokens = tokens
-        self.i = 0
-        self.vars = vars
-        self.ring = ring
+    """Recursive descent over (kind, text, position) tokens, kind being 'int',
+    'name', 'end' or the operator; every rule returns a fresh raw term dict."""
 
-    def peek(self) -> _Token:
+    def __init__(self, text: str, vars: tuple, ring: RingTag):
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind, tok = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok!r}", m.start())
+            self.tokens.append((tok if kind == "op" else kind, tok, m.start()))
+        self.tokens.append(("end", "", len(text)))
+        self.i = 0
+        self.ring = ring
+        self.norm = ring.norm
+        self.zero = (0,) * len(vars)
+        self.units = {v: tuple(int(k == vars.index(v)) for k in range(len(vars))) for v in vars}
+        self.work = 0
+
+    def peek(self):
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
+    def take(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def fail(self, msg: str):
-        raise ParseError(msg, self.peek().pos)
+        raise ParseError(msg, self.peek()[2])
 
-    def expr(self) -> MPoly:
-        negate = False
-        if self.peek().kind == "-":
+    def integer(self, msg: str):
+        """The value and position of the next token, which must be an int."""
+        if self.peek()[0] != "int":
+            self.fail(msg)
+        _, text, pos = self.take()
+        try:
+            return int(text), pos
+        except ValueError:  # longer than the interpreter's str -> int limit
+            raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+
+    def mul(self, a: dict, b: dict, pos: int) -> dict:
+        self.work += len(a) * len(b)
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(f"parse needs over {MAX_PARSE_WORK} coefficient products", pos)
+        return mul_terms(a, b, self.norm)
+
+    def expr(self) -> dict:
+        acc, sign = {}, 1
+        if self.peek()[0] == "-":
             self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            acc = acc + rhs if op.kind == "+" else acc - rhs
-        return acc
+            sign = -1
+        while True:
+            for e, c in self.term().items():
+                acc[e] = acc.get(e, 0) + sign * c
+            if self.peek()[0] not in ("+", "-"):
+                return acc
+            sign = 1 if self.take()[0] == "+" else -1
 
-    def term(self) -> MPoly:
+    def term(self) -> dict:
         acc = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            acc = acc * self.factor()
+        while self.peek()[0] == "*":
+            pos = self.take()[2]
+            acc = self.mul(acc, self.factor(), pos)
         return acc
 
-    def factor(self) -> MPoly:
+    def factor(self) -> dict:
         base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected a natural-number exponent after '^'")
-            self.take()
-            e = int(tok.text)
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", tok.pos)
-            return base**e
-        return base
+        if self.peek()[0] != "^":
+            return base
+        pos = self.take()[2]
+        e, e_pos = self.integer("expected a natural-number exponent after '^'")
+        if e > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", e_pos)
+        acc = {self.zero: 1}
+        for _ in range(e):
+            acc = self.mul(acc, base, pos)
+        return acc
 
-    def atom(self) -> MPoly:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            value = int(tok.text)
-            if self.peek().kind == "/":
+    def atom(self) -> dict:
+        kind, text, pos = self.peek()
+        if kind == "int":
+            value = self.integer("expected a number, variable, '(' or '-'")[0]
+            if self.peek()[0] == "/":
                 if self.ring != QQ:
-                    raise ParseError(
-                        "rational literals require the ring Q", self.peek().pos
-                    )
+                    self.fail("rational literals require the ring Q")
                 self.take()
-                den = self.peek()
-                if den.kind != "int":
-                    self.fail("expected an integer denominator")
-                self.take()
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                return MPoly.constant(
-                    self.ring, self.vars, Fraction(value, int(den.text))
-                )
-            return MPoly.constant(self.ring, self.vars, value)
-        if tok.kind == "name":
+                den, den_pos = self.integer("expected an integer denominator")
+                if den == 0:
+                    raise ParseError("zero denominator", den_pos)
+                value = Fraction(value, den)
+            c = self.norm(value)
+            return {self.zero: c} if c else {}
+        if kind == "name":
             self.take()
-            if tok.text not in self.vars:
+            if text not in self.units:
                 raise ParseError(
-                    f"undeclared variable {tok.text!r} (declared: {', '.join(self.vars)})",
-                    tok.pos,
+                    f"undeclared variable {text!r} (declared: {', '.join(self.units)})", pos
                 )
-            return MPoly.variable(self.ring, self.vars, tok.text)
-        if tok.kind == "(":
+            return {self.units[text]: 1}
+        if kind == "(":
             self.take()
             inner = self.expr()
-            if self.peek().kind != ")":
+            if self.peek()[0] != ")":
                 self.fail("expected ')'")
             self.take()
             return inner
-        if tok.kind == "-":
+        if kind == "-":
             self.take()
-            return -self.atom()
+            return {e: -c for e, c in self.atom().items()}
         self.fail("expected a number, variable, '(' or '-'")
-
-
-def _var_tuple(variables) -> tuple:
-    if isinstance(variables, str):
-        return (variables,)
-    if isinstance(variables, (set, frozenset)):
-        known = [v for v in _CANONICAL_VAR_ORDER if v in variables]
-        extra = sorted(v for v in variables if v not in _CANONICAL_VAR_ORDER)
-        return tuple(known + extra)
-    return tuple(variables)
 
 
 def parse_poly(text: str, variables, ring: RingTag):
     """Parse into a Poly (one declared variable) or MPoly (several)."""
-    vars = _var_tuple(variables)
-    parser = _Parser(_tokenize(text), vars, ring)
-    value = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-    if len(vars) == 1:
-        return value.to_poly(vars[0])
-    return value
+    vars = tuple(variables)
+    parser = _Parser(text, vars, ring)
+    terms = parser.expr()
+    kind, tok, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {tok!r}", pos)
+    value = MPoly(ring, vars, terms)
+    return value.to_poly(vars[0]) if len(vars) == 1 else value
 
 
 def parse_pair(text: str, variables, ring: RingTag):
@@ -388,13 +361,8 @@ def sl2_from_json(d) -> SL2Witness:
     return SL2Witness(u, p.trim(), q.trim())
 
 
-def cert_to_json(cert) -> dict:
-    if isinstance(cert, HomotopyCert):
-        ring, n, F, G = cert.ring, cert.n, cert.F, cert.G
-    else:
-        ring, F, G = cert
-        n = F.degree_in("X")
-    return {"ring": ring.name(), "n": n, "f": print_poly(F), "g": print_poly(G)}
+def cert_to_json(ring, F, G) -> dict:
+    return {"ring": ring.name(), "n": F.degree_in("X"), "f": print_poly(F), "g": print_poly(G)}
 
 
 def _cert_data_from_json(d, what):
@@ -407,13 +375,6 @@ def _cert_data_from_json(d, what):
     if F.degree_in("X") != d["n"]:
         raise SchemaError(f"{what}: numerator X-degree {F.degree_in('X')} != n = {d['n']}")
     return ring, F, G
-
-
-def cert_from_json(d) -> HomotopyCert:
-    from .homotopy import validate_cert
-
-    ring, F, G = _cert_data_from_json(d, "certificate")
-    return validate_cert(F, G, ring)
 
 
 def _orientation_from_json(v, what) -> str:
@@ -430,7 +391,7 @@ def chain_to_json(chain: Chain) -> dict:
     return {
         "links": [
             {
-                "cert": cert_to_json((chain.ring, link.F, link.G)),
+                "cert": cert_to_json(chain.ring, link.F, link.G),
                 "orientation": link.orientation,
             }
             for link in chain.links

@@ -1,38 +1,59 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
-`raw` maps exponent vectors (aligned with an ordered variable tuple) to
-nonzero raw ring values (int for Z, Fraction for Q, int in [0, p) for F_p),
-normalised by the ring's `norm` as in Poly.  Scalars are only the boundary:
-the constructor takes ints, Fractions or Scalars, and `terms` and `eval`
-return Scalars.  The primary use is Z[T][X], Z[T0,T1] and Z[T0,T1,T]; any
-RingTag serves, so certificates over a field work as well.
+`raw` maps exponent vectors (tuples of natural ints, aligned with an ordered
+variable tuple) to nonzero raw ring values (int for Z, Fraction for Q, int
+in [0, p) for F_p).  One rule normalises raw terms, `norm_terms`: each
+coefficient through the ring's `norm`, zeros dropped; the constructor and
+`mul_terms`, the raw product behind `*` and the parser, apply it.  Scalars
+are only the boundary: the constructor takes ints, Fractions or Scalars,
+and `terms` and `eval` return Scalars.  Any RingTag serves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import add
 
 from .rings import RingMismatchError, RingTag, Scalar
 from .poly import Poly
 
 
+def norm_terms(terms: dict, norm) -> dict:
+    """Each coefficient through the ring's `norm`, zeros dropped."""
+    out = {}
+    for e, c in terms.items():
+        c = norm(c)
+        if c:
+            out[e] = c
+    return out
+
+
+def mul_terms(a: dict, b: dict, norm) -> dict:
+    """The product of two raw term dicts, normalised by `norm_terms`."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return norm_terms(terms, norm)
+
+
 class MPoly:
     __slots__ = ("ring", "vars", "raw")
 
     def __init__(self, ring: RingTag, vars: tuple, terms: dict):
-        """terms maps exponent vectors to ints, Fractions or Scalars of `ring`."""
+        """terms maps tuples of natural ints to ints, Fractions or Scalars of `ring`."""
         self.ring = ring
         self.vars = tuple(vars)
-        nv, norm = len(self.vars), ring.norm
-        clean = {}
-        for exps, c in terms.items():
-            if len(exps) != nv:
-                raise ValueError(f"exponent vector {exps} has wrong length (vars {self.vars})")
-            c = norm(c)
-            if c:
-                clean[tuple(map(int, exps))] = c
-        self.raw = clean
+        if not set(map(len, terms)) <= {len(self.vars)}:
+            raise ValueError(f"an exponent vector has the wrong length (vars {self.vars})")
+        exps = [*chain.from_iterable(terms)]
+        if not set(map(type, exps)) <= {int}:
+            raise TypeError(f"exponents must be ints, not {set(map(type, exps)) - {int}}")
+        if exps and min(exps) < 0:
+            raise ValueError(f"negative exponent {min(exps)}")
+        self.raw = norm_terms(terms, ring.norm)
 
     @property
     def terms(self) -> dict:
@@ -49,15 +70,6 @@ class MPoly:
     def constant(ring: RingTag, vars, value) -> "MPoly":
         vars = tuple(vars)
         return MPoly(ring, vars, {(0,) * len(vars): value})
-
-    @staticmethod
-    def variable(ring: RingTag, vars, name: str) -> "MPoly":
-        vars = tuple(vars)
-        if name not in vars:
-            raise ValueError(f"variable {name!r} not among {vars}")
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return MPoly(ring, vars, {tuple(e): 1})
 
     @staticmethod
     def from_poly(p: Poly, vars=None) -> "MPoly":
@@ -132,20 +144,7 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        terms = {}
-        for e1, c1 in self.raw.items():
-            for e2, c2 in other.raw.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MPoly(self.ring, self.vars, terms)
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = MPoly.constant(self.ring, self.vars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return MPoly(self.ring, self.vars, mul_terms(self.raw, other.raw, self.ring.norm))
 
     # -- substitution -------------------------------------------------
 
@@ -169,17 +168,18 @@ class MPoly:
             value = MPoly.from_poly(value)
         if not isinstance(value, MPoly):
             raise TypeError(f"cannot substitute {type(value).__name__}")
+        if value.ring != self.ring:
+            raise RingMismatchError(f"{self.ring.name()} vs {value.ring.name()}")
         out_vars = rest + tuple(v for v in value.vars if v not in rest)
-        val = value._embed(out_vars)
-        out = MPoly.zero(self.ring, out_vars)
-        powers = {0: MPoly.constant(self.ring, out_vars, 1)}
+        val, norm = value._embed(out_vars).raw, self.ring.norm
+        pad = (0,) * (len(out_vars) - len(rest))
+        powers, terms = [{(0,) * len(out_vars): 1}], {}
         for e, c in self.raw.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = val**k
-            base = {tuple(e[:i] + e[i + 1 :]) + (0,) * (len(out_vars) - len(rest)): c}
-            out = out + MPoly(self.ring, out_vars, base) * powers[k]
-        return out
+            while len(powers) <= e[i]:
+                powers.append(mul_terms(powers[-1], val, norm))
+            for e2, c2 in mul_terms({e[:i] + e[i + 1 :] + pad: c}, powers[e[i]], norm).items():
+                terms[e2] = terms.get(e2, 0) + c2
+        return MPoly(self.ring, out_vars, terms)
 
     def _embed(self, vars: tuple) -> "MPoly":
         idx = [vars.index(v) for v in self.vars]

@@ -215,9 +215,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def is_unit(self) -> bool:
         """Invertibility in the ring: +-1 in Z, any nonzero element of a field."""
         if self.ring.kind == "Z":

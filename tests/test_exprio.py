@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,3 +237,129 @@ def test_random_char_deletion_never_crashes(data):
         parse_poly(mutated, ("T0", "T1", "T"), ZZ)
     except ParseError as exc:
         assert isinstance(exc.pos, int) and 0 <= exc.pos <= len(mutated)
+
+
+def test_only_ascii_digits_and_convertible_literals():
+    for text, pos in (("X^²", 2), ("１*X", 0), ("X^٣", 2), ("X + ٣", 4)):
+        with pytest.raises(ParseError) as err:
+            zx(text)
+        assert err.value.pos == pos and "unexpected character" in err.value.msg
+    with pytest.raises(SchemaError):
+        exprio.map_from_json({"ring": "Z", "n": 2, "f": "X^²", "g": "1"})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer literals of any length")
+    digits = "7" * (limit + 1)
+    for text, pos, ring in (("X + " + digits, 4, ZZ), ("X^" + digits, 2, ZZ),
+                            ("1/" + digits, 2, QQ)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, X, ring)
+        assert err.value.pos == pos and "too long" in err.value.msg
+
+
+class TestParseWork:
+    def test_inputs_below_the_budget_parse(self):
+        p = parse_poly("(X+T+1)^50", ("X", "T"), ZZ)
+        assert len(p.raw) == 51 * 52 // 2 and p.raw[(25, 25)] == 126410606437752
+        assert zx("X^4096") == Poly(ZZ, "X", (0,) * 4096 + (1,))
+        f, g = parse_pair("(X+1)^50/(X+2)^49", X, ZZ)
+        assert (f.actual_degree(), g.actual_degree()) == (50, 49)
+
+    def test_input_above_the_budget_is_refused_at_its_operator(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly("(X+T+1)^300", ("X", "T"), ZZ)
+        assert err.value.pos == 7 and "coefficient products" in err.value.msg
+
+
+@pytest.mark.parametrize("text, vars", [
+    ("X^2", ("X", "T")), ("T*X + 1", ("X", "T")), ("X^2 + 2*T*X + 2*T", ("X", "T")),
+    ("X + 1", ("X", "T")), ("X + (2*T - 1)", ("X", "T")), ("X^2 - T*X + T", ("X", "T")),
+    ("X - 1", ("X", "T")), ("X^2", X), ("1", X), ("X^2 - X + 1", X), ("X - 1", X),
+    ("(T0 + T*T1)^2", ("T0", "T1", "T")),
+    ("X^3 - 3*X^2*T + X^2 + 2*X*T^2 - 2*X*T - T - 1", ("X", "T")),
+])
+def test_one_mpoly_per_parse(monkeypatch, text, vars):
+    made = []
+    init = MPoly.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MPoly, "__init__", counting_init)
+    parse_poly(text, vars, ZZ)
+    assert len(made) == 1
+
+
+def _random_tree(rng, ring, names, depth):
+    """A tree of ("lit", text, value), ("var", name), ("neg", t), ("pow", t, k)
+    and ("+"|"-"|"*", a, b) nodes; literals over F_p may be p or more."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.4:
+            return ("var", rng.choice(names))
+        if ring == QQ and rng.random() < 0.5:
+            a, b = rng.randint(0, 30), rng.randint(1, 9)
+            return ("lit", f"{a}/{b}", Fraction(a, b))
+        k = rng.choice((rng.randint(0, 12), rng.randint(0, 3 * (ring.modulus or 10))))
+        return ("lit", str(k), k)
+    op = rng.choice("+-*^n")
+    if op == "n":
+        return ("neg", _random_tree(rng, ring, names, depth - 1))
+    if op == "^":  # a shallow base keeps the degree small
+        return ("pow", _random_tree(rng, ring, names, min(depth - 1, 1)), rng.randint(0, 4))
+    return (op, _random_tree(rng, ring, names, depth - 1), _random_tree(rng, ring, names, depth - 1))
+
+
+def _value(tree, pt):
+    kind = tree[0]
+    if kind == "lit":
+        return tree[2]
+    if kind == "var":
+        return pt[tree[1]]
+    if kind == "neg":
+        return -_value(tree[1], pt)
+    if kind == "pow":
+        return _value(tree[1], pt) ** tree[2]
+    a, b = _value(tree[1], pt), _value(tree[2], pt)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def _render(tree, rng):
+    kind = tree[0]
+    if kind in ("lit", "var"):
+        return tree[1]
+    if kind == "neg":
+        return "-" + _atom(tree[1], rng)
+    if kind == "pow":
+        return _atom(tree[1], rng, base=True) + f"^{tree[2]}"
+    return f"{_atom(tree[1], rng)} {kind} {_atom(tree[2], rng)}"
+
+
+def _atom(tree, rng, base=False):
+    """Text that parses as one atom.  A negated leaf goes unparenthesised
+    except as a base of '^', where a leading '-' would bind more loosely."""
+    if tree[0] in ("lit", "var"):
+        return tree[1]
+    if tree[0] == "neg" and tree[1][0] in ("lit", "var") and not base:
+        return "-" + tree[1][1]
+    text = f"({_render(tree, rng)})"
+    return f"({text})" if rng.random() < 0.2 else text
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 7), RingTag("Fp", 1000003)],
+                         ids=["Z", "Q", "F7", "F1000003"])
+def test_parse_agrees_with_plain_evaluation(ring):
+    """Random expression trees, parsed and evaluated at random points, against
+    the same trees evaluated with int/Fraction arithmetic (reduced mod p)."""
+    rng = random.Random(f"parse-oracle:{ring.name()}")
+    for k in range(150):
+        names = ("X", "T") if k % 2 else ("X",)
+        tree = _random_tree(rng, ring, names, 4)
+        text = _render(tree, rng)
+        parsed = parse_poly(text, names, ring)
+        for _ in range(3):
+            pt = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if ring == QQ
+                  else rng.randint(-5, 5) for v in names}
+            got = parsed.eval(pt if len(names) > 1 else pt["X"]).value
+            want = _value(tree, pt)
+            assert got == (want % ring.modulus if ring.modulus else want), (text, pt)

@@ -184,3 +184,21 @@ class TestScalarBoundary:
             made.clear()
             assert verify_membership(fam, cert).ok
             assert made == []
+
+
+def test_exponents_must_be_natural_ints():
+    for bad in ((1.5,), ("2",), (True,), (Fraction(2),)):
+        with pytest.raises(TypeError):
+            MPoly(ZZ, ("X",), {bad: 1})
+    with pytest.raises(ValueError):
+        MPoly(ZZ, ("X", "T"), {(2, -1): 1})
+    with pytest.raises(ValueError):
+        MPoly(ZZ, ("X", "T"), {(2,): 1})
+    assert MPoly(ZZ, ("X", "T"), {(2, 0): 1, (0, 0): 0}).raw == {(2, 0): 1}
+
+
+def test_subst_of_a_polynomial_from_another_ring_is_refused():
+    with pytest.raises(RingMismatchError):
+        xt("T*X").subst("T", MPoly(QQ, ("T",), {(1,): 1}))
+    with pytest.raises(RingMismatchError):
+        xt("X + 1").subst("T", Poly(F7, "T", (0, 1)))
