@@ -12,8 +12,11 @@ Grammar (whitespace-insensitive; multiplication always explicit):
 the whole first term, so printed polynomials round-trip exactly.  Integers
 are ASCII digits.  A parse accumulates one raw term dict {exponent vector:
 raw coefficient}; '*' and '^' go through `mpoly.mul_terms`, which applies
-MPoly's one normalisation, and make at most MAX_PARSE_WORK coefficient
-products in all.  Canonical printing orders terms by descending exponent
+MPoly's one normalisation (over Q integral values stay ints until the end,
+so they multiply at the speed of Z), except that a power of a monomial is
+one power of its coefficient.  A parse spends at most MAX_PARSE_WORK units
+on coefficient products, each weighted by its operands' sizes
+(_Parser.charge).  Canonical printing orders terms by descending exponent
 (descending lexicographic exponent vectors for multivariate polynomials).
 """
 
@@ -40,9 +43,19 @@ from .projlinear import Mat2, MatrixChain, MatrixChainLink, MatrixFamily
 from .rings import QQ, RingTag, ZZ
 
 MAX_EXPONENT = 4096
-# Coefficient products (len(a) * len(b) per raw product) one parse may make:
-# (X+T+1)^50 needs 66,300 and (X+T+1)^300 about 13.6 million.
+# Work one parse may spend on coefficient products, in units of one product
+# of small ints (about 1.2 us): (X+T+1)^50 needs 66,300 units and
+# (X+T+1)^300 about 13.6 million.  A raw product of an a-term by a b-term
+# polynomial costs a * b times the unit cost of one coefficient product: 1,
+# or FRACTION_COST when an operand holds a Fraction, plus sa * sb //
+# BITS_PER_UNIT, sa and sb the operands' largest coefficient sizes in bits
+# (numerator plus denominator; scanned for literals, monomial powers and
+# parenthesized sums, estimated for products by _Parser.mul).  Measured
+# in process (Python 3.11): a product costs about 1.9e-3 ns per bit^2 at
+# large sizes, a Fraction product about 5 int products.
 MAX_PARSE_WORK = 200_000
+BITS_PER_UNIT = 1 << 19
+FRACTION_COST = 5
 
 
 class ParseError(ValueError):
@@ -63,9 +76,25 @@ _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
+def _q_parse_norm(c):
+    """A parse's raw value over Q: an int when integral, else a Fraction."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _sized(terms: dict) -> tuple:
+    """(terms, bits, fraction): the largest coefficient size in bits
+    (numerator plus denominator) and whether a coefficient is a Fraction."""
+    values = terms.values()
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length() for c in values), default=0)
+    return terms, bits, any(type(c) is Fraction for c in values)
+
+
 class _Parser:
     """Recursive descent over (kind, text, position) tokens, kind being 'int',
-    'name', 'end' or the operator; every rule returns a fresh raw term dict."""
+    'name', 'end' or the operator; every rule returns a fresh raw term dict,
+    factor and atom as a sized one, (terms, bits, fraction) as in _sized."""
 
     def __init__(self, text: str, vars: tuple, ring: RingTag):
         self.tokens = []
@@ -77,7 +106,7 @@ class _Parser:
         self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.ring = ring
-        self.norm = ring.norm
+        self.norm = _q_parse_norm if ring == QQ else ring.norm
         self.zero = (0,) * len(vars)
         self.units = {v: tuple(int(k == vars.index(v)) for k in range(len(vars))) for v in vars}
         self.work = 0
@@ -103,11 +132,23 @@ class _Parser:
         except ValueError:  # longer than the interpreter's str -> int limit
             raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
 
-    def mul(self, a: dict, b: dict, pos: int) -> dict:
-        self.work += len(a) * len(b)
+    def charge(self, products: int, sa: int, sb: int, fraction: bool, pos: int):
+        """Spend the work of `products` coefficient products of an sa-bit by an
+        sb-bit value; ParseError at pos past MAX_PARSE_WORK."""
+        self.work += products * ((FRACTION_COST if fraction else 1) + sa * sb // BITS_PER_UNIT)
         if self.work > MAX_PARSE_WORK:
-            raise ParseError(f"parse needs over {MAX_PARSE_WORK} coefficient products", pos)
-        return mul_terms(a, b, self.norm)
+            raise ParseError(
+                f"parse exceeds its budget of {MAX_PARSE_WORK} coefficient products"
+                " (weighted by size)", pos)
+
+    def mul(self, x: tuple, y: tuple, pos: int) -> tuple:
+        """The product of two sized term dicts (terms, bits, fraction); the
+        result's bits are estimated, not scanned: sa + sb plus the log of
+        the number of products summed into one coefficient."""
+        (a, sa, fa), (b, sb, fb) = x, y
+        self.charge(len(a) * len(b), sa, sb, fa or fb, pos)
+        bits = sa + sb + min(len(a), len(b)).bit_length()
+        return mul_terms(a, b, self.norm), bits, fa or fb
 
     def expr(self) -> dict:
         acc, sign = {}, 1
@@ -126,9 +167,9 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             acc = self.mul(acc, self.factor(), pos)
-        return acc
+        return acc[0]
 
-    def factor(self) -> dict:
+    def factor(self) -> tuple:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -136,12 +177,19 @@ class _Parser:
         e, e_pos = self.integer("expected a natural-number exponent after '^'")
         if e > MAX_EXPONENT:
             raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", e_pos)
-        acc = {self.zero: 1}
+        terms, bits, fraction = base
+        if len(terms) == 1:  # a monomial: one power, charged as e products
+            # of an operand of e * bits / 2 bits on average by a bits-bit one
+            self.charge(e, e * bits // 2, bits, fraction, pos)
+            ((exps, c),) = terms.items()
+            c = self.norm(c**e)
+            return _sized({tuple(k * e for k in exps): c} if c else {})
+        acc = ({self.zero: 1}, 2, False)
         for _ in range(e):
             acc = self.mul(acc, base, pos)
         return acc
 
-    def atom(self) -> dict:
+    def atom(self) -> tuple:
         kind, text, pos = self.peek()
         if kind == "int":
             value = self.integer("expected a number, variable, '(' or '-'")[0]
@@ -154,24 +202,25 @@ class _Parser:
                     raise ParseError("zero denominator", den_pos)
                 value = Fraction(value, den)
             c = self.norm(value)
-            return {self.zero: c} if c else {}
+            return _sized({self.zero: c} if c else {})
         if kind == "name":
             self.take()
             if text not in self.units:
                 raise ParseError(
                     f"undeclared variable {text!r} (declared: {', '.join(self.units)})", pos
                 )
-            return {self.units[text]: 1}
+            return {self.units[text]: 1}, 2, False
         if kind == "(":
             self.take()
             inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail("expected ')'")
             self.take()
-            return inner
+            return _sized(inner)
         if kind == "-":
             self.take()
-            return {e: -c for e, c in self.atom().items()}
+            terms, bits, fraction = self.atom()
+            return {e: -c for e, c in terms.items()}, bits, fraction
         self.fail("expected a number, variable, '(' or '-'")
 
 

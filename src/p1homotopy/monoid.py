@@ -8,11 +8,11 @@ of two maps multiplies their SL2 witness matrices [[f, -q], [g, p]], where
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .mpoly import MPoly
 from .poly import Poly
-from .resultants import is_unit, res_bezout, resultant
+from .resultants import check_sylvester_size, is_unit, res_bezout, resultant
 from .rings import RingMismatchError, RingTag, Scalar, ZZ
 
 
@@ -36,13 +36,15 @@ class ResultantNotUnitError(MapValidationError):
 
 @dataclass(frozen=True)
 class PointedMap:
-    """Validated pair f/g; construct through validate()."""
+    """Validated pair f/g; construct through validate() (or oplus(), which
+    proves the sum's invariants and carries its SL2 witness (p, q))."""
 
     ring: RingTag
     n: int
     f: Poly
     g: Poly
     res: Scalar
+    witness: tuple | None = field(default=None, compare=False, repr=False)
 
     def pair(self):
         return (self.f, self.g)
@@ -89,7 +91,11 @@ def validate(f: Poly, g: Poly, ring: RingTag | None = None) -> PointedMap:
 
 
 def bezout_pair(u: PointedMap) -> SL2Witness:
-    """Normalize the resultant certificate of u to the unit equation 1 = p*f + q*g."""
+    """Normalize the resultant certificate of u to the unit equation 1 = p*f + q*g.
+
+    A map built by oplus carries its witness, which is returned as is."""
+    if u.witness is not None:
+        return SL2Witness(u, *u.witness)
     if u.n == 0:
         one = Poly.one(u.ring, u.f.var)
         return SL2Witness(u, one, Poly.zero(u.ring, u.f.var))
@@ -110,17 +116,43 @@ def mat_mul(a, b):
 
 
 def oplus(u: PointedMap, v: PointedMap) -> PointedMap:
-    """The monoid sum: multiply the SL2 witness matrices.
+    """The monoid sum: multiply the SL2 witness matrices, with no elimination.
 
-    f3 = f1*f2 - q1*g2 is monic of degree n1+n2 and g3 = g1*f2 + p1*g2 has
-    lower degree, so the result validates again.
+    With [[f1, -q1], [g1, p1]] and [[f2, -q2], [g2, p2]] the witness matrices
+    of u and v (degrees n1, n2; N = n1 + n2), the product is
+    [[f3, -q3], [g3, p3]] with f3 = f1*f2 - q1*g2, g3 = g1*f2 + p1*g2,
+    q3 = f1*q2 + q1*p2 and p3 = p1*p2 - g1*q2.  f3 is monic of degree N,
+    deg g3 < N and p3*f3 + q3*g3 = 1 (the determinant), and for N >= 1 the
+    degree bounds give deg p3 < N - 1 and deg q3 < N (for N = 0 both
+    matrices are the identity).  The Sylvester matrix of (f3, g3) is then
+    nonsingular, so (p3, q3) is the unique witness inside the bounds, the
+    one bezout_pair would compute, and the sum carries it.
+
+    The resultant is res(u + v) = (-1)^(n1*n2) * res(u) * res(v).  Write
+    res(a, b) for res_{deg a, deg b}(a, b); for monic a (f1, f2, f3) it is
+    the product of b over the roots of a, whatever formal degree b is given,
+    so res(f3, g3) is the stored res_{N,N}, multiplicative in b and blind to
+    multiples of a added to b:
+    - f2 = p1*f3 + q1*g3 (the first column of the inverse of u's matrix
+      times the product), so res(f3, f2) = res(f3, q1) * res(f3, g3);
+    - res(f3, f2) = (-1)^(n2*(N+1)) * res(f2, q1) * res(v), since f3 = -q1*g2
+      modulo f2 and res(f2, g2) = res(v);
+    - res(f3, q1) = res(f1, q1) * res(f2, q1), as f3 = f1*f2 modulo q1, and
+      res(f1, q1) = 1 / res(u), as p1*f1 + q1*g1 = 1;
+    - so res(f3, g3) = (-1)^(n1*n2) * res(u) * res(v) where res(f2, q1) is
+      nonzero, and everywhere, as a polynomial identity in the coefficients.
+    No elimination runs, but the sum's Sylvester size 2N must stay within
+    the limit, as validating it would require.
     """
     if u.ring != v.ring:
         raise RingMismatchError(f"{u.ring.name()} vs {v.ring.name()}")
-    w = bezout_pair(u)
-    f3 = u.f * v.f - w.q * v.g
-    g3 = u.g * v.f + w.p * v.g
-    return validate(f3.trim(), g3.trim(), u.ring)
+    n = u.n + v.n
+    check_sylvester_size(n, n)
+    (f3, mq3), (g3, p3) = mat_mul(bezout_pair(u).matrix(), bezout_pair(v).matrix())
+    res = u.res * v.res
+    if u.n * v.n % 2:
+        res = -res
+    return PointedMap(u.ring, n, f3.trim(), g3.trim(), res, (p3.trim(), (-mq3).trim()))
 
 
 NAMED_MAPS = ("identity", "zero", "squaring", "minus_epsilon")

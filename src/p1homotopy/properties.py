@@ -278,19 +278,44 @@ def degree_additivity(rng, trials):
         ring = rng.choice(_MAP_RINGS)
         u = _rand_map(rng, ring)
         v = _rand_map(rng, ring)
-        s = oplus(u, v)  # oplus re-validates the sum internally
+        s = oplus(u, v)
         if s.n != u.n + v.n:
             return {"trial": k, "u": _map_note(u), "v": _map_note(v), "sum": _map_note(s)}
     return None
 
 
 @_property
-def matrix_law(rng, trials):
+def sum_resultant_law(rng, trials):
+    # oplus proves the sum's invariants and resultant without elimination;
+    # validating its pair afresh runs Bareiss on the Sylvester matrix
     for k in range(trials):
         ring = rng.choice(_MAP_RINGS)
         u = _rand_map(rng, ring)
         v = _rand_map(rng, ring)
-        lhs = bezout_pair(oplus(u, v)).matrix()
+        s = oplus(u, v)
+        fresh = validate(s.f, s.g, ring)
+        if fresh != s or fresh.res != s.res:
+            return {
+                "trial": k,
+                "u": _map_note(u),
+                "v": _map_note(v),
+                "sum": _map_note(s),
+                "oplus res": str(s.res),
+                "bareiss res": str(fresh.res),
+            }
+    return None
+
+
+@_property
+def matrix_law(rng, trials):
+    # the sum carries the product matrix as its witness, so the left side
+    # is computed from a freshly validated sum, which carries none
+    for k in range(trials):
+        ring = rng.choice(_MAP_RINGS)
+        u = _rand_map(rng, ring)
+        v = _rand_map(rng, ring)
+        s = oplus(u, v)
+        lhs = bezout_pair(validate(s.f, s.g, ring)).matrix()
         rhs = mat_mul(bezout_pair(u).matrix(), bezout_pair(v).matrix())
         same = all(
             lhs[i][j].trim() == rhs[i][j].trim() for i in range(2) for j in range(2)
@@ -457,6 +482,7 @@ MONOID_LAWS = (
     "oplus_assoc",
     "oplus_identity",
     "degree_additivity",
+    "sum_resultant_law",
     "matrix_law",
     "det_witness",
     "bezout_unique",

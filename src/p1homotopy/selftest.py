@@ -94,7 +94,7 @@ def check_monoid_sum_reproduction(seed, trials) -> CheckResult:
             for j in range(2):
                 if got[i][j].trim() != want[i][j].trim():
                     return _fail(name, f"{label} entry ({i},{j}) is {got[i][j]}")
-    ms = bezout_pair(s).matrix()
+    ms = bezout_pair(validate(s.f, s.g)).matrix()  # s itself carries the product
     for i in range(2):
         for j in range(2):
             if ms[i][j].trim() != prod[i][j].trim():

@@ -338,6 +338,8 @@ def run_subprocess(*argv):
     ("res", "X", "1", "--nf", str(10**12)),  # rejected before padding to the formal degree
     ("validate", f"X^{SYLVESTER_SIZE_LIMIT // 2 + 1}/1"),
     ("validate", "X^4096/1"),
+    # the sum runs no elimination, but its Sylvester size, 120, is refused
+    ("oplus", "X^30/1", "X^30/1"),
 ])
 def test_sylvester_size_above_the_limit_exits_2(argv):
     result = run_subprocess(*argv)

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,41 @@ class TestParseWork:
         with pytest.raises(ParseError) as err:
             parse_poly("(X+T+1)^300", ("X", "T"), ZZ)
         assert err.value.pos == 7 and "coefficient products" in err.value.msg
+
+    @pytest.mark.parametrize("text, ring, pos", [
+        ("(2^4096)^2048", ZZ, 8),  # few products, of ever longer ints
+        ("(X+T+1)^300", QQ, 7),
+        ("(1/2*X + 1/3*T + 1)^300", QQ, 19),  # Fraction products weigh more
+        ("(X + 2^4096)^300", ZZ, 12),
+    ])
+    def test_products_are_charged_by_size(self, text, ring, pos):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ("X", "T"), ring)
+        # 0.04 to 0.4 s on a 2-core VM; charged by count alone, the first ran
+        # 3.3 s and the second was refused only after 1.3 s
+        assert time.perf_counter() - start < 1.2
+        assert err.value.pos == pos and "coefficient products" in err.value.msg
+
+    def test_fraction_products_weigh_more(self):
+        # 178,920 coefficient products: under the budget as ints, over it
+        # as Fractions
+        assert len(parse_poly("(X+T+1)^70", ("X", "T"), QQ).raw) == 71 * 72 // 2
+        with pytest.raises(ParseError, match="coefficient products"):
+            parse_poly("(1/2*X + 1/3*T + 1)^70", ("X", "T"), QQ)
+
+    def test_sized_inputs_below_the_budget_parse(self):
+        assert zx("(2^4096)^64") == Poly(ZZ, "X", (2 ** (4096 * 64),))
+        big = "9" * 4000
+        assert zx(f"{big}*X^3 + {big}") == Poly(ZZ, "X", (int(big), 0, 0, int(big)))
+        p = parse_poly("(1/2*X + 1/3*T + 1)^20", ("X", "T"), QQ)
+        assert len(p.raw) == 21 * 22 // 2 and p.raw[(20, 0)] == Fraction(1, 2**20)
+
+    def test_integral_values_over_q_parse_as_over_z(self):
+        q = parse_poly("(X+T+1)^50 - (2/2)*X", ("X", "T"), QQ)
+        z = parse_poly("(X+T+1)^50 - X", ("X", "T"), ZZ)
+        assert {e: Fraction(c) for e, c in z.raw.items()} == q.raw
+        assert {type(c) for c in q.raw.values()} == {Fraction}
 
 
 @pytest.mark.parametrize("text, vars", [

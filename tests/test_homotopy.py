@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +20,9 @@ from p1homotopy.homotopy import (
     verify_chain,
 )
 from p1homotopy.monoid import validate
+from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
-from p1homotopy.rings import Scalar, ZZ
+from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
 
 XT = ("X", "T")
 
@@ -95,6 +98,66 @@ class TestEndpoints:
             for t in (0, 1):
                 u = endpoint(c, t)
                 assert u.res == c.res.eval(Scalar(ZZ, t))
+
+
+def random_cert(rng, ring, k):
+    """F/G, the first column of a product of k elementary matrices
+    [[X + c(T), -1/u], [u, 0]] (determinant 1) with c a random T-polynomial
+    and u a unit, and (-1)^(k(k-1)/2) * prod(u), its resultant."""
+
+    def const(v):
+        return MPoly(ring, XT, {(0, 0): v})
+
+    m = (const(1), const(0), const(0), const(1))
+    res = Scalar(ring, (-1) ** (k * (k - 1) // 2))
+    for _ in range(k):
+        if ring == ZZ:
+            u, cs = rng.choice((1, -1)), [rng.randint(-3, 3) for _ in range(3)]
+        elif ring == QQ:
+            u = rng.choice((2, -2, Fraction(1, 2), Fraction(-3, 2), 1))
+            cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        else:
+            u, cs = rng.randrange(1, ring.modulus), [rng.randrange(ring.modulus) for _ in range(3)]
+        u = Scalar(ring, u)
+        a = MPoly(ring, XT, {(1, 0): 1, **{(0, j): c for j, c in enumerate(cs)}})
+        e = (a, const(-ring.one().exact_div(u)), const(u), const(0))
+        m = (m[0] * e[0] + m[1] * e[2], m[0] * e[1] + m[1] * e[3],
+             m[2] * e[0] + m[3] * e[2], m[2] * e[1] + m[3] * e[3])
+        res = res * u
+    return m[0], m[2], res
+
+
+class TestEndpointsInheritTheResultant:
+    """endpoint builds its map from the certificate's resultant with no
+    elimination; validating the substituted pair afresh must agree."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 7), RingTag("Fp", 1000003)],
+                             ids=["Z", "Q", "F7", "F1000003"])
+    def test_random_certificates(self, ring):
+        rng = random.Random(f"endpoints:{ring.name()}")
+        non_pm_one = 0
+        for _ in range(25):
+            F, G, res = random_cert(rng, ring, rng.randint(1, 4))
+            cert = validate_cert(F, G, ring)
+            assert cert.res == Poly.constant(ring, "T", res)
+            non_pm_one += res.value not in (1, -1)
+            for t in (0, 1):
+                f = F.subst("T", t).to_poly("X")
+                g = G.subst("T", t).to_poly("X")
+                fresh = validate(f, g, ring)
+                got = endpoint(cert, t)
+                assert got == fresh and got.res == fresh.res == res
+        if ring == QQ:
+            assert non_pm_one >= 10
+
+    def test_builtin_chain(self):
+        for link in builtin_chain().links:
+            cert = validate_cert(link.F, link.G)
+            for t in (0, 1):
+                fresh = validate(link.F.subst("T", t).to_poly("X"),
+                                 link.G.subst("T", t).to_poly("X"))
+                got = endpoint(cert, t)
+                assert got == fresh and got.res == fresh.res
 
 
 class TestReverse:

@@ -18,7 +18,7 @@ from p1homotopy.monoid import (
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.randgen import RandomMapSpec, _gen_valid_map
-from p1homotopy.resultants import resultant_oracle
+from p1homotopy.resultants import SYLVESTER_SIZE_LIMIT, resultant_oracle
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
 
 F5 = RingTag("Fp", 5)
@@ -133,7 +133,8 @@ class TestOplus:
             for _ in range(10):
                 u = _gen_valid_map(rng, RandomMapSpec(ring, 0, 2, 3))
                 v = _gen_valid_map(rng, RandomMapSpec(ring, 0, 2, 3))
-                lhs = bezout_pair(oplus(u, v)).matrix()
+                s = oplus(u, v)  # carries the product; validate its pair afresh
+                lhs = bezout_pair(validate(s.f, s.g, ring)).matrix()
                 rhs = mat_mul(bezout_pair(u).matrix(), bezout_pair(v).matrix())
                 assert all(
                     lhs[i][j].trim() == rhs[i][j].trim()
@@ -147,6 +148,53 @@ class TestOplus:
             u, v, w = (_gen_valid_map(rng, RandomMapSpec(ZZ, 0, 2, 3)) for _ in range(3))
             assert oplus(oplus(u, v), w) == oplus(u, oplus(v, w))
             assert oplus(u, v).n == u.n + v.n
+
+
+class TestCarriedProofs:
+    """oplus proves the sum's resultant and witness; validating the sum's
+    pair afresh (Bareiss, then res_bezout) must give the same values."""
+
+    RINGS = (ZZ, QQ, RingTag("Fp", 7), RingTag("Fp", 1000003))
+
+    def test_sum_equals_a_fresh_validation(self):
+        rng = random.Random(11)
+        sums = signs = 0
+        for ring in self.RINGS:
+            acc = _gen_valid_map(rng, RandomMapSpec(ring, 0, 3, 3))
+            for _ in range(80):
+                v = _gen_valid_map(rng, RandomMapSpec(ring, 0, 3, 3))
+                # every third sum continues a fold, so carried witnesses feed sums
+                u = acc if sums % 3 and acc.n < 12 else _gen_valid_map(rng, RandomMapSpec(ring, 0, 3, 3))
+                acc = s = oplus(u, v)
+                fresh = validate(s.f, s.g, ring)
+                assert fresh.witness is None
+                assert s == fresh and s.res == fresh.res
+                w = bezout_pair(fresh)
+                assert s.witness == (w.p, w.q)
+                sums += 1
+                signs += u.n * v.n % 2
+        assert sums >= 300 and signs > 30
+
+    def test_bezout_pair_of_a_sum_runs_no_elimination(self, monkeypatch):
+        import p1homotopy.monoid as monoid
+
+        s = oplus(named("identity"), named("minus_epsilon"))
+
+        def refuse(*args):
+            raise AssertionError("res_bezout called on a carried witness")
+
+        monkeypatch.setattr(monoid, "res_bezout", refuse)
+        w = bezout_pair(s)
+        assert (w.p, w.q) == (zx("1"), zx("-X"))
+        assert oplus(s, named("zero")) == s
+
+    def test_the_sum_keeps_the_sylvester_size_limit(self):
+        half = SYLVESTER_SIZE_LIMIT // 4
+        u = validate(zx(f"X^{half}"), zx("1"))
+        assert oplus(u, u).n == 2 * half
+        big = validate(zx(f"X^{half + 1}"), zx("1"))
+        with pytest.raises(ValueError, match="Sylvester matrix of size"):
+            oplus(big, big)
 
 
 class TestNamed:
