@@ -46,11 +46,10 @@ from .monoid import (
     oplus,
     validate,
 )
+from .chains import Chain, Link
 from .homotopy import (
     CertResultantNotUnitError,
     CertValidationError,
-    Chain,
-    ChainLink,
     HomotopyCert,
     NotMonicInXError,
     XDegreeTooHighError,
@@ -62,8 +61,6 @@ from .homotopy import (
 )
 from .projlinear import (
     Mat2,
-    MatrixChain,
-    MatrixChainLink,
     MatrixFamily,
     builtin_matrix_chain,
     det_family,
@@ -78,8 +75,6 @@ from .projlinear import (
 from .plane import (
     MembershipCertificate,
     MembershipNotFound,
-    PlaneChain,
-    PlaneChainLink,
     PlaneFamily,
     builtin_plane_chain,
     find_membership,

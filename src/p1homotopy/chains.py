@@ -1,4 +1,4 @@
-"""Chain verification shared by every kind of certified family.
+"""Chains of every kind of certified family, and their verification.
 
 A chain is a sequence of links, each a family traversed forward or reversed,
 that should lead from one given end to another.  A kind (homotopy
@@ -16,9 +16,29 @@ REVERSED = "reversed"
 ORIENTATIONS = (FORWARD, REVERSED)
 
 
-def check_orientation(orientation: str) -> None:
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+@dataclass(frozen=True)
+class Link:
+    """One family and the direction it is traversed in.  A homotopy link's
+    family is the pair (F, G); proof is a plane link's supplied membership
+    certificate (searched for when None) and None for every other kind."""
+
+    family: object
+    orientation: str
+    proof: object = None
+
+    def __post_init__(self):
+        if self.orientation not in ORIENTATIONS:
+            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+
+
+@dataclass(frozen=True)
+class Chain:
+    """Links are stored unvalidated so verification can report defects; the
+    ends are in the kind's end form (a homotopy end is a map pair (f, g))."""
+
+    links: tuple
+    from_: object
+    to: object
 
 
 def exact(a, b):

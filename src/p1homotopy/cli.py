@@ -158,28 +158,24 @@ def _print_chain_report(args, report) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify_chain(args) -> int:
+# command -> (chain kind, builtin chain by name, verifier with the command's
+# flags); the lambdas look the verifiers up per call, like main's commands
+CHAIN_COMMANDS = {
+    "verify-chain": ("homotopy", builtin_chain, lambda chain, args: verify_chain(chain)),
+    "verify-matrix-chain": ("matrix", builtin_matrix_chain, lambda chain, args: verify_matrix_chain(
+        chain, exact_junctions=args.exact_junctions)),
+    "verify-plane-chain": ("plane", builtin_plane_chain, lambda chain, args: verify_plane_chain(
+        chain, n_max=args.nmax, d_max=args.dmax)),
+}
+
+
+def cmd_verify(args) -> int:
+    kind, builtin, verify = CHAIN_COMMANDS[args.command]
     if args.builtin:
-        chain = builtin_chain(args.builtin)
+        chain = builtin(args.builtin)
     else:
-        chain = exprio.chain_from_json(_load_json(args.file))
-    return _print_chain_report(args, verify_chain(chain))
-
-
-def cmd_verify_matrix_chain(args) -> int:
-    if args.builtin:
-        chain = builtin_matrix_chain(args.builtin)
-    else:
-        chain = exprio.matrix_chain_from_json(_load_json(args.file))
-    return _print_chain_report(args, verify_matrix_chain(chain, exact_junctions=args.exact_junctions))
-
-
-def cmd_verify_plane_chain(args) -> int:
-    if args.builtin:
-        chain = builtin_plane_chain(args.builtin)
-    else:
-        chain = exprio.plane_chain_from_json(_load_json(args.file))
-    return _print_chain_report(args, verify_plane_chain(chain, n_max=args.nmax, d_max=args.dmax))
+        chain = exprio.chain_from_json(_load_json(args.file), kind)
+    return _print_chain_report(args, verify(chain, args))
 
 
 def cmd_selftest(args) -> int:
@@ -267,14 +263,13 @@ def main(argv=None) -> int:
         if value is not None and value < low:
             print(f"error: --{flag} must be at least {low}, got {value}", file=sys.stderr)
             return 2
-    if args.command.startswith("verify-") and (args.file is None) == (args.builtin is None):
+    if args.command in CHAIN_COMMANDS and (args.file is None) == (args.builtin is None):
         print("error: provide exactly one of a chain file or --builtin", file=sys.stderr)
         return 2
     # looked up per call, so the module's current functions are the ones run
     commands = {
         "res": cmd_res, "validate": cmd_validate, "bezout": cmd_bezout, "oplus": cmd_oplus,
-        "verify-chain": cmd_verify_chain, "verify-matrix-chain": cmd_verify_matrix_chain,
-        "verify-plane-chain": cmd_verify_plane_chain, "selftest": cmd_selftest,
+        "selftest": cmd_selftest, **dict.fromkeys(CHAIN_COMMANDS, cmd_verify),
     }
     try:
         return commands[args.command](args)

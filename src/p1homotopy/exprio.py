@@ -24,22 +24,15 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ORIENTATIONS
-from .homotopy import Chain, ChainLink
+from .chains import Chain, Link
 from .monoid import PointedMap, SL2Witness, validate
 from .mpoly import MPoly, mul_terms
 from .poly import Poly
-from .plane import (
-    MembershipCertificate,
-    PLANE_VARS,
-    POINT_VARS,
-    PlaneChain,
-    PlaneChainLink,
-    PlaneFamily,
-)
-from .projlinear import Mat2, MatrixChain, MatrixChainLink, MatrixFamily
+from .plane import MembershipCertificate, PLANE_VARS, POINT_VARS, PlaneFamily
+from .projlinear import Mat2, MatrixFamily
 from .rings import QQ, RingTag, ZZ
 
 MAX_EXPONENT = 4096
@@ -426,63 +419,19 @@ def _cert_data_from_json(d, what):
     return ring, F, G
 
 
-def _orientation_from_json(v, what) -> str:
-    if v not in ORIENTATIONS:
-        raise SchemaError(f"{what}: orientation must be one of {ORIENTATIONS}")
-    return v
-
-
-def chain_to_json(chain: Chain) -> dict:
-    def end(f, g):
-        return {"ring": chain.ring.name(), "n": max(f.actual_degree(), 0),
-                "f": print_poly(f), "g": print_poly(g)}
-
-    return {
-        "links": [
-            {
-                "cert": cert_to_json(chain.ring, link.F, link.G),
-                "orientation": link.orientation,
-            }
-            for link in chain.links
-        ],
-        "from": end(*chain.from_pair),
-        "to": end(*chain.to_pair),
-    }
-
-
-def chain_from_json(d) -> Chain:
-    _require(d, ("links", "from", "to"), "chain")
-    if not isinstance(d["links"], list):
-        raise SchemaError("chain: links must be a list")
-    ring_from, f_from, g_from = _map_pair_from_json(d["from"], "chain.from")
-    ring_to, f_to, g_to = _map_pair_from_json(d["to"], "chain.to")
-    if ring_from != ring_to:
-        raise SchemaError("chain: from/to rings differ")
-    links = []
-    for k, entry in enumerate(d["links"]):
-        what = f"chain.links[{k}]"
-        _require(entry, ("cert", "orientation"), what)
-        ring, F, G = _cert_data_from_json(entry["cert"], what + ".cert")
-        if ring != ring_from:
-            raise SchemaError(f"{what}: ring differs from the chain ring")
-        links.append(ChainLink(F, G, _orientation_from_json(entry["orientation"], what)))
-    return Chain(
-        ring=ring_from,
-        links=tuple(links),
-        from_pair=(f_from, g_from),
-        to_pair=(f_to, g_to),
-    )
+def _map_end_to_json(end) -> dict:
+    f, g = end
+    return {"ring": f.ring.name(), "n": max(f.actual_degree(), 0),
+            "f": print_poly(f), "g": print_poly(g)}
 
 
 def matrix_family_to_json(m: MatrixFamily) -> dict:
     return {k: print_poly(getattr(m, k)) for k in ("a", "b", "c", "d")}
 
 
-def matrix_family_from_json(d) -> MatrixFamily:
-    _require(d, ("a", "b", "c", "d"), "matrix family")
-    return MatrixFamily(
-        *(_parse_field(d, k, ("T",), ZZ, "matrix family") for k in ("a", "b", "c", "d"))
-    )
+def matrix_family_from_json(d, what="matrix family") -> MatrixFamily:
+    _require(d, ("a", "b", "c", "d"), what)
+    return MatrixFamily(*(_parse_field(d, k, ("T",), ZZ, what) for k in ("a", "b", "c", "d")))
 
 
 def _mat2_to_json(m: Mat2) -> dict:
@@ -506,51 +455,21 @@ def _mat2_from_json(d, what) -> Mat2:
     return Mat2(*vals)
 
 
-def matrix_chain_to_json(chain: MatrixChain) -> dict:
-    return {
-        "links": [
-            {
-                "family": matrix_family_to_json(link.family),
-                "orientation": link.orientation,
-            }
-            for link in chain.links
-        ],
-        "from": _mat2_to_json(chain.from_mat),
-        "to": _mat2_to_json(chain.to_mat),
-    }
-
-
-def matrix_chain_from_json(d) -> MatrixChain:
-    _require(d, ("links", "from", "to"), "matrix chain")
-    if not isinstance(d["links"], list):
-        raise SchemaError("matrix chain: links must be a list")
-    links = []
-    for k, entry in enumerate(d["links"]):
-        what = f"matrix chain.links[{k}]"
-        _require(entry, ("family", "orientation"), what)
-        links.append(
-            MatrixChainLink(
-                matrix_family_from_json(entry["family"]),
-                _orientation_from_json(entry["orientation"], what),
-            )
-        )
-    return MatrixChain(
-        links=tuple(links),
-        from_mat=_mat2_from_json(d["from"], "matrix chain.from"),
-        to_mat=_mat2_from_json(d["to"], "matrix chain.to"),
-    )
-
-
 def plane_family_to_json(fam: PlaneFamily) -> dict:
     return {"F0": print_poly(fam.F0), "F1": print_poly(fam.F1)}
 
 
-def plane_family_from_json(d) -> PlaneFamily:
-    _require(d, ("F0", "F1"), "plane family")
-    return PlaneFamily(
-        _parse_field(d, "F0", PLANE_VARS, ZZ, "plane family"),
-        _parse_field(d, "F1", PLANE_VARS, ZZ, "plane family"),
-    )
+def plane_family_from_json(d, what="plane family") -> PlaneFamily:
+    return PlaneFamily(*_point_pair_from_json(d, what, PLANE_VARS))
+
+
+def _point_pair_to_json(pair) -> dict:
+    return {"F0": print_poly(pair[0]), "F1": print_poly(pair[1])}
+
+
+def _point_pair_from_json(d, what, variables=POINT_VARS):
+    _require(d, ("F0", "F1"), what)
+    return tuple(_parse_field(d, k, variables, ZZ, what) for k in ("F0", "F1"))
 
 
 def membership_to_json(cert: MembershipCertificate) -> dict:
@@ -562,75 +481,103 @@ def membership_to_json(cert: MembershipCertificate) -> dict:
     }
 
 
-def membership_from_json(d) -> MembershipCertificate:
-    _require(d, ("N", "combos"), "membership certificate")
+def membership_from_json(d, what="membership certificate") -> MembershipCertificate:
+    _require(d, ("N", "combos"), what)
     if not _is_int(d["N"]) or d["N"] < 1:
-        raise SchemaError("membership certificate: N must be a positive integer")
+        raise SchemaError(f"{what}: N must be a positive integer")
     if not isinstance(d["combos"], list) or len(d["combos"]) != d["N"] + 1:
-        raise SchemaError("membership certificate: combos must list N+1 pairs")
+        raise SchemaError(f"{what}: combos must list N+1 pairs")
     combos = []
     for k, entry in enumerate(d["combos"]):
-        what = f"membership certificate.combos[{k}]"
-        _require(entry, ("A", "B"), what)
-        combos.append(
-            (
-                _parse_field(entry, "A", PLANE_VARS, ZZ, what),
-                _parse_field(entry, "B", PLANE_VARS, ZZ, what),
-            )
-        )
+        where = f"{what}.combos[{k}]"
+        _require(entry, ("A", "B"), where)
+        combos.append(tuple(_parse_field(entry, key, PLANE_VARS, ZZ, where) for key in "AB"))
     return MembershipCertificate(d["N"], tuple(combos))
 
 
-def plane_chain_to_json(chain: PlaneChain) -> dict:
+def _same_ring(why):  # of two polynomial pairs: homotopy ends or certificates
+    return lambda a, b: None if a[0].ring == b[0].ring else why
+
+
+@dataclass(frozen=True)
+class _ChainKind:
+    """How chains of one kind read and write.  label prefixes every error
+    path, a link holds its family under link_key and may hold a proof under
+    "cert"; family, end and proof are (to_json, from_json(d, what)) pairs.
+    check_ends(from_, to) and check_link(family, from_) say why decoded
+    parts do not fit together, or return None."""
+
+    label: str
+    link_key: str
+    family: tuple
+    end: tuple
+    proof: tuple | None = None
+    check_ends: object = lambda from_, to: None
+    check_link: object = lambda family, from_: None
+
+
+CHAIN_KINDS = {
+    "homotopy": _ChainKind(
+        "chain", "cert",
+        (lambda fam: cert_to_json(fam[0].ring, *fam),
+         lambda d, what: _cert_data_from_json(d, what)[1:]),
+        (_map_end_to_json, lambda d, what: _map_pair_from_json(d, what)[1:]),
+        check_ends=_same_ring("from/to rings differ"),
+        check_link=_same_ring("ring differs from the chain ring"),
+    ),
+    "matrix": _ChainKind(
+        "matrix chain", "family",
+        (matrix_family_to_json, matrix_family_from_json), (_mat2_to_json, _mat2_from_json),
+    ),
+    "plane": _ChainKind(
+        "plane chain", "family",
+        (plane_family_to_json, plane_family_from_json),
+        (_point_pair_to_json, _point_pair_from_json),
+        proof=(membership_to_json, membership_from_json),
+    ),
+}
+
+
+def chain_to_json(chain: Chain, kind: str) -> dict:
+    """The document {"links": [{<link key>: family, "orientation": ...,
+    ["cert": proof]}], "from": end, "to": end} of a chain of the given kind."""
+    k = CHAIN_KINDS[kind]
     links = []
     for link in chain.links:
-        entry = {
-            "family": plane_family_to_json(link.family),
-            "orientation": link.orientation,
-        }
-        if link.cert is not None:
-            entry["cert"] = membership_to_json(link.cert)
+        entry = {k.link_key: k.family[0](link.family), "orientation": link.orientation}
+        if link.proof is not None:
+            entry["cert"] = k.proof[0](link.proof)
         links.append(entry)
-    return {
-        "links": links,
-        "from": {"F0": print_poly(chain.from_pair[0]), "F1": print_poly(chain.from_pair[1])},
-        "to": {"F0": print_poly(chain.to_pair[0]), "F1": print_poly(chain.to_pair[1])},
-    }
+    return {"links": links, "from": k.end[0](chain.from_), "to": k.end[0](chain.to)}
 
 
-def _point_pair_from_json(d, what):
-    _require(d, ("F0", "F1"), what)
-    return (
-        _parse_field(d, "F0", POINT_VARS, ZZ, what),
-        _parse_field(d, "F1", POINT_VARS, ZZ, what),
-    )
-
-
-def plane_chain_from_json(d) -> PlaneChain:
-    _require(d, ("links", "from", "to"), "plane chain")
+def chain_from_json(d, kind: str) -> Chain:
+    """The chain of a document of the given kind; SchemaError names the path
+    of the first defect (both ends are read before the links)."""
+    k = CHAIN_KINDS[kind]
+    _require(d, ("links", "from", "to"), k.label)
     if not isinstance(d["links"], list):
-        raise SchemaError("plane chain: links must be a list")
+        raise SchemaError(f"{k.label}: links must be a list")
+    from_ = k.end[1](d["from"], f"{k.label}.from")
+    to = k.end[1](d["to"], f"{k.label}.to")
+    why = k.check_ends(from_, to)
+    if why:
+        raise SchemaError(f"{k.label}: {why}")
     links = []
-    for k, entry in enumerate(d["links"]):
-        what = f"plane chain.links[{k}]"
-        if not isinstance(entry, dict) or "cert" not in entry:
-            _require(entry, ("family", "orientation"), what)
-            cert = None
-        else:
-            _require(entry, ("family", "orientation", "cert"), what)
-            cert = membership_from_json(entry["cert"])
-        links.append(
-            PlaneChainLink(
-                plane_family_from_json(entry["family"]),
-                _orientation_from_json(entry["orientation"], what),
-                cert,
-            )
-        )
-    return PlaneChain(
-        links=tuple(links),
-        from_pair=_point_pair_from_json(d["from"], "plane chain.from"),
-        to_pair=_point_pair_from_json(d["to"], "plane chain.to"),
-    )
+    for i, entry in enumerate(d["links"]):
+        what = f"{k.label}.links[{i}]"
+        proved = k.proof is not None and isinstance(entry, dict) and "cert" in entry
+        _require(entry, (k.link_key, "orientation") + ("cert",) * proved, what)
+        proof = k.proof[1](entry["cert"], f"{what}.cert") if proved else None
+        family = k.family[1](entry[k.link_key], f"{what}.{k.link_key}")
+        why = k.check_link(family, from_)
+        if why:
+            raise SchemaError(f"{what}: {why}")
+        try:
+            links.append(Link(family, entry["orientation"], proof))
+        except ValueError as exc:  # the orientation
+            raise SchemaError(f"{what}: {exc}") from None
+    return Chain(tuple(links), from_, to)
 
 
 def loads(text: str) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .chains import FORWARD, REVERSED, ChainReport, check_orientation, exact, walk_chain
+from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, exact, walk_chain
 from .monoid import MapValidationError, PointedMap, validate
 from .mpoly import MPoly
 from .poly import Poly
@@ -125,28 +125,6 @@ def reverse(cert: HomotopyCert) -> HomotopyCert:
 
 
 @dataclass(frozen=True)
-class ChainLink:
-    """One certificate plus the direction it is traversed in."""
-
-    F: MPoly
-    G: MPoly
-    orientation: str
-
-    def __post_init__(self):
-        check_orientation(self.orientation)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Links are stored unvalidated so verification can report defects."""
-
-    ring: RingTag
-    links: tuple
-    from_pair: tuple
-    to_pair: tuple
-
-
-@dataclass(frozen=True)
 class CertLinkDetail:
     """A link's certificate resultant, or why the link is invalid."""
 
@@ -160,9 +138,9 @@ class CertLinkDetail:
         return f"INVALID ({self.error})" if self.error else f"valid, res = {self.res}"
 
 
-def _certify_link(link: ChainLink, ring: RingTag):
+def _certify_link(link: Link, ring: RingTag):
     try:
-        cert = validate_cert(link.F, link.G, ring)
+        cert = validate_cert(*link.family, ring)
         ends = (endpoint(cert, 0), endpoint(cert, 1))
     except CertValidationError as exc:
         return [str(exc)], None, CertLinkDetail(error=str(exc))
@@ -170,17 +148,19 @@ def _certify_link(link: ChainLink, ring: RingTag):
 
 
 def verify_chain(chain: Chain) -> ChainReport:
-    """Validate both end maps and every link, then check all junctions.
+    """Validate both end maps (f, g) and every link, then check all junctions.
 
-    Validated maps are canonical, so junctions and ends compare exactly.  An
-    invalid end map is the first failure; the ends are then not compared.
+    The chain's ring is that of chain.from_.  Validated maps are canonical,
+    so junctions and ends compare exactly.  An invalid end map is the first
+    failure; the ends are then not compared.
     """
+    ring = chain.from_[0].ring
     ends, end_failure = (None, None), None
     try:
-        ends = [validate(f, g, chain.ring) for f, g in (chain.from_pair, chain.to_pair)]
+        ends = [validate(f, g, ring) for f, g in (chain.from_, chain.to)]
     except MapValidationError as exc:
         end_failure = f"end map invalid: {exc}"
-    certify = partial(_certify_link, ring=chain.ring)
+    certify = partial(_certify_link, ring=ring)
     return walk_chain("homotopy", chain.links, certify, exact, *ends, end_failure=end_failure)
 
 
@@ -205,14 +185,9 @@ def builtin_chain(name: str = "prop_3_4_3") -> Chain:
         return parse_poly(s, (XVAR,), ZZ)
 
     links = (
-        ChainLink(xt("X^2"), xt("T*X + 1"), FORWARD),
-        ChainLink(xt("X^2 + 2*T*X + 2*T"), xt("X + 1"), FORWARD),
-        ChainLink(xt("X^2 + 2*T*X + 2*T"), xt("X + (2*T - 1)"), REVERSED),
-        ChainLink(xt("X^2 - T*X + T"), xt("X - 1"), FORWARD),
+        Link((xt("X^2"), xt("T*X + 1")), FORWARD),
+        Link((xt("X^2 + 2*T*X + 2*T"), xt("X + 1")), FORWARD),
+        Link((xt("X^2 + 2*T*X + 2*T"), xt("X + (2*T - 1)")), REVERSED),
+        Link((xt("X^2 - T*X + T"), xt("X - 1")), FORWARD),
     )
-    return Chain(
-        ring=ZZ,
-        links=links,
-        from_pair=(x("X^2"), x("1")),
-        to_pair=(x("X^2 - X + 1"), x("X - 1")),
-    )
+    return Chain(links, (x("X^2"), x("1")), (x("X^2 - X + 1"), x("X - 1")))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .chains import FORWARD, REVERSED, ChainReport, check_orientation, exact, walk_chain
+from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, exact, walk_chain
 from .linsolve import IntegerSolver, feasible_mod_p
 from .mpoly import MPoly
 from .rings import ZZ
@@ -214,23 +214,6 @@ def plane_endpoint(fam: PlaneFamily, t: int):
 
 
 @dataclass(frozen=True)
-class PlaneChainLink:
-    family: PlaneFamily
-    orientation: str
-    cert: MembershipCertificate | None = None  # supplied, else searched for
-
-    def __post_init__(self):
-        check_orientation(self.orientation)
-
-
-@dataclass(frozen=True)
-class PlaneChain:
-    links: tuple
-    from_pair: tuple
-    to_pair: tuple
-
-
-@dataclass(frozen=True)
 class MembershipLinkDetail:
     """A family's membership certificate, or why it has none."""
 
@@ -248,8 +231,8 @@ class MembershipLinkDetail:
         return f"certified with N = {self.cert.N}, degree <= {self.cert.coefficient_degree()}"
 
 
-def _certify_family(link: PlaneChainLink, n_max: int, d_max: int | None):
-    cert, note = link.cert, None
+def _certify_family(link: Link, n_max: int, d_max: int | None):
+    cert, note = link.proof, None
     if cert is not None:
         verdict = verify_membership(link.family, cert)
         if not verdict.ok:
@@ -263,17 +246,17 @@ def _certify_family(link: PlaneChainLink, n_max: int, d_max: int | None):
     return [note] if note else [], ends, MembershipLinkDetail(cert, note)
 
 
-def verify_plane_chain(chain: PlaneChain, n_max: int = 6, d_max: int | None = None) -> ChainReport:
+def verify_plane_chain(chain: Chain, n_max: int = 6, d_max: int | None = None) -> ChainReport:
     """Certify every family (found or supplied certificate), then check the
     junctions under the link orientations and the end pairs, all exactly."""
     certify = partial(_certify_family, n_max=n_max, d_max=d_max)
-    return walk_chain("plane", chain.links, certify, exact, chain.from_pair, chain.to_pair)
+    return walk_chain("plane", chain.links, certify, exact, chain.from_, chain.to)
 
 
 BUILTIN_PLANE_CHAINS = ("prop_3_4_5",)
 
 
-def builtin_plane_chain(name: str = "prop_3_4_5") -> PlaneChain:
+def builtin_plane_chain(name: str = "prop_3_4_5") -> Chain:
     """The shipped six-family chain from (T0^2, T1) to (T0, T1^2), traversed
     (forward, reversed, reversed, forward, reversed, reversed)."""
     if name not in BUILTIN_PLANE_CHAINS:
@@ -295,11 +278,5 @@ def builtin_plane_chain(name: str = "prop_3_4_5") -> PlaneChain:
         PlaneFamily(p("T0"), p("-T*T0 + T1^2")),
     ]
     orientations = (FORWARD, REVERSED, REVERSED, FORWARD, REVERSED, REVERSED)
-    links = tuple(
-        PlaneChainLink(f, o) for f, o in zip(fams, orientations)
-    )
-    return PlaneChain(
-        links=links,
-        from_pair=(q("T0^2"), q("T1")),
-        to_pair=(q("T0"), q("T1^2")),
-    )
+    links = tuple(Link(f, o) for f, o in zip(fams, orientations))
+    return Chain(links, (q("T0^2"), q("T1")), (q("T0"), q("T1^2")))

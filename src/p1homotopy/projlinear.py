@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import FORWARD, REVERSED, ChainReport, check_orientation, walk_chain
+from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, walk_chain
 from .poly import Poly
 from .resultants import is_unit
 from .rings import ZZ
@@ -86,22 +86,6 @@ def fixes_infinity(M: MatrixFamily) -> bool:
 
 
 @dataclass(frozen=True)
-class MatrixChainLink:
-    family: MatrixFamily
-    orientation: str
-
-    def __post_init__(self):
-        check_orientation(self.orientation)
-
-
-@dataclass(frozen=True)
-class MatrixChain:
-    links: tuple
-    from_mat: Mat2
-    to_mat: Mat2
-
-
-@dataclass(frozen=True)
 class FamilyLinkDetail:
     """A family's determinant and whether it keeps infinity in the T1-chart."""
 
@@ -116,7 +100,7 @@ class FamilyLinkDetail:
         return f"det = {self.det}, base point {base}"
 
 
-def _certify_family(link: MatrixChainLink):
+def _certify_family(link: Link):
     fam = link.family
     det = det_family(fam)
     basepoint_ok = image_of_infinity_in_open(fam)
@@ -127,7 +111,7 @@ def _certify_family(link: MatrixChainLink):
     return reasons, ends, FamilyLinkDetail(det, basepoint_ok)
 
 
-def verify_matrix_chain(chain: MatrixChain, exact_junctions: bool = False) -> ChainReport:
+def verify_matrix_chain(chain: Chain, exact_junctions: bool = False) -> ChainReport:
     """Check unit determinants, the base-point condition, junctions (projective
     by default, exact on request) and the end matrices."""
 
@@ -135,13 +119,13 @@ def verify_matrix_chain(chain: MatrixChain, exact_junctions: bool = False) -> Ch
         u = (1 if a == b else None) if exact_junctions else projective_unit(a, b)
         return u is not None, u
 
-    return walk_chain("matrix", chain.links, _certify_family, match, chain.from_mat, chain.to_mat)
+    return walk_chain("matrix", chain.links, _certify_family, match, chain.from_, chain.to)
 
 
 BUILTIN_MATRIX_CHAINS = ("prop_3_4_2",)
 
 
-def builtin_matrix_chain(name: str = "prop_3_4_2") -> MatrixChain:
+def builtin_matrix_chain(name: str = "prop_3_4_2") -> Chain:
     """The shipped two-family chain joining the two composites of the swap
     and the shear of P^1: H1 = [[T,-1],[1,0]] traversed backwards, then
     H2 = [[0,1],[-1,T]] forwards; the junction holds up to the unit -1."""
@@ -152,8 +136,5 @@ def builtin_matrix_chain(name: str = "prop_3_4_2") -> MatrixChain:
     zero = Poly.zero(ZZ, TVAR)
     h1 = MatrixFamily(t, -one, one, zero)
     h2 = MatrixFamily(zero, one, -one, t)
-    return MatrixChain(
-        links=(MatrixChainLink(h1, REVERSED), MatrixChainLink(h2, FORWARD)),
-        from_mat=Mat2(1, -1, 1, 0),
-        to_mat=Mat2(0, 1, -1, 1),
-    )
+    links = (Link(h1, REVERSED), Link(h2, FORWARD))
+    return Chain(links, Mat2(1, -1, 1, 0), Mat2(0, 1, -1, 1))

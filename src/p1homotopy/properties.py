@@ -457,15 +457,12 @@ def json_roundtrip(rng, trials):
         p = _rp(rng, ring, rng.randint(0, 5), 9).trim()
         if exprio.poly_from_json(exprio.poly_to_json(p)) != p:
             return {"trial": k, "poly": str(p)}
-    chain = builtin_chain()
-    if exprio.chain_from_json(exprio.loads(json.dumps(exprio.chain_to_json(chain)))) != chain:
-        return {"chain": "builtin homotopy chain"}
-    mchain = builtin_matrix_chain()
-    if exprio.matrix_chain_from_json(exprio.matrix_chain_to_json(mchain)) != mchain:
-        return {"chain": "builtin matrix chain"}
-    pchain = builtin_plane_chain()
-    if exprio.plane_chain_from_json(exprio.plane_chain_to_json(pchain)) != pchain:
-        return {"chain": "builtin plane chain"}
+    for kind, builtin in (("homotopy", builtin_chain), ("matrix", builtin_matrix_chain),
+                          ("plane", builtin_plane_chain)):
+        chain = builtin()
+        blob = json.dumps(exprio.chain_to_json(chain, kind))
+        if exprio.chain_from_json(exprio.loads(blob), kind) != chain:
+            return {"chain": f"builtin {kind} chain"}
     return None
 
 

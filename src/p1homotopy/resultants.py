@@ -19,7 +19,7 @@ from functools import partial
 from math import lcm, prod
 from operator import not_
 
-from .poly import Poly
+from .poly import Poly, _top
 from .rings import QQ, ZZ, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
@@ -27,6 +27,12 @@ ORACLE_SIZE_CAP = 8
 # Largest Sylvester matrix (n + m rows) built: at it `res X 1 --nf 100` over
 # Z[T], the slowest CLI case, takes seconds, and the cost grows cubically
 SYLVESTER_SIZE_LIMIT = 100
+# Largest estimated work of an R[T] determinant (_check_work), in squared bits
+# of packed entries over Z[T] and Q[T] and squared coefficient counts over
+# F_p[T]: on random dense Sylvester matrices, the slowest measured per unit,
+# either limit is about 3 s of elimination
+PACKED_WORK_LIMIT = 2 * 10**12
+POLY_WORK_LIMIT = 2 * 10**7
 
 
 class OracleSizeError(ValueError):
@@ -147,9 +153,10 @@ def _raw_rows(rows, ring, tpoly=False):
     return raw, ZZ.divider, d
 
 
-def _pack(raw):
+def _pack(raw, where):
     """Kronecker substitution T = 2^B: each tuple of integer coefficients
-    becomes one int, and B the digit width.
+    becomes one int, and B the digit width.  The work is checked before
+    packing (_check_work, on each packed entry's bit length within one).
 
     The elimination of the packed ints is integer Bareiss on A(2^B), exact
     whatever B, so it yields det A(2^B).  By Hadamard's inequality on
@@ -161,6 +168,12 @@ def _pack(raw):
     sq = [[sum(map(abs, e)) ** 2 for e in r] for r in raw]
     h2 = min(prod(map(sum, lines)) for lines in (sq, zip(*sq)))
     width = (h2.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
+
+    def bits(e):
+        top = _top(e)
+        return top * width + e[top].bit_length() if top >= 0 else 0
+
+    _check_work([max(map(bits, r)) for r in raw], PACKED_WORK_LIMIT, where)
 
     def pack(e):
         acc = 0
@@ -183,6 +196,19 @@ def _unpack(v, width):
     return out
 
 
+def _check_work(sizes, limit, where):
+    """ValueError when eliminating rows whose largest entries have the given
+    sizes may cost more than limit.  After pivot k the entries are minors of
+    rows 0..k+1, so no larger than s, the sum of those rows' sizes; the step
+    updates (len - 1 - k)^2 of them, each at a cost taken as s^2."""
+    n, s, work = len(sizes), 0, 0
+    for k, size in enumerate(sizes):
+        s += size
+        work += (n - 1 - k) ** 2 * s * s
+    if work > limit:
+        raise ValueError(f"determinant of size {n} over {where} exceeds the work budget ({work} > {limit})")
+
+
 def bareiss_det(rows, one):
     """Fraction-free determinant by the one elimination engine.
 
@@ -192,19 +218,21 @@ def bareiss_det(rows, one):
     Z[T] and Q[T] the entries are packed into ints (_pack) and the digits of
     the result read back; F_p[T] has no such packing (lifted residues grow
     with the matrix) and eliminates Polys.  cofactor_det is the independent
-    oracle.
+    oracle.  Over R[T] the estimated work is checked first (_check_work).
     """
     if not rows:
         return one
     ring, tpoly = one.ring, isinstance(one, Poly)
+    where = f"{ring.name()}[{one.var}]" if tpoly else None
     if tpoly and any(e.ring != ring or e.var != one.var for r in rows for e in r):
-        raise RingMismatchError(f"entries outside {ring.name()}[{one.var}]")
+        raise RingMismatchError(f"entries outside {where}")
     if tpoly and ring.kind == "Fp":
+        _check_work([max(e.actual_degree() + 1 for e in r) for r in rows], POLY_WORK_LIMIT, where)
         forms = [{0: e} for e in rows[-1]]
         return _last_row_cofactors(rows[:-1], forms, _poly_divider, Poly.is_zero).get(0, one - one)
     raw, divider, d = _raw_rows(rows, ring, tpoly)
     if tpoly:
-        raw, width = _pack(raw)
+        raw, width = _pack(raw, where)
     det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider, not_).get(0, 0)
     value = (lambda c: c) if d is None else partial(QQ.exact_div, b=prod(d))
     if tpoly:

@@ -11,11 +11,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .chains import FORWARD
+from .chains import FORWARD, Chain, Link
 from .homotopy import (
     CertResultantNotUnitError,
-    Chain,
-    ChainLink,
     builtin_chain,
     cert_resultant_oracle,
     validate_cert,
@@ -30,12 +28,10 @@ from .monoid import (
     oplus,
     validate,
 )
-from .plane import PlaneChain, PlaneChainLink, builtin_plane_chain, verify_plane_chain
+from .plane import builtin_plane_chain, verify_plane_chain
 from .poly import Poly
 from .projlinear import (
     Mat2,
-    MatrixChain,
-    MatrixChainLink,
     MatrixFamily,
     builtin_matrix_chain,
     det_family,
@@ -110,7 +106,7 @@ def check_builtin_cert_chain(seed, trials) -> CheckResult:
         return _fail(name, f"chain failed at {report.first_failure}")
     one_t = Poly.one(ZZ, "T")
     for link, lr in zip(chain.links, report.links):
-        cert = validate_cert(link.F, link.G, ZZ)
+        cert = validate_cert(*link.family, ZZ)
         oracle = cert_resultant_oracle(cert)
         if cert.res != one_t or oracle.trim() != one_t:
             return _fail(
@@ -150,10 +146,10 @@ def check_builtin_plane_chain(seed, trials) -> CheckResult:
     orientations = tuple(link.orientation[0].upper() for link in chain.links)
     if orientations != ("F", "R", "R", "F", "R", "R"):
         return _fail(name, f"orientations are {orientations}")
-    if chain.from_pair != (
+    if chain.from_ != (
         _parse("T0^2", ("T0", "T1")),
         _parse("T1", ("T0", "T1")),
-    ) or chain.to_pair != (
+    ) or chain.to != (
         _parse("T0", ("T0", "T1")),
         _parse("T1^2", ("T0", "T1")),
     ):
@@ -230,36 +226,22 @@ def check_negative_controls(seed, trials) -> CheckResult:
         if exc.res.trim() not in (t2, -t2):
             return _fail(name, f"X^2/(X+T) rejected with resultant {exc.res}, expected +-T^2")
     chain = builtin_chain("prop_3_4_3")
-    flipped = chain.links[:2] + (
-        ChainLink(chain.links[2].F, chain.links[2].G, FORWARD),
-    ) + chain.links[3:]
-    report = verify_chain(
-        Chain(ring=chain.ring, links=flipped, from_pair=chain.from_pair, to_pair=chain.to_pair)
-    )
+    flipped = chain.links[:2] + (Link(chain.links[2].family, FORWARD),) + chain.links[3:]
+    report = verify_chain(Chain(flipped, chain.from_, chain.to))
     if report.passed or report.first_failure != "junction 2/3":
         return _fail(name, f"orientation flip failed at {report.first_failure!r}, expected junction 2/3")
     mchain = builtin_matrix_chain("prop_3_4_2")
     t = Poly.x(ZZ, "T")
     two_t = t + t
     perturbed = MatrixFamily(Poly.zero(ZZ, "T"), Poly.one(ZZ, "T"), -Poly.one(ZZ, "T"), two_t)
-    mutated = MatrixChain(
-        links=(mchain.links[0], MatrixChainLink(perturbed, mchain.links[1].orientation)),
-        from_mat=mchain.from_mat,
-        to_mat=mchain.to_mat,
-    )
+    links = (mchain.links[0], Link(perturbed, mchain.links[1].orientation))
+    mutated = Chain(links, mchain.from_, mchain.to)
     mreport = verify_matrix_chain(mutated)
     if mreport.passed or "to mismatch" not in (mreport.first_failure or ""):
         return _fail(name, f"matrix perturbation failed at {mreport.first_failure!r}, expected to mismatch")
     pchain = builtin_plane_chain("prop_3_4_5")
-    plinks = (
-        pchain.links[0],
-        PlaneChainLink(pchain.links[1].family, FORWARD),
-    ) + pchain.links[2:]
-    preport = verify_plane_chain(
-        PlaneChain(links=plinks, from_pair=pchain.from_pair, to_pair=pchain.to_pair),
-        n_max=2,
-        d_max=4,
-    )
+    plinks = (pchain.links[0], Link(pchain.links[1].family, FORWARD)) + pchain.links[2:]
+    preport = verify_plane_chain(Chain(plinks, pchain.from_, pchain.to), n_max=2, d_max=4)
     if preport.passed or preport.first_failure != "junction 1/2":
         return _fail(name, f"plane flip failed at {preport.first_failure!r}, expected junction 1/2")
     return CheckResult(name, True, "all five controls rejected at the expected spot")
@@ -288,6 +270,9 @@ def check_io_and_cli(seed, trials) -> CheckResult:
     code, _ = run(["verify-matrix-chain", "--builtin", "prop_3_4_2"])
     if code != 0:
         return _fail(name, f"verify-matrix-chain builtin exited {code}")
+    code, _ = run(["verify-plane-chain", "--builtin", "prop_3_4_5", "--nmax", "2", "--dmax", "4"])
+    if code != 0:
+        return _fail(name, f"verify-plane-chain builtin exited {code}")
     code, _ = run(["validate", "X^2/2", "--ring", "z"])
     if code != 1:
         return _fail(name, f"validate X^2/2 over Z exited {code}, expected 1")

@@ -107,7 +107,7 @@ class TestVerifyCommands:
 
     def test_chain_from_file(self, capsys, tmp_path):
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain())))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain(), "homotopy")))
         code, out, _ = run(capsys, "verify-chain", str(path))
         assert code == 0 and "PASS" in out
 
@@ -118,7 +118,7 @@ class TestVerifyCommands:
         assert code == 2 and err == "error: input is nested too deeply\n"
 
     def test_failing_chain_file_exits_1(self, capsys, tmp_path):
-        blob = exprio.chain_to_json(builtin_chain())
+        blob = exprio.chain_to_json(builtin_chain(), "homotopy")
         blob["links"][2]["orientation"] = "forward"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(blob))
@@ -170,15 +170,15 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify-matrix-chain", "--builtin", "prop_3_4_2")
         assert code == 0 and "unit -1" in out
 
-    def test_matrix_chain_exact_junctions(self, capsys):
+    def test_matrix_exact_junctions(self, capsys):
         code, out, _ = run(
             capsys, "verify-matrix-chain", "--builtin", "prop_3_4_2", "--exact-junctions"
         )
         assert code == 1 and "junction 1/2" in out
 
-    def test_matrix_chain_file(self, capsys, tmp_path):
+    def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(exprio.matrix_chain_to_json(builtin_matrix_chain())))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_matrix_chain(), "matrix")))
         code, _, _ = run(capsys, "verify-matrix-chain", str(path))
         assert code == 0
 
@@ -199,7 +199,7 @@ class TestVerifyCommands:
 
     def test_plane_chain_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(exprio.plane_chain_to_json(builtin_plane_chain())))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_plane_chain(), "plane")))
         code, _, _ = run(capsys, "verify-plane-chain", str(path), "--nmax", "2", "--dmax", "4")
         assert code == 0
 
@@ -208,6 +208,87 @@ class TestVerifyCommands:
         assert code == 2
         code, _, err = run(capsys, "verify-chain", "x.json", "--builtin", "prop_3_4_3")
         assert code == 2
+
+
+# kind -> (command, builtin chain)
+KIND_COMMANDS = {kind: (command, builtin) for command, (kind, builtin, _) in cli.CHAIN_COMMANDS.items()}
+
+
+def _chain_document(kind):
+    """The builtin chain of a kind as a document; link 1 of the plane chain
+    also carries a (well-formed) certificate."""
+    doc = exprio.chain_to_json(KIND_COMMANDS[kind][1](), kind)
+    if kind == "plane":
+        doc["links"][1]["cert"] = {"N": 1, "combos": [{"A": "0", "B": "1"}, {"A": "1", "B": "0"}]}
+    return doc
+
+
+DELETE = object()
+ORIENTATION = "orientation must be one of ('forward', 'reversed')"
+
+# id -> (kind, path into the kind's document, new value or DELETE, error message)
+SCHEMA_DEFECTS = {
+    "homotopy_missing_key": ("homotopy", ["links", 1, "cert", "g"], DELETE,
+                             "chain.links[1].cert: missing keys ['g']"),
+    "homotopy_unknown_key": ("homotopy", ["links", 1, "extra"], 0,
+                             "chain.links[1]: unknown keys ['extra']"),
+    "matrix_missing_key": ("matrix", ["links", 1, "family", "d"], DELETE,
+                           "matrix chain.links[1].family: missing keys ['d']"),
+    "matrix_unknown_key": ("matrix", ["extra"], 0, "matrix chain: unknown keys ['extra']"),
+    "plane_missing_key": ("plane", ["links", 1, "cert", "combos", 1, "B"], DELETE,
+                          "plane chain.links[1].cert.combos[1]: missing keys ['B']"),
+    "plane_unknown_key": ("plane", ["links", 1, "family", "F2"], "T",
+                          "plane chain.links[1].family: unknown keys ['F2']"),
+    "homotopy_links_not_a_list": ("homotopy", ["links"], {}, "chain: links must be a list"),
+    "matrix_links_not_a_list": ("matrix", ["links"], "x", "matrix chain: links must be a list"),
+    "plane_links_not_a_list": ("plane", ["links"], None, "plane chain: links must be a list"),
+    "homotopy_orientation": ("homotopy", ["links", 1, "orientation"], "sideways",
+                             f"chain.links[1]: {ORIENTATION}"),
+    "matrix_orientation": ("matrix", ["links", 1, "orientation"], "backward",
+                           f"matrix chain.links[1]: {ORIENTATION}"),
+    "plane_orientation": ("plane", ["links", 1, "orientation"], 1,
+                          f"plane chain.links[1]: {ORIENTATION}"),
+    "homotopy_true_end_n": ("homotopy", ["from", "n"], True,
+                            "chain.from: n must be a natural number"),
+    "homotopy_true_cert_n": ("homotopy", ["links", 1, "cert", "n"], True,
+                             "chain.links[1].cert: n must be a natural number"),
+    "matrix_true_entry": ("matrix", ["to", "c"], True, "matrix chain.to: 'c' must be an integer"),
+    "plane_true_N": ("plane", ["links", 1, "cert", "N"], True,
+                     "plane chain.links[1].cert: N must be a positive integer"),
+    "homotopy_end_rings": ("homotopy", ["to", "ring"], "Q", "chain: from/to rings differ"),
+    "homotopy_link_ring": ("homotopy", ["links", 1, "cert", "ring"], "fp:7",
+                           "chain.links[1]: ring differs from the chain ring"),
+    "plane_zero_N": ("plane", ["links", 1, "cert", "N"], 0,
+                     "plane chain.links[1].cert: N must be a positive integer"),
+    "plane_N_without_its_pairs": ("plane", ["links", 1, "cert", "N"], 2,
+                                  "plane chain.links[1].cert: combos must list N+1 pairs"),
+    "plane_cert_variable": ("plane", ["links", 1, "cert", "combos", 1, "B"], "Q",
+                            "plane chain.links[1].cert.combos[1].B: undeclared variable 'Q' "
+                            "(declared: T0, T1, T) (at position 0)"),
+    "matrix_nonconstant_end": ("matrix", ["from", "b"], "T - 1",
+                               "matrix chain.from: 'b' must be constant"),
+    "matrix_family_variable": ("matrix", ["links", 1, "family", "a"], "X",
+                               "matrix chain.links[1].family.a: undeclared variable 'X' "
+                               "(declared: T) (at position 0)"),
+}
+
+
+@pytest.mark.parametrize("defect", SCHEMA_DEFECTS)
+def test_schema_error_is_one_line_naming_its_path(capsys, tmp_path, defect):
+    kind, path, value, message = SCHEMA_DEFECTS[defect]
+    doc = _chain_document(kind)
+    *outer, last = path
+    owner = doc
+    for key in outer:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    file = tmp_path / "defect.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, KIND_COMMANDS[kind][0], str(file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -353,3 +434,32 @@ def test_sylvester_size_at_the_limit_runs():
     result = run_subprocess("validate", f"X^{SYLVESTER_SIZE_LIMIT // 2}/1")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("valid: ")
+
+
+@pytest.mark.parametrize("ring, e, where", [
+    ("z", 14, "Z[T]"), ("q", 14, "Q[T]"), ("z", 50, "Z[T]"),
+    ("fp:7", 15, "Fp:7[T]"), ("fp:1000003", 14, "Fp:1000003[T]"), ("fp:1000003", 50, "Fp:1000003[T]"),
+])
+def test_r_t_determinant_above_the_work_budget_exits_2(capsys, ring, e, where):
+    # Sylvester size 2e is inside SYLVESTER_SIZE_LIMIT; the elimination would
+    # take seconds to minutes, so it is refused before it starts
+    code, out, err = run(capsys, "res", f"(X+T)^{e}+1", f"(X-T)^{e}", "--ring", ring)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: determinant of size {2 * e} over {where} exceeds the work budget (")
+
+
+def test_r_t_determinant_inside_the_work_budget_runs(capsys):
+    code, out, _ = run(capsys, "res", "(X+T)^14+1", "(X-T)^14", "--ring", "fp:7")
+    assert code == 0 and out == "2*T^196 + T^98 + 1\n"
+
+
+def test_certificate_above_the_work_budget_exits_2(capsys, tmp_path):
+    # verify-chain reaches the same elimination through validate_cert
+    end = {"ring": "Z", "n": 1, "f": "X", "g": "1"}
+    cert = {"ring": "Z", "n": 14, "f": "(X+T)^14+1", "g": "(X-T)^13"}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"links": [{"cert": cert, "orientation": "forward"}],
+                                "from": end, "to": end}))
+    code, out, err = run(capsys, "verify-chain", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: determinant of size 28 over Z[T] exceeds the work budget (")

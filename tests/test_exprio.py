@@ -150,8 +150,8 @@ class TestJson:
         from p1homotopy.homotopy import builtin_chain
 
         chain = builtin_chain()
-        blob = json.dumps(exprio.chain_to_json(chain))
-        assert exprio.chain_from_json(exprio.loads(blob)) == chain
+        blob = json.dumps(exprio.chain_to_json(chain, "homotopy"))
+        assert exprio.chain_from_json(exprio.loads(blob), "homotopy") == chain
 
     def test_matrix_family_schema(self):
         from p1homotopy.projlinear import builtin_matrix_chain
@@ -160,15 +160,15 @@ class TestJson:
         d = exprio.matrix_family_to_json(chain.links[0].family)
         assert d == {"a": "T", "b": "-1", "c": "1", "d": "0"}
         assert exprio.matrix_family_from_json(d) == chain.links[0].family
-        blob = json.dumps(exprio.matrix_chain_to_json(chain))
-        assert exprio.matrix_chain_from_json(exprio.loads(blob)) == chain
+        blob = json.dumps(exprio.chain_to_json(chain, "matrix"))
+        assert exprio.chain_from_json(exprio.loads(blob), "matrix") == chain
 
     def test_plane_chain_roundtrip(self):
         from p1homotopy.plane import builtin_plane_chain, find_membership
 
         chain = builtin_plane_chain()
-        blob = json.dumps(exprio.plane_chain_to_json(chain))
-        assert exprio.plane_chain_from_json(exprio.loads(blob)) == chain
+        blob = json.dumps(exprio.chain_to_json(chain, "plane"))
+        assert exprio.chain_from_json(exprio.loads(blob), "plane") == chain
         cert = find_membership(chain.links[0].family, 2, 4)
         back = exprio.membership_from_json(exprio.membership_to_json(cert))
         assert back == cert

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from p1homotopy.chains import Chain, Link
 from p1homotopy.exprio import parse_poly
 from p1homotopy.homotopy import (
     CertResultantNotUnitError,
-    Chain,
-    ChainLink,
     FORWARD,
     NotMonicInXError,
     REVERSED,
@@ -94,7 +93,7 @@ class TestEndpoints:
     def test_resultant_specializes(self):
         chain = builtin_chain()
         for link in chain.links:
-            c = validate_cert(link.F, link.G)
+            c = validate_cert(*link.family)
             for t in (0, 1):
                 u = endpoint(c, t)
                 assert u.res == c.res.eval(Scalar(ZZ, t))
@@ -152,10 +151,10 @@ class TestEndpointsInheritTheResultant:
 
     def test_builtin_chain(self):
         for link in builtin_chain().links:
-            cert = validate_cert(link.F, link.G)
+            F, G = link.family
+            cert = validate_cert(F, G)
             for t in (0, 1):
-                fresh = validate(link.F.subst("T", t).to_poly("X"),
-                                 link.G.subst("T", t).to_poly("X"))
+                fresh = validate(F.subst("T", t).to_poly("X"), G.subst("T", t).to_poly("X"))
                 got = endpoint(cert, t)
                 assert got == fresh and got.res == fresh.res
 
@@ -169,7 +168,7 @@ class TestReverse:
 
     def test_involution_and_swap(self):
         for link in builtin_chain().links:
-            c = validate_cert(link.F, link.G)
+            c = validate_cert(*link.family)
             r = reverse(c)
             assert reverse(r) == c
             assert endpoint(r, 0) == endpoint(c, 1)
@@ -190,34 +189,32 @@ class TestVerifyChain:
 
     def test_single_constant_certificate(self):
         chain = Chain(
-            ring=ZZ,
-            links=(ChainLink(xt("X^2"), xt("1"), FORWARD),),
-            from_pair=(zx("X^2"), zx("1")),
-            to_pair=(zx("X^2"), zx("1")),
+            links=(Link((xt("X^2"), xt("1")), FORWARD),),
+            from_=(zx("X^2"), zx("1")),
+            to=(zx("X^2"), zx("1")),
         )
         assert verify_chain(chain).passed
 
     def test_empty_chain(self):
-        chain = Chain(ring=ZZ, links=(), from_pair=(zx("X"), zx("1")), to_pair=(zx("X"), zx("1")))
+        chain = Chain(links=(), from_=(zx("X"), zx("1")), to=(zx("X"), zx("1")))
         assert verify_chain(chain).passed
-        bad = Chain(ring=ZZ, links=(), from_pair=(zx("X"), zx("1")), to_pair=(zx("X^2"), zx("1")))
+        bad = Chain(links=(), from_=(zx("X"), zx("1")), to=(zx("X^2"), zx("1")))
         assert not verify_chain(bad).passed
 
     def test_orientation_flip_fails_at_junction_2_3(self):
         base = builtin_chain()
         links = list(base.links)
-        links[2] = ChainLink(links[2].F, links[2].G, FORWARD)
-        report = verify_chain(Chain(ZZ, tuple(links), base.from_pair, base.to_pair))
+        links[2] = Link(links[2].family, FORWARD)
+        report = verify_chain(Chain(tuple(links), base.from_, base.to))
         assert not report.passed
         assert report.first_failure == "junction 2/3"
         assert report.junctions[0].ok and not report.junctions[1].ok
 
     def test_invalid_link_reported_not_raised(self):
         chain = Chain(
-            ring=ZZ,
-            links=(ChainLink(xt("X^2"), xt("X + T"), FORWARD),),
-            from_pair=(zx("X^2"), zx("1")),
-            to_pair=(zx("X^2"), zx("1")),
+            links=(Link((xt("X^2"), xt("X + T")), FORWARD),),
+            from_=(zx("X^2"), zx("1")),
+            to=(zx("X^2"), zx("1")),
         )
         report = verify_chain(chain)
         assert not report.passed
@@ -230,8 +227,8 @@ class TestVerifyChain:
         chain = builtin_chain()
         report = verify_chain(chain)
         assert report.passed
-        current = validate(*chain.from_pair)
+        current = validate(*chain.from_)
         for lr in report.links:
             assert lr.start == current
             current = lr.end
-        assert current == validate(*chain.to_pair)
+        assert current == validate(*chain.to)

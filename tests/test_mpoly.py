@@ -163,7 +163,7 @@ class TestScalarBoundary:
         chain = builtin_chain()
         for link in chain.links:
             made.clear()
-            cert = validate_cert(link.F, link.G, ZZ)
+            cert = validate_cert(*link.family, ZZ)
             # one Scalar, for the unit test of the resultant
             assert len(made) <= 1, len(made)
             for t in (0, 1):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from p1homotopy import plane
+from p1homotopy.chains import Chain, Link
 from p1homotopy.exprio import parse_poly
 from p1homotopy.linsolve import solve_integer
 from p1homotopy.mpoly import MPoly
@@ -10,8 +11,6 @@ from p1homotopy.plane import (
     FORWARD,
     MembershipCertificate,
     MembershipNotFound,
-    PlaneChain,
-    PlaneChainLink,
     PlaneFamily,
     REVERSED,
     builtin_plane_chain,
@@ -223,24 +222,22 @@ class TestChain:
 
     def test_orientation_flip_fails_at_junction_1_2(self):
         base = builtin_plane_chain()
-        links = (base.links[0], PlaneChainLink(base.links[1].family, FORWARD)) + base.links[2:]
-        report = verify_plane_chain(
-            PlaneChain(links, base.from_pair, base.to_pair), n_max=2, d_max=4
-        )
+        links = (base.links[0], Link(base.links[1].family, FORWARD)) + base.links[2:]
+        report = verify_plane_chain(Chain(links, base.from_, base.to), n_max=2, d_max=4)
         assert not report.passed
         assert report.first_failure == "junction 1/2"
 
     def test_empty_chain(self):
-        same = PlaneChain((), (p2("T0"), p2("T1")), (p2("T0"), p2("T1")))
+        same = Chain((), (p2("T0"), p2("T1")), (p2("T0"), p2("T1")))
         assert verify_plane_chain(same).passed
-        diff = PlaneChain((), (p2("T0"), p2("T1")), (p2("T1"), p2("T0")))
+        diff = Chain((), (p2("T0"), p2("T1")), (p2("T1"), p2("T0")))
         assert not verify_plane_chain(diff).passed
 
     def test_supplied_certificate_is_used(self):
         f = fam("T0", "T1")
         cert = MembershipCertificate(1, ((p3("0"), p3("1")), (p3("1"), p3("0"))))
-        chain = PlaneChain(
-            (PlaneChainLink(f, FORWARD, cert),),
+        chain = Chain(
+            (Link(f, FORWARD, cert),),
             (p2("T0"), p2("T1")),
             (p2("T0"), p2("T1")),
         )
@@ -250,8 +247,8 @@ class TestChain:
 
     def test_uncertifiable_link_reported(self):
         f = fam("T0*T1", "T1")
-        chain = PlaneChain(
-            (PlaneChainLink(f, FORWARD),),
+        chain = Chain(
+            (Link(f, FORWARD),),
             (p2("T0*T1"), p2("T1")),
             (p2("T0*T1"), p2("T1")),
         )

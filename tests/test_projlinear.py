@@ -2,12 +2,11 @@ import random
 
 import pytest
 
+from p1homotopy.chains import Chain, Link
 from p1homotopy.poly import Poly
 from p1homotopy.projlinear import (
     FORWARD,
     Mat2,
-    MatrixChain,
-    MatrixChainLink,
     MatrixFamily,
     builtin_matrix_chain,
     det_family,
@@ -105,10 +104,10 @@ class TestChain:
         base = builtin_matrix_chain()
         two_t = T + T
         perturbed = MatrixFamily(ZERO, ONE, -ONE, two_t)
-        chain = MatrixChain(
-            links=(base.links[0], MatrixChainLink(perturbed, FORWARD)),
-            from_mat=base.from_mat,
-            to_mat=base.to_mat,
+        chain = Chain(
+            links=(base.links[0], Link(perturbed, FORWARD)),
+            from_=base.from_,
+            to=base.to,
         )
         report = verify_matrix_chain(chain)
         assert not report.passed
