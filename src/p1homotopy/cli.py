@@ -192,10 +192,21 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every option is long except -h, so any other token that starts with a
+    single "-" is polynomial text ("-X", "-X/1"), never an option."""
+
+    def _parse_optional(self, arg_string):
+        single_dash = arg_string[:1] == "-" and arg_string[1:2] != "-"
+        if single_dash and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: building it costs more than most commands."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="p1homotopy",
         description="Exact algebra of pointed rational maps on the projective line",
     )

@@ -1,9 +1,22 @@
 """Exact linear algebra over the integers for membership certificates.
 
-solve_integer finds integer solutions of A x = b by unimodular column
+IntegerSolver finds integer solutions of A x = b by unimodular column
 reduction to echelon form (gcd pivoting, no fractions anywhere) followed by
 forward substitution with divisibility checks; the reduction is shared
-across right-hand sides.
+across right-hand sides.  solve_integer is a one-shot adapter from dense
+rows.
+
+The system is given by its sparse {row key: int} columns, and every row of
+the reduction is sparse too: R = A^T and the unimodular E are lists of
+{index: nonzero int} dicts, and a column -> live rows index finds the rows
+that are nonzero at a column in time proportional to their number.  A row
+operation costs the nonzeros of the pivot row, not the width of the system,
+so the work follows the fill-in rather than rows times columns (sparse
+elimination as in Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+The pivot rule is the dense one: the smallest |entry|, ties to the lowest
+position, and the lowest live row swapped into place, so R, E and the pivots
+are the dense sweep's entry for entry and the certificates do not depend on
+the representation.
 
 feasible_mod_p is a sound pre-filter on layers of sparse {row key: int}
 columns and on targets: modulo a fixed prime, the columns are reduced layer
@@ -20,95 +33,128 @@ from __future__ import annotations
 FILTER_PRIME = 2147483647
 
 
-def _echelon_transposed(a_rows, ncols):
+def _echelon_transposed(rows, ncols):
     """Column echelon form of A via row ops on R = A^T.
 
-    Returns (R, E, pivots) with R = E @ A^T, E unimodular, and pivots a list
-    of (row_of_A, row_of_R) pairs in processing order.  After the sweep every
-    non-pivot row of R is identically zero, so the pivot entries alone decide
-    solvability.
+    rows are the ncols columns of A as sparse {row of A: int} dicts, that
+    is the rows of R.  Returns (R, E, pivots) with R = E @ A^T as lists of
+    sparse rows in position order, E unimodular, and pivots a list of
+    (row_of_A, row_of_R) pairs in processing order.  After the sweep every
+    non-pivot row of R is identically zero, so the pivot entries alone
+    decide solvability.
     """
-    m = len(a_rows)
-    n = ncols
-    R = [[a_rows[i][j] for i in range(m)] for j in range(n)]
-    E = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    R = [{c: v for c, v in row.items() if v} for row in rows]
+    E = [{j: 1} for j in range(ncols)]
+    at = list(range(ncols))  # position -> row
+    pos = list(range(ncols))  # row -> position
+    live_at = {}  # row of A -> the non-pivot rows of R nonzero there
+    for i, row in enumerate(R):
+        for c in row:
+            live_at.setdefault(c, set()).add(i)
     pivots = []
     r = 0
-    for col in range(m):
-        if r == n:
+    for col in sorted(live_at):
+        if r == ncols:
             break
-        while True:
-            live = [i for i in range(r, n) if R[i][col] != 0]
-            if len(live) <= 1:
-                break
-            base = min(live, key=lambda i: abs(R[i][col]))
-            bv = R[base][col]
-            for i in live:
-                if i == base:
-                    continue
+        live = live_at[col]
+        while len(live) > 1:
+            base = min(live, key=lambda i: (abs(R[i][col]), pos[i]))
+            Rb, Eb = R[base], E[base]
+            bv = Rb[col]
+            for i in [i for i in live if i != base]:
                 q = R[i][col] // bv
-                if q:
-                    Ri, Rb = R[i], R[base]
-                    R[i] = [x - q * y for x, y in zip(Ri, Rb)]
-                    Ei, Eb = E[i], E[base]
-                    E[i] = [x - q * y for x, y in zip(Ei, Eb)]
-        live = [i for i in range(r, n) if R[i][col] != 0]
+                if not q:
+                    continue
+                Ri = R[i]
+                for c, y in Rb.items():
+                    v = Ri.get(c)
+                    if v is None:
+                        Ri[c] = -q * y
+                        live_at[c].add(i)
+                    else:
+                        v -= q * y
+                        if v:
+                            Ri[c] = v
+                        else:
+                            del Ri[c]
+                            live_at[c].discard(i)
+                Ei = E[i]
+                for c, y in Eb.items():
+                    v = Ei.get(c, 0) - q * y
+                    if v:
+                        Ei[c] = v
+                    else:
+                        del Ei[c]
         if not live:
             continue
-        i = live[0]
-        if i != r:
-            R[r], R[i] = R[i], R[r]
-            E[r], E[i] = E[i], E[r]
-        if R[r][col] < 0:
-            R[r] = [-x for x in R[r]]
-            E[r] = [-x for x in E[r]]
+        (i,) = live
+        p, other = pos[i], at[r]
+        at[r], at[p], pos[i], pos[other] = i, other, r, p
+        if R[i][col] < 0:
+            R[i] = {c: -v for c, v in R[i].items()}
+            E[i] = {c: -v for c, v in E[i].items()}
+        for c in R[i]:
+            live_at[c].discard(i)
         pivots.append((col, r))
         r += 1
-    return R, E, pivots
+    return [R[i] for i in at], [E[i] for i in at], pivots
 
 
 class IntegerSolver:
-    """Reduces A once and answers A x = b for many right-hand sides."""
+    """Reduces A, given by its sparse {row key: int} columns, once and
+    answers A x = b for many right-hand sides."""
 
-    def __init__(self, a_rows, ncols: int):
-        self.a_rows = [list(r) for r in a_rows]
-        self.ncols = ncols
-        self.R, self.E, self.pivots = _echelon_transposed(self.a_rows, ncols)
+    def __init__(self, columns):
+        keys = sorted(set().union(*columns))
+        self.row_of = {key: i for i, key in enumerate(keys)}
+        rows = [{self.row_of[k]: v for k, v in col.items()} for col in columns]
+        self.R, self.E, self.pivots = _echelon_transposed(rows, len(rows))
 
     def solve(self, b):
-        """An integer solution of A x = b, or None."""
-        m = len(self.a_rows)
-        residual = list(b)
-        if len(residual) != m:
-            raise ValueError("right-hand side has wrong length")
-        y = [0] * self.ncols
+        """An integer solution of A x = b as a sparse {column: int}, b a
+        sparse {row key: int}; None when there is none."""
+        residual = {}
+        for key, v in b.items():
+            if v:
+                if key not in self.row_of:
+                    return None  # a row no column reaches
+                residual[self.row_of[key]] = v
+        y = []
         for k, (arow, _) in enumerate(self.pivots):
-            piv = self.R[k][arow]
-            v = residual[arow]
+            v = residual.get(arow)
+            if v is None:
+                continue
+            Rk = self.R[k]
+            piv = Rk[arow]
             if v % piv:
                 return None
             yk = v // piv
-            if yk:
-                y[k] = yk
-                Rk = self.R[k]
-                for i in range(m):
-                    residual[i] -= yk * Rk[i]
-        if any(residual):
+            y.append((k, yk))
+            for i, c in Rk.items():
+                w = residual.get(i, 0) - yk * c
+                if w:
+                    residual[i] = w
+                else:
+                    del residual[i]
+        if residual:
             return None
-        x = [0] * self.ncols
-        for k in range(len(self.pivots)):
-            if y[k]:
-                Ek = self.E[k]
-                for i in range(self.ncols):
-                    x[i] += y[k] * Ek[i]
-        return x
+        x = {}
+        for k, yk in y:
+            for i, e in self.E[k].items():
+                x[i] = x.get(i, 0) + yk * e
+        return {i: v for i, v in x.items() if v}
 
 
 def solve_integer(a_rows, b, ncols: int | None = None):
-    """One-shot integer solve of A x = b (None when unsolvable over Z)."""
+    """One-shot integer solve of A x = b from dense rows: a dense solution,
+    or None when unsolvable over Z."""
     if ncols is None:
         ncols = len(a_rows[0]) if a_rows else 0
-    return IntegerSolver(a_rows, ncols).solve(b)
+    if len(b) != len(a_rows):
+        raise ValueError("right-hand side has wrong length")
+    columns = [{i: row[j] for i, row in enumerate(a_rows) if row[j]} for j in range(ncols)]
+    x = IntegerSolver(columns).solve(dict(enumerate(b)))
+    return None if x is None else [x.get(j, 0) for j in range(ncols)]
 
 
 def _reduce_mod_p(v: dict, basis: dict, p: int):

@@ -118,29 +118,22 @@ def _columns(fam: PlaneFamily, monos) -> dict:
     }
 
 
-def _exact_solver(cols: dict, degree: int, target_keys):
+def _exact_solver(cols: dict, degree: int):
     """N -> certificate or None from one integer system: columns F0*m, then
-    F1*m, over _monomials_upto(degree); rows the sorted column and target
-    keys (a target key no column has is a zero row, which the echelon skips)."""
+    F1*m, over _monomials_upto(degree), as sparse columns keyed by monomial
+    (a target key no column has is a row no column reaches)."""
     monos = _monomials_upto(degree)
-    columns = [cols[m][0] for m in monos] + [cols[m][1] for m in monos]
-    row_index = {key: r for r, key in enumerate(sorted(set(target_keys).union(*columns)))}
-    a_rows = [[0] * len(columns) for _ in row_index]
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            a_rows[row_index[key]][j] = v
-    solver, half = IntegerSolver(a_rows, len(columns)), len(monos)
+    solver = IntegerSolver([cols[m][0] for m in monos] + [cols[m][1] for m in monos])
+    half = len(monos)
 
     def certificate(N):
         combos = []
         for i in range(N + 1):
-            b = [0] * len(row_index)
-            b[row_index[(i, N - i, 0)]] = 1
-            x = solver.solve(b)
+            x = solver.solve({(i, N - i, 0): 1})
             if x is None:
                 return None
-            a_terms = {m: x[k] for k, m in enumerate(monos) if x[k]}
-            b_terms = {m: x[half + k] for k, m in enumerate(monos) if x[half + k]}
+            a_terms = {monos[k]: v for k, v in x.items() if k < half}
+            b_terms = {monos[k - half]: v for k, v in x.items() if k >= half}
             combos.append(
                 (MPoly(ZZ, PLANE_VARS, a_terms), MPoly(ZZ, PLANE_VARS, b_terms))
             )
@@ -150,7 +143,9 @@ def _exact_solver(cols: dict, degree: int, target_keys):
 
 
 # Largest N and coefficient degree cap a search accepts: the systems grow with
-# the cube of the cap, and at both limits a mod-q family takes seconds.
+# the cube of the cap.  At both limits the dense mod-q family
+# (3*(T0 + T1) + 2*T*(T0 + 2*T1), (T0 + 2*T1)^2), the slowest seen, takes
+# about 0.6 s in process (Python 3.11, 2-vCPU VM), nearly all in the echelon.
 N_LIMIT = 12
 DEGREE_LIMIT = 12
 
@@ -175,14 +170,16 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
                          f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
     monos = _monomials_upto(d_cap)
     cols = _columns(fam, monos)
-    layers = [[c for m in monos if sum(m) == d for c in cols[m]] for d in range(d_cap + 1)]
-    target_keys = [(i, N - i, 0) for N in range(1, n_max + 1) for i in range(N + 1)]
-    prefixes = iter(feasible_mod_p(layers, [{key: 1} for key in target_keys]))
+    layers = [[] for _ in range(d_cap + 1)]
+    for m in monos:
+        layers[sum(m)].extend(cols[m])
+    targets = [{(i, N - i, 0): 1} for N in range(1, n_max + 1) for i in range(N + 1)]
+    prefixes = iter(feasible_mod_p(layers, targets))
     solvers = {}
 
     def solve(N, degree):
         if degree not in solvers:
-            solvers[degree] = _exact_solver(cols, degree, target_keys)
+            solvers[degree] = _exact_solver(cols, degree)
         return solvers[degree](N)
 
     for N in range(1, n_max + 1):

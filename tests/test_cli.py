@@ -44,6 +44,20 @@ class TestRes:
         code, _, err = run(capsys, "res", "X^2", "1", "--nf", "1")
         assert code == 2 and "formal degree" in err
 
+    def test_leading_minus_is_polynomial_text(self, capsys):
+        # every option is long but -h, so "-X" is a polynomial, before or
+        # after the options, with or without "--"
+        assert run(capsys, "res", "-X", "1") == (0, "1\n", "")
+        assert run(capsys, "res", "--", "-X", "1") == (0, "1\n", "")
+        code, out, _ = run(capsys, "res", "-X", "-2*X+1", "--json", "--ring", "q")
+        assert code == 0 and json.loads(out)["resultant"] == "-1"
+        code, out, _ = run(capsys, "res", "--ring", "fp:7", "-X-T", "1")
+        assert code == 0 and out == "1\n"
+
+    def test_help_after_a_leading_minus_argument(self, capsys):
+        code, out, _ = run(capsys, "res", "-X", "-h")
+        assert code == 0 and out.startswith("usage: p1homotopy res")
+
 
 class TestValidate:
     def test_valid(self, capsys):
@@ -70,6 +84,12 @@ class TestValidate:
     def test_unknown_ring(self, capsys):
         code, _, err = run(capsys, "validate", "X/1", "--ring", "octonions")
         assert code == 2
+
+    def test_leading_minus_is_polynomial_text(self, capsys):
+        code, out, _ = run(capsys, "validate", "-1+X/1")
+        assert code == 0 and out.startswith("valid: (X - 1)/1")
+        code, out, _ = run(capsys, "validate", "-X/1", "--json")
+        assert code == 1 and json.loads(out)["error"] == "NotMonic"
 
 
 class TestBezoutOplus:
@@ -98,6 +118,12 @@ class TestBezoutOplus:
     def test_oplus_invalid_operand(self, capsys):
         code, out, _ = run(capsys, "oplus", "X/1", "X^2/2")
         assert code == 1 and "ResultantNotUnit" in out
+
+    def test_oplus_leading_minus_operands(self, capsys):
+        code, out, _ = run(capsys, "oplus", "-1+X/1", "X/1")
+        assert code == 0 and out.strip() == "(X^2 - X - 1)/X"
+        code, out, _ = run(capsys, "oplus", "X/1", "-X/-1", "--json")
+        assert code == 1 and json.loads(out)["operand"] == "-X/-1"
 
 
 class TestVerifyCommands:

@@ -1,11 +1,103 @@
 import random
 from fractions import Fraction
 
-from p1homotopy.linsolve import IntegerSolver, feasible_mod_p, solve_integer
+from p1homotopy.linsolve import IntegerSolver, _echelon_transposed, feasible_mod_p, solve_integer
 
 
 def mat_vec(rows, x):
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# A dense reference that shares no code with the engine: the column echelon
+# and forward substitution as dense row operations on full R = A^T and E rows.
+
+
+def reference_echelon(a_rows, ncols):
+    """(R, E, pivots) with R = E @ A^T, E unimodular: pivot on the smallest
+    |entry| (ties to the lowest position), swap the lowest live row into
+    place, and make the pivot positive."""
+    m = len(a_rows)
+    n = ncols
+    R = [[a_rows[i][j] for i in range(m)] for j in range(n)]
+    E = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivots = []
+    r = 0
+    for col in range(m):
+        if r == n:
+            break
+        while True:
+            live = [i for i in range(r, n) if R[i][col] != 0]
+            if len(live) <= 1:
+                break
+            base = min(live, key=lambda i: abs(R[i][col]))
+            bv = R[base][col]
+            for i in live:
+                if i == base:
+                    continue
+                q = R[i][col] // bv
+                if q:
+                    R[i] = [x - q * y for x, y in zip(R[i], R[base])]
+                    E[i] = [x - q * y for x, y in zip(E[i], E[base])]
+        live = [i for i in range(r, n) if R[i][col] != 0]
+        if not live:
+            continue
+        i = live[0]
+        if i != r:
+            R[r], R[i] = R[i], R[r]
+            E[r], E[i] = E[i], E[r]
+        if R[r][col] < 0:
+            R[r] = [-x for x in R[r]]
+            E[r] = [-x for x in E[r]]
+        pivots.append((col, r))
+        r += 1
+    return R, E, pivots
+
+
+def reference_solve(a_rows, b, ncols):
+    """A dense integer solution of A x = b from reference_echelon, or None."""
+    R, E, pivots = reference_echelon(a_rows, ncols)
+    residual = list(b)
+    y = [0] * ncols
+    for k, (arow, _) in enumerate(pivots):
+        piv = R[k][arow]
+        v = residual[arow]
+        if v % piv:
+            return None
+        y[k] = v // piv
+        residual = [x - y[k] * c for x, c in zip(residual, R[k])]
+    if any(residual):
+        return None
+    return [sum(y[k] * E[k][i] for k in range(len(pivots))) for i in range(ncols)]
+
+
+def dense(rows, width):
+    return [[row.get(i, 0) for i in range(width)] for row in rows]
+
+
+def det(mat):
+    """Determinant by cofactor expansion along the first row (small n)."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * v * det([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j, v in enumerate(mat[0]) if v
+    )
+
+
+def random_sparse_rows(rng, m, n):
+    """An m x n integer matrix, mostly zeros, with negative entries, entries
+    of equal |value|, and some all-zero rows and columns."""
+    zero_rows = {i for i in range(m) if rng.random() < 0.15}
+    zero_cols = {j for j in range(n) if rng.random() < 0.15}
+    return [
+        [
+            0 if i in zero_rows or j in zero_cols or rng.random() < 0.7
+            else rng.choice([-3, -2, -2, -1, 1, 2, 2, 3, 5])
+            for j in range(n)
+        ]
+        for i in range(m)
+    ]
 
 
 def sparse(rows, rhs_list):
@@ -79,12 +171,13 @@ def test_planted_solutions_random():
 def test_multiple_rhs_share_reduction():
     rng = random.Random(7)
     rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
-    solver = IntegerSolver(rows, 5)
+    columns, _ = sparse(rows, [])
+    solver = IntegerSolver(columns)
     for _ in range(10):
         x0 = [rng.randint(-3, 3) for _ in range(5)]
         b = mat_vec(rows, x0)
-        x = solver.solve(b)
-        assert x is not None and mat_vec(rows, x) == b
+        x = solver.solve(dict(enumerate(b)))
+        assert x is not None and mat_vec(rows, [x.get(j, 0) for j in range(5)]) == b
 
 
 def test_filter_is_sound():
@@ -151,3 +244,50 @@ def test_least_prefix_agrees_with_rank_over_q():
         assert got == expect
         seen.update(expect)
     assert None in seen and 0 in seen and {1, 2, 3, 4} & seen == {1, 2, 3, 4}
+
+
+def test_sparse_echelon_equals_the_dense_reference():
+    # entry for entry: R, E and the pivots of the sparse sweep, densified,
+    # are the reference's; and R = E A^T with E unimodular
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 9), rng.randint(0, 12)
+        rows = random_sparse_rows(rng, m, n)
+        columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
+        R, E, pivots = _echelon_transposed(columns, n)
+        R, E = dense(R, m), dense(E, n)
+        assert (R, E, pivots) == reference_echelon(rows, n)
+        assert [[sum(e[k] * rows[i][k] for k in range(n)) for i in range(m)] for e in E] == R
+        if n <= 6:
+            assert abs(det(E)) == 1
+        nonzero = [[v for v in row if v] for row in rows]
+        seen.update(
+            label for label, hit in [
+                ("more columns than rows", n > m),
+                ("zero row", any(not row for row in nonzero)),
+                ("zero column", any(not any(row[j] for row in rows) for j in range(n))),
+                ("negative entry", any(v < 0 for row in nonzero for v in row)),
+                ("tie in |entry|", any(len({abs(v) for v in row}) < len(row) for row in nonzero)),
+            ] if hit
+        )
+    assert len(seen) == 5
+
+
+def test_sparse_solutions_equal_the_dense_reference():
+    # the same solution, not just a solution, for solvable and unsolvable b
+    rng = random.Random(77)
+    outcomes = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 10)
+        rows = random_sparse_rows(rng, m, n)
+        if rng.random() < 0.5:
+            b = mat_vec(rows, [rng.randint(-3, 3) for _ in range(n)])
+        else:
+            b = [rng.choice([0, 0, 1, -2, 3]) for _ in range(m)]
+        x = solve_integer(rows, b, n)
+        assert x == reference_solve(rows, b, n)
+        if x is not None:
+            assert mat_vec(rows, x) == b
+        outcomes.add(x is None)
+    assert outcomes == {True, False}

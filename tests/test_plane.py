@@ -1,11 +1,11 @@
 import random
 
 import pytest
+from test_linsolve import reference_solve
 
 from p1homotopy import plane
 from p1homotopy.chains import Chain, Link
 from p1homotopy.exprio import parse_poly
-from p1homotopy.linsolve import solve_integer
 from p1homotopy.mpoly import MPoly
 from p1homotopy.plane import (
     FORWARD,
@@ -94,7 +94,8 @@ class TestFindMembership:
 
 def reference_search(f, n_max, d_cap, least=0, first=1):
     """The exhaustive ascending (N, degree) scan, one dense integer solve per
-    target: columns F0*m then F1*m over the sorted multiplier monomials m of
+    target by test_linsolve's dense reference, which shares no code with the
+    engine: columns F0*m then F1*m over the sorted multiplier monomials m of
     total degree <= degree, rows the sorted keys of the columns and of the
     targets of N.  N below `first` and degrees below `least` count as
     unsolvable.  None when nothing within the bounds solves."""
@@ -116,7 +117,7 @@ def reference_search(f, n_max, d_cap, least=0, first=1):
             rows = [[col.get(k, 0) for col in cols] for k in keys]
             combos = []
             for t in targets:
-                x = solve_integer(rows, [int(k == t) for k in keys], len(cols))
+                x = reference_solve(rows, [int(k == t) for k in keys], len(cols))
                 if x is None:
                     break
                 half = len(monos)
@@ -187,9 +188,9 @@ class TestSearchMatchesReferenceScan:
         # unsolvable everywhere and N = 2 below degree 3
         real, built = plane._exact_solver, []
 
-        def fake(cols, degree, target_keys):
+        def fake(cols, degree):
             built.append(degree)
-            solve = real(cols, degree, target_keys)
+            solve = real(cols, degree)
             return lambda N: None if N == 1 or degree < 3 else solve(N)
 
         monkeypatch.setattr(plane, "_exact_solver", fake)
