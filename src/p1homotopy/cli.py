@@ -14,14 +14,13 @@ import sys
 from pathlib import Path
 
 from . import exprio
-from .exprio import ParseError, SchemaError
 from .homotopy import builtin_chain, verify_chain
 from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplus, validate
 from .plane import builtin_plane_chain, verify_plane_chain
 from .poly import FormalDegreeError
 from .projlinear import builtin_matrix_chain, verify_matrix_chain
 from .resultants import check_sylvester_size, resultant_tpoly
-from .rings import NotPrimeError, RingTag
+from .rings import RingTag
 from .selftest import run_all
 
 
@@ -193,12 +192,14 @@ def cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every option is long except -h, so any other token that starts with a
-    single "-" is polynomial text ("-X", "-X/1"), never an option."""
+    """A token is an option only when its name (before any "=") is a declared
+    option string or an abbreviation of one (a prefix longer than "-"); any
+    other token that starts with "-" is polynomial text ("-X", "--X", "-X/1")."""
 
     def _parse_optional(self, arg_string):
-        single_dash = arg_string[:1] == "-" and arg_string[1:2] != "-"
-        if single_dash and arg_string not in self._option_string_actions:
+        name = arg_string.split("=", 1)[0]
+        options = self._option_string_actions
+        if len(name) < 2 or not any(option.startswith(name) for option in options):
             return None
         return super()._parse_optional(arg_string)
 
@@ -284,9 +285,6 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ParseError, SchemaError, NotPrimeError, FormalDegreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

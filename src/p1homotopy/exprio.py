@@ -1,5 +1,13 @@
 """Parsing, printing, and JSON (de)serialization for every public type.
 
+JSON documents nest two shapes, each with one writer and one reader: a
+{key: polynomial text} object over Z in fixed variables (_fields_*: matrix
+families a, b, c, d over T; plane families F0, F1 over T0, T1, T; plane ends
+F0, F1 over T0, T1; membership combos A, B over T0, T1, T) and a {"ring",
+"n", "f", "g"} object (_ring_pair_*: maps and homotopy ends over X, n the
+numerator's degree; certificates over X, T, n the X-degree).  Matrix ends
+are {a, b, c, d} objects of integers.
+
 Grammar (whitespace-insensitive; multiplication always explicit):
 
     expr   := ['-'] term (('+'|'-') term)*
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .chains import Chain, Link
@@ -349,43 +357,47 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def poly_to_json(p) -> dict:
-    vars = [p.var] if isinstance(p, Poly) else list(p.vars)
-    return {"ring": p.ring.name(), "vars": vars, "expr": print_poly(p)}
+def _fields_to_json(keys, values) -> dict:
+    """The {key: polynomial text} object of values in key order."""
+    return {k: print_poly(v) for k, v in zip(keys, values)}
 
 
-def poly_from_json(d):
-    _require(d, ("ring", "vars", "expr"), "polynomial")
-    ring = _ring_from_json(d["ring"], "polynomial")
-    if not isinstance(d["vars"], list) or not all(isinstance(v, str) for v in d["vars"]):
-        raise SchemaError("polynomial: vars must be a list of strings")
-    return _parse_field(d, "expr", tuple(d["vars"]), ring, "polynomial")
+def _fields_from_json(d, keys, variables, what) -> tuple:
+    """The values, in key order, of a {key: polynomial text} object over Z."""
+    _require(d, keys, what)
+    return tuple(_parse_field(d, k, variables, ZZ, what) for k in keys)
+
+
+def _ring_pair_to_json(n, f, g) -> dict:
+    """The {ring, n, f, g} object of f/g over f's ring."""
+    return {"ring": f.ring.name(), "n": n, "f": print_poly(f), "g": print_poly(g)}
+
+
+def _ring_pair_from_json(d, variables, what) -> tuple:
+    """f and g of a {ring, n, f, g} object whose n is a natural number; the
+    caller checks n against f."""
+    _require(d, ("ring", "n", "f", "g"), what)
+    ring = _ring_from_json(d["ring"], what)
+    f = _parse_field(d, "f", variables, ring, what)
+    g = _parse_field(d, "g", variables, ring, what)
+    if not _is_int(d["n"]) or d["n"] < 0:
+        raise SchemaError(f"{what}: n must be a natural number")
+    return f, g
 
 
 def map_to_json(u: PointedMap) -> dict:
-    return {
-        "ring": u.ring.name(),
-        "n": u.n,
-        "f": print_poly(u.f),
-        "g": print_poly(u.g),
-    }
+    return _ring_pair_to_json(u.n, u.f, u.g)
 
 
-def _map_pair_from_json(d, what):
-    _require(d, ("ring", "n", "f", "g"), what)
-    ring = _ring_from_json(d["ring"], what)
-    f = _parse_field(d, "f", ("X",), ring, what)
-    g = _parse_field(d, "g", ("X",), ring, what)
-    if not _is_int(d["n"]) or d["n"] < 0:
-        raise SchemaError(f"{what}: n must be a natural number")
+def _map_pair_from_json(d, what) -> tuple:
+    f, g = _ring_pair_from_json(d, ("X",), what)
     if f.actual_degree() != d["n"]:
         raise SchemaError(f"{what}: numerator degree {f.actual_degree()} != n = {d['n']}")
-    return ring, f.trim(), g.trim()
+    return f.trim(), g.trim()
 
 
 def map_from_json(d) -> PointedMap:
-    ring, f, g = _map_pair_from_json(d, "map")
-    return validate(f, g, ring)
+    return validate(*_map_pair_from_json(d, "map"))
 
 
 def sl2_to_json(w: SL2Witness) -> dict:
@@ -403,39 +415,11 @@ def sl2_from_json(d) -> SL2Witness:
     return SL2Witness(u, p.trim(), q.trim())
 
 
-def cert_to_json(ring, F, G) -> dict:
-    return {"ring": ring.name(), "n": F.degree_in("X"), "f": print_poly(F), "g": print_poly(G)}
-
-
-def _cert_data_from_json(d, what):
-    _require(d, ("ring", "n", "f", "g"), what)
-    ring = _ring_from_json(d["ring"], what)
-    F = _parse_field(d, "f", ("X", "T"), ring, what)
-    G = _parse_field(d, "g", ("X", "T"), ring, what)
-    if not _is_int(d["n"]) or d["n"] < 0:
-        raise SchemaError(f"{what}: n must be a natural number")
+def _cert_from_json(d, what) -> tuple:
+    F, G = _ring_pair_from_json(d, ("X", "T"), what)
     if F.degree_in("X") != d["n"]:
         raise SchemaError(f"{what}: numerator X-degree {F.degree_in('X')} != n = {d['n']}")
-    return ring, F, G
-
-
-def _map_end_to_json(end) -> dict:
-    f, g = end
-    return {"ring": f.ring.name(), "n": max(f.actual_degree(), 0),
-            "f": print_poly(f), "g": print_poly(g)}
-
-
-def matrix_family_to_json(m: MatrixFamily) -> dict:
-    return {k: print_poly(getattr(m, k)) for k in ("a", "b", "c", "d")}
-
-
-def matrix_family_from_json(d, what="matrix family") -> MatrixFamily:
-    _require(d, ("a", "b", "c", "d"), what)
-    return MatrixFamily(*(_parse_field(d, k, ("T",), ZZ, what) for k in ("a", "b", "c", "d")))
-
-
-def _mat2_to_json(m: Mat2) -> dict:
-    return {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+    return F, G
 
 
 def _mat2_from_json(d, what) -> Mat2:
@@ -455,30 +439,8 @@ def _mat2_from_json(d, what) -> Mat2:
     return Mat2(*vals)
 
 
-def plane_family_to_json(fam: PlaneFamily) -> dict:
-    return {"F0": print_poly(fam.F0), "F1": print_poly(fam.F1)}
-
-
-def plane_family_from_json(d, what="plane family") -> PlaneFamily:
-    return PlaneFamily(*_point_pair_from_json(d, what, PLANE_VARS))
-
-
-def _point_pair_to_json(pair) -> dict:
-    return {"F0": print_poly(pair[0]), "F1": print_poly(pair[1])}
-
-
-def _point_pair_from_json(d, what, variables=POINT_VARS):
-    _require(d, ("F0", "F1"), what)
-    return tuple(_parse_field(d, k, variables, ZZ, what) for k in ("F0", "F1"))
-
-
 def membership_to_json(cert: MembershipCertificate) -> dict:
-    return {
-        "N": cert.N,
-        "combos": [
-            {"A": print_poly(a), "B": print_poly(b)} for a, b in cert.combos
-        ],
-    }
+    return {"N": cert.N, "combos": [_fields_to_json(("A", "B"), pair) for pair in cert.combos]}
 
 
 def membership_from_json(d, what="membership certificate") -> MembershipCertificate:
@@ -487,12 +449,9 @@ def membership_from_json(d, what="membership certificate") -> MembershipCertific
         raise SchemaError(f"{what}: N must be a positive integer")
     if not isinstance(d["combos"], list) or len(d["combos"]) != d["N"] + 1:
         raise SchemaError(f"{what}: combos must list N+1 pairs")
-    combos = []
-    for k, entry in enumerate(d["combos"]):
-        where = f"{what}.combos[{k}]"
-        _require(entry, ("A", "B"), where)
-        combos.append(tuple(_parse_field(entry, key, PLANE_VARS, ZZ, where) for key in "AB"))
-    return MembershipCertificate(d["N"], tuple(combos))
+    return MembershipCertificate(d["N"], tuple(
+        _fields_from_json(entry, ("A", "B"), PLANE_VARS, f"{what}.combos[{k}]")
+        for k, entry in enumerate(d["combos"])))
 
 
 def _same_ring(why):  # of two polynomial pairs: homotopy ends or certificates
@@ -519,20 +478,24 @@ class _ChainKind:
 CHAIN_KINDS = {
     "homotopy": _ChainKind(
         "chain", "cert",
-        (lambda fam: cert_to_json(fam[0].ring, *fam),
-         lambda d, what: _cert_data_from_json(d, what)[1:]),
-        (_map_end_to_json, lambda d, what: _map_pair_from_json(d, what)[1:]),
+        (lambda fam: _ring_pair_to_json(fam[0].degree_in("X"), *fam), _cert_from_json),
+        (lambda end: _ring_pair_to_json(max(end[0].actual_degree(), 0), *end),
+         _map_pair_from_json),
         check_ends=_same_ring("from/to rings differ"),
         check_link=_same_ring("ring differs from the chain ring"),
     ),
     "matrix": _ChainKind(
         "matrix chain", "family",
-        (matrix_family_to_json, matrix_family_from_json), (_mat2_to_json, _mat2_from_json),
+        (lambda fam: _fields_to_json(("a", "b", "c", "d"), fam.entries()),
+         lambda d, what: MatrixFamily(*_fields_from_json(d, ("a", "b", "c", "d"), ("T",), what))),
+        (asdict, _mat2_from_json),
     ),
     "plane": _ChainKind(
         "plane chain", "family",
-        (plane_family_to_json, plane_family_from_json),
-        (_point_pair_to_json, _point_pair_from_json),
+        (lambda fam: _fields_to_json(("F0", "F1"), (fam.F0, fam.F1)),
+         lambda d, what: PlaneFamily(*_fields_from_json(d, ("F0", "F1"), PLANE_VARS, what))),
+        (lambda end: _fields_to_json(("F0", "F1"), end),
+         lambda d, what: _fields_from_json(d, ("F0", "F1"), POINT_VARS, what)),
         proof=(membership_to_json, membership_from_json),
     ),
 }

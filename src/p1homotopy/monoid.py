@@ -84,7 +84,7 @@ def validate(f: Poly, g: Poly, ring: RingTag | None = None) -> PointedMap:
         raise DegreeTooHighError(
             f"denominator degree {g.actual_degree()} not below {n}"
         )
-    r = resultant(f, g.pad_to(n), n, n)
+    r = resultant(f, g, n, n)
     if not is_unit(r):
         raise ResultantNotUnitError(r)
     return PointedMap(ring, n, f, g.trim(), r)
@@ -99,7 +99,7 @@ def bezout_pair(u: PointedMap) -> SL2Witness:
     if u.n == 0:
         one = Poly.one(u.ring, u.f.var)
         return SL2Witness(u, one, Poly.zero(u.ring, u.f.var))
-    p0, q0 = res_bezout(u.f, u.g.pad_to(u.n), u.n, u.n)
+    p0, q0 = res_bezout(u.f, u.g, u.n, u.n)
     inv = u.ring.one().exact_div(u.res)
     p, q = p0.scale(inv), q0.scale(inv)
     # deg p < n-1 is automatic (leading terms cancel); a failure is an engine bug

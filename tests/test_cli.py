@@ -54,6 +54,25 @@ class TestRes:
         code, out, _ = run(capsys, "res", "--ring", "fp:7", "-X-T", "1")
         assert code == 0 and out == "1\n"
 
+    def test_leading_double_minus_is_polynomial_text(self, capsys):
+        # "--X" is no declared option nor a prefix of one, so it is text
+        assert run(capsys, "res", "--X", "1") == (0, "1\n", "")
+        code, out, _ = run(capsys, "res", "--X", "1", "--json")
+        assert code == 0 and json.loads(out)["resultant"] == "1"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["res", "X^2", "1", "--js"], '{"resultant": "1", "n": 2, "m": 0, "ring": "Z"}\n'),
+        (["res", "X^2", "1", "--nf=2"], "1\n"),
+        (["res", "--", "--X", "1"], "1\n"),
+    ])
+    def test_declared_options_and_abbreviations_stay_options(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_flags(self, capsys, flag):
+        code, out, _ = run(capsys, "res", "--X", flag)
+        assert code == 0 and out.startswith("usage: p1homotopy res")
+
     def test_help_after_a_leading_minus_argument(self, capsys):
         code, out, _ = run(capsys, "res", "-X", "-h")
         assert code == 0 and out.startswith("usage: p1homotopy res")
@@ -90,6 +109,8 @@ class TestValidate:
         assert code == 0 and out.startswith("valid: (X - 1)/1")
         code, out, _ = run(capsys, "validate", "-X/1", "--json")
         assert code == 1 and json.loads(out)["error"] == "NotMonic"
+        code, out, _ = run(capsys, "validate", "--X/1")
+        assert code == 0 and out.startswith("valid: X/1 over Z")
 
 
 class TestBezoutOplus:
@@ -296,6 +317,19 @@ SCHEMA_DEFECTS = {
     "matrix_family_variable": ("matrix", ["links", 1, "family", "a"], "X",
                                "matrix chain.links[1].family.a: undeclared variable 'X' "
                                "(declared: T) (at position 0)"),
+    "homotopy_end_degree": ("homotopy", ["from", "n"], 3,
+                            "chain.from: numerator degree 2 != n = 3"),
+    "homotopy_cert_degree": ("homotopy", ["links", 0, "cert", "n"], 3,
+                             "chain.links[0].cert: numerator X-degree 2 != n = 3"),
+    "homotopy_unknown_ring": ("homotopy", ["from", "ring"], "K",
+                              "chain.from: unknown ring 'K' (expected z, q, or fp:P)"),
+    "plane_end_variable": ("plane", ["from", "F1"], "T",
+                           "plane chain.from.F1: undeclared variable 'T' (declared: T0, T1) "
+                           "(at position 0)"),
+    "plane_family_not_an_object": ("plane", ["links", 0, "family"], [],
+                                   "plane chain.links[0].family: expected an object, got list"),
+    "matrix_fractional_entry": ("matrix", ["to", "a"], 1.5,
+                                "matrix chain.to: 'a' must be an integer"),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1homotopy import exprio
+from p1homotopy.chains import Chain, Link, ORIENTATIONS
 from p1homotopy.exprio import ParseError, SchemaError, parse_pair, parse_poly, print_poly
 from p1homotopy.monoid import named, validate
 from p1homotopy.mpoly import MPoly
@@ -157,10 +158,12 @@ class TestJson:
         from p1homotopy.projlinear import builtin_matrix_chain
 
         chain = builtin_matrix_chain()
-        d = exprio.matrix_family_to_json(chain.links[0].family)
+        doc = exprio.chain_to_json(chain, "matrix")
+        d = doc["links"][0]["family"]
         assert d == {"a": "T", "b": "-1", "c": "1", "d": "0"}
-        assert exprio.matrix_family_from_json(d) == chain.links[0].family
-        blob = json.dumps(exprio.chain_to_json(chain, "matrix"))
+        first = exprio.chain_from_json(doc | {"links": doc["links"][:1]}, "matrix")
+        assert first.links[0].family == chain.links[0].family
+        blob = json.dumps(doc)
         assert exprio.chain_from_json(exprio.loads(blob), "matrix") == chain
 
     def test_plane_chain_roundtrip(self):
@@ -181,6 +184,77 @@ class TestJson:
         bad = exprio.sl2_to_json(w) | {"q": "X"}
         with pytest.raises(SchemaError):
             exprio.sl2_from_json(bad)
+
+
+def _random_homotopy_chain(rng, ring):
+    from test_homotopy import random_cert
+
+    def end(F, t):
+        return tuple(p.subst("T", t).to_poly("X").trim() for p in F)
+
+    certs = [random_cert(rng, ring, rng.randint(1, 3))[:2] for _ in range(rng.randint(0, 3))]
+    ends = [end(c, rng.randint(0, 1)) for c in certs] or [end(random_cert(rng, ring, 2)[:2], 0)]
+    links = tuple(Link(c, rng.choice(ORIENTATIONS)) for c in certs)
+    return Chain(links, ends[0], ends[-1])
+
+
+def _random_zt(rng, vars, degree):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(0, degree) for _ in vars)
+        terms[e] = rng.randint(-9, 9)
+    return MPoly(ZZ, vars, terms)
+
+
+def _random_matrix_chain(rng):
+    from p1homotopy.projlinear import Mat2, MatrixFamily
+
+    def family():
+        return MatrixFamily(*(Poly(ZZ, "T", [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))])
+                              .trim() for _ in range(4)))
+
+    def end():
+        return Mat2(*(rng.randint(-20, 20) for _ in range(4)))
+
+    links = tuple(Link(family(), rng.choice(ORIENTATIONS)) for _ in range(rng.randint(0, 3)))
+    return Chain(links, end(), end())
+
+
+def _random_plane_chain(rng):
+    from p1homotopy.plane import MembershipCertificate, PLANE_VARS, POINT_VARS, PlaneFamily
+
+    def proof():
+        if rng.random() < 0.3:
+            return None
+        N = rng.randint(1, 3)
+        return MembershipCertificate(N, tuple(
+            (_random_zt(rng, PLANE_VARS, 2), _random_zt(rng, PLANE_VARS, 2)) for _ in range(N + 1)))
+
+    def end():
+        return (_random_zt(rng, POINT_VARS, 3), _random_zt(rng, POINT_VARS, 3))
+
+    links = tuple(
+        Link(PlaneFamily(_random_zt(rng, PLANE_VARS, 3), _random_zt(rng, PLANE_VARS, 3)),
+             rng.choice(ORIENTATIONS), proof())
+        for _ in range(rng.randint(0, 3)))
+    return Chain(links, end(), end())
+
+
+@pytest.mark.parametrize("kind, ring", [
+    ("homotopy", ZZ), ("homotopy", QQ), ("homotopy", RingTag("Fp", 7)),
+    ("matrix", ZZ), ("plane", ZZ),
+], ids=["homotopy-Z", "homotopy-Q", "homotopy-F7", "matrix", "plane"])
+def test_random_chains_roundtrip(kind, ring):
+    rng = random.Random(f"chain roundtrip:{kind}:{ring.name()}")
+    for _ in range(30):
+        if kind == "homotopy":
+            chain = _random_homotopy_chain(rng, ring)
+        else:
+            chain = _random_matrix_chain(rng) if kind == "matrix" else _random_plane_chain(rng)
+        doc = exprio.chain_to_json(chain, kind)
+        back = exprio.chain_from_json(exprio.loads(json.dumps(doc)), kind)
+        assert back == chain
+        assert exprio.chain_to_json(back, kind) == doc
 
 
 coeffs = st.lists(st.integers(-99, 99), min_size=0, max_size=8)

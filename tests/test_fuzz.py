@@ -105,10 +105,9 @@ def test_random_chain_documents(tmp_path_factory, kind, doc):
 @FUZZ
 @given(poly_text, poly_text, st.sampled_from(["z", "q", "fp:7", "fp:1000003"]))
 def test_random_polynomial_text(f, g, ring):
-    # a token that starts with a single "-" is polynomial text, before or
-    # after the options; one that starts with "--" reads as an option unless
-    # "--" has ended the options
+    # a token that starts with "-" is polynomial text, before or after the
+    # options, unless it names a declared option
     _outcome(["res", "--ring", ring, "--", f, g])
-    if not f.startswith("--") and not g.startswith("--"):
+    if "--" not in (f, g):  # a bare "--" is the end of the options
         _outcome(["res", f, g, "--ring", ring])
-        _outcome(["validate", f"{f}/{g}", "--ring", ring])
+    _outcome(["validate", f"{f}/{g}", "--ring", ring])
