@@ -17,9 +17,8 @@ from . import exprio
 from .homotopy import builtin_chain, verify_chain
 from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplus, validate
 from .plane import builtin_plane_chain, verify_plane_chain
-from .poly import FormalDegreeError
 from .projlinear import builtin_matrix_chain, verify_matrix_chain
-from .resultants import check_sylvester_size, resultant_tpoly
+from .resultants import formal_degrees, resultant
 from .rings import RingTag
 from .selftest import run_all
 
@@ -36,16 +35,9 @@ def cmd_res(args) -> int:
     ring = _ring(args)
     F = exprio.parse_poly(args.f, ("X", "T"), ring)
     G = exprio.parse_poly(args.g, ("X", "T"), ring)
-    nf = args.nf if args.nf is not None else max(F.degree_in("X"), 0)
-    ng = args.ng if args.ng is not None else max(G.degree_in("X"), 0)
-    if nf < F.degree_in("X") or ng < G.degree_in("X"):
-        raise FormalDegreeError("formal degree below the actual degree")
-    check_sylvester_size(nf, ng)  # before padding to the formal degrees
-    fc = F.x_coeff_polys("X", "T", nf)
-    gc = G.x_coeff_polys("X", "T", ng)
-    r = resultant_tpoly(fc, gc, ring, "T")
-    text = exprio.print_poly(r)
-    _emit(args, text, {"resultant": text, "n": nf, "m": ng, "ring": ring.name()})
+    n, m = formal_degrees(F, G, args.nf, args.ng)
+    text = exprio.print_poly(resultant(F, G, n, m))
+    _emit(args, text, {"resultant": text, "n": n, "m": m, "ring": ring.name()})
     return 0
 
 

@@ -16,7 +16,7 @@ from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, exact, walk_cha
 from .monoid import MapValidationError, PointedMap, validate
 from .mpoly import MPoly
 from .poly import Poly
-from .resultants import is_unit, resultant_tpoly, resultant_tpoly_oracle
+from .resultants import is_unit, resultant
 from .rings import RingTag, ZZ
 
 XVAR = "X"
@@ -81,19 +81,10 @@ def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
         raise XDegreeTooHighError(
             f"denominator X-degree {G.degree_in(XVAR)} not below {n}"
         )
-    fc = F.x_coeff_polys(XVAR, TVAR)
-    gc = G.x_coeff_polys(XVAR, TVAR, n)
-    res = resultant_tpoly(fc, gc, ring, TVAR)
+    res = resultant(F, G, n, n)
     if not is_unit(res):
         raise CertResultantNotUnitError(res)
     return HomotopyCert(ring, n, F, G, res)
-
-
-def cert_resultant_oracle(cert: HomotopyCert) -> Poly:
-    """Recompute the certificate resultant by the cofactor route."""
-    fc = cert.F.x_coeff_polys(XVAR, TVAR)
-    gc = cert.G.x_coeff_polys(XVAR, TVAR, cert.n)
-    return resultant_tpoly_oracle(fc, gc, cert.ring, TVAR)
 
 
 def endpoint(cert: HomotopyCert, t: int) -> PointedMap:

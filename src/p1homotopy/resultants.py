@@ -9,8 +9,8 @@ and last-row cofactor j is that of A*D times d_j / det D.  Poly entries give
 resultants over R[T]: over Z[T] and Q[T] (scaled the same way) each entry is
 packed into one int by Kronecker substitution T = 2^B, with B from Hadamard's
 bound, and the determinant is read back as balanced base-2^B digits; F_p[T]
-has no such packing and eliminates the Polys.  The oracle, expansion by
-minors (capped at 8x8), shares no code with it.
+eliminates the Polys (packing loses at large p; see the README).  The
+oracle, expansion by minors (capped at 8x8), shares no code with it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import partial
 from math import lcm, prod
 from operator import not_
 
-from .poly import Poly, _top
+from .mpoly import MPoly
+from .poly import FormalDegreeError, Poly, _top
 from .rings import QQ, ZZ, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
@@ -55,12 +56,10 @@ def sylvester_entries(fcoeffs, gcoeffs, zero):
     fcoeffs/gcoeffs are dense coefficient lists (index = exponent) whose
     lengths fix the formal degrees n, m.  Column layout: m columns of
     down-shifted f coefficients (leading coefficient topmost), then n
-    columns of down-shifted g coefficients.  Every resultant route builds
-    its matrix here, so n + m above SYLVESTER_SIZE_LIMIT raises ValueError.
+    columns of down-shifted g coefficients.
     """
     n = len(fcoeffs) - 1
     m = len(gcoeffs) - 1
-    check_sylvester_size(n, m)
     size = n + m
     rows = []
     for r in range(size):
@@ -75,17 +74,46 @@ def sylvester_entries(fcoeffs, gcoeffs, zero):
     return rows
 
 
-def _sylvester_rows(f: Poly, g: Poly, n, m):
-    """Sylvester rows of f, g padded to formal degrees n, m (default: their
-    own), and m, the number of f columns."""
-    if f.ring != g.ring or f.var != g.var:
+def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
+    """The formal degrees (n, m) at which resultant() reads f and g, checked
+    before any coefficient is laid out.  A Poly over Z, Q or F_p defaults to
+    its formal degree; an MPoly in (X, T), read over R[T], to its X-degree
+    (0 for zero)."""
+    tpoly = isinstance(f, MPoly)
+    if tpoly:
+        common = isinstance(g, MPoly) and len(f.vars) == 2 and g.vars == f.vars
+    else:
+        common = isinstance(g, Poly) and g.var == f.var
+    if not common or f.ring != g.ring:
         raise RingMismatchError("resultant needs a common ring and variable")
-    n = f.formal_degree if n is None else n
-    m = g.formal_degree if m is None else m
-    if n < 0 or m < 0:
-        raise ValueError("formal degrees must be supplied for the zero polynomial")
-    rows = sylvester_entries(f.pad_to(n).coeffs, g.pad_to(m).coeffs, f.ring.zero())
-    return rows, m
+    degrees = []
+    for p, d in ((f, n), (g, m)):
+        actual = p.degree_in(p.vars[0]) if tpoly else p.actual_degree()
+        if d is None:
+            d = max(actual, 0) if tpoly else p.formal_degree
+        if d < 0:
+            raise ValueError("formal degrees must be supplied for the zero polynomial")
+        if d < actual:
+            raise FormalDegreeError("formal degree below the actual degree")
+        degrees.append(d)
+    check_sylvester_size(*degrees)
+    return tuple(degrees)
+
+
+def _sylvester_rows(f, g, n, m):
+    """The Sylvester rows of res_{n,m}(f, g) at formal_degrees(f, g, n, m),
+    the one of their ring, and m, the number of f columns.  Each polynomial
+    is laid out at exactly its formal degree, never at a larger stored one;
+    over R[T] each entry is the T-Poly of one X-coefficient."""
+    n, m = formal_degrees(f, g, n, m)
+    if isinstance(f, MPoly):
+        x, t = f.vars
+        fc, gc = ([p.coeff_of(x, k).to_poly(t) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
+        zero, one = Poly.zero(f.ring, t), Poly.one(f.ring, t)
+    else:
+        fc, gc = f.pad_to(n).coeffs[: n + 1], g.pad_to(m).coeffs[: m + 1]
+        zero, one = f.ring.zero(), f.ring.one()
+    return sylvester_entries(fc, gc, zero), one, m
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +244,8 @@ def bareiss_det(rows, one):
     last-row cofactors for res_bezout) runs with the last row as one-symbol
     forms {0: entry}; the determinant is the coefficient of symbol 0.  Over
     Z[T] and Q[T] the entries are packed into ints (_pack) and the digits of
-    the result read back; F_p[T] has no such packing (lifted residues grow
-    with the matrix) and eliminates Polys.  cofactor_det is the independent
+    the result read back; F_p[T] eliminates Polys, as packed lifts of large
+    residues lose beyond size about 20.  cofactor_det is the independent
     oracle.  Over R[T] the estimated work is checked first (_check_work).
     """
     if not rows:
@@ -276,34 +304,29 @@ def cofactor_det(rows, one):
 
 
 # ---------------------------------------------------------------------------
-# Resultants over the scalar rings
+# Resultants over R and R[T]
 
 
-def resultant(f: Poly, g: Poly, n: int | None = None, m: int | None = None) -> Scalar:
-    """res_{n,m}(f, g) by Bareiss elimination (n, m default to formal degrees)."""
-    rows, _ = _sylvester_rows(f, g, n, m)
-    return bareiss_det(rows, f.ring.one())
+def resultant(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: int | None = None):
+    """res_{n,m}(f, g) by Bareiss elimination (formal_degrees gives the
+    defaults): a Scalar for Polys, a trimmed T-Poly for MPolys in (X, T)."""
+    rows, one, _ = _sylvester_rows(f, g, n, m)
+    if isinstance(one, Poly):
+        return resultant_tpoly(rows, one)
+    return bareiss_det(rows, one)
 
 
-def resultant_oracle(f: Poly, g: Poly, n: int | None = None, m: int | None = None) -> Scalar:
+def resultant_oracle(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: int | None = None):
     """Same value as resultant(), by the cofactor route (sizes <= 8)."""
-    rows, _ = _sylvester_rows(f, g, n, m)
-    return cofactor_det(rows, f.ring.one())
+    rows, one, _ = _sylvester_rows(f, g, n, m)
+    det = cofactor_det(rows, one)
+    return det.trim() if isinstance(one, Poly) else det
 
 
-def resultant_tpoly(fcoeffs: list, gcoeffs: list, ring, tvar: str) -> Poly:
-    """Resultant for X-polynomials whose coefficients live in ring[T].
-
-    fcoeffs/gcoeffs are dense X-coefficient lists of T-polynomials; their
-    lengths fix the formal degrees.  Returns a trimmed T-polynomial.
-    """
-    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), Poly.zero(ring, tvar))
-    return bareiss_det(rows, Poly.one(ring, tvar)).trim()
-
-
-def resultant_tpoly_oracle(fcoeffs: list, gcoeffs: list, ring, tvar: str) -> Poly:
-    rows = sylvester_entries(list(fcoeffs), list(gcoeffs), Poly.zero(ring, tvar))
-    return cofactor_det(rows, Poly.one(ring, tvar)).trim()
+# a function of its own because perfbench/tracing.py wraps it by name (resultants.tpoly)
+def resultant_tpoly(rows, one: Poly) -> Poly:
+    """The R[T] step of resultant(): the determinant of rows, trimmed."""
+    return bareiss_det(rows, one).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +341,7 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     fraction-free elimination with the last row replaced by symbols z_j, so
     everything stays in the base ring; works even when the resultant is zero.
     """
-    rows, m = _sylvester_rows(f, g, n, m)
+    rows, _, m = _sylvester_rows(f, g, n, m)
     size = len(rows)
     if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")

@@ -1,4 +1,5 @@
-"""Golden outputs of the chain verifiers.
+"""Golden outputs of the CLI commands: every chain verifier, `res`, `validate`,
+`bezout` and `oplus`.
 
 Each case in golden/cases.json is one CLI invocation; its human stdout,
 its --json stdout and its exit code are pinned byte for byte under

@@ -12,7 +12,6 @@ from p1homotopy.homotopy import (
     REVERSED,
     XDegreeTooHighError,
     builtin_chain,
-    cert_resultant_oracle,
     endpoint,
     reverse,
     validate_cert,
@@ -21,6 +20,7 @@ from p1homotopy.homotopy import (
 from p1homotopy.monoid import validate
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
+from p1homotopy.resultants import resultant_oracle
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
 
 XT = ("X", "T")
@@ -52,7 +52,7 @@ class TestValidateCert:
     def test_third_link(self):
         c = validate_cert(xt("X^2 + 2*T*X + 2*T"), xt("X + (2*T - 1)"))
         assert c.res == Poly.one(ZZ, "T")
-        assert cert_resultant_oracle(c) == Poly.one(ZZ, "T")
+        assert resultant_oracle(c.F, c.G, c.n, c.n) == Poly.one(ZZ, "T")
 
     def test_shape_errors(self):
         with pytest.raises(NotMonicInXError):

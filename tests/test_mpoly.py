@@ -61,14 +61,6 @@ def test_to_poly_and_back():
         xt("T*X").to_poly("X")
 
 
-def test_x_coeff_polys():
-    p = xt("X^2 + 2*T*X + 2*T")
-    cs = p.x_coeff_polys("X", "T")
-    assert cs[0] == Poly(ZZ, "T", (0, 2))
-    assert cs[1] == Poly(ZZ, "T", (0, 2))
-    assert cs[2] == Poly.one(ZZ, "T")
-
-
 def test_arithmetic_and_vars_check():
     a = xt("X + T")
     b = parse_poly("T0 + T1", ("T0", "T1"), ZZ)

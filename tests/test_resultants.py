@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from p1homotopy.exprio import parse_poly
+from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.randgen import rand_poly, rand_scalar
 from p1homotopy.resultants import (
     OracleSizeError,
+    _sylvester_rows,
     bareiss_det,
     cofactor_det,
     is_unit,
@@ -15,12 +18,11 @@ from p1homotopy.resultants import (
     resultant,
     resultant_oracle,
     resultant_product_oracle,
-    resultant_tpoly,
-    resultant_tpoly_oracle,
     split_poly,
     sylvester_entries,
 )
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
+from test_tpoly_bareiss import xt_poly
 
 F5 = RingTag("Fp", 5)
 
@@ -72,9 +74,7 @@ class TestSylvesterLayout:
         # f = X^2, g = T*X + 1 at formal degrees 2, 2 over Z[T]
         F = parse_poly("X^2", ("X", "T"), ZZ)
         G = parse_poly("T*X + 1", ("X", "T"), ZZ)
-        fc = F.x_coeff_polys("X", "T")
-        gc = G.x_coeff_polys("X", "T") + [Poly.zero(ZZ, "T")]
-        rows = sylvester_entries(fc, gc, Poly.zero(ZZ, "T"))
+        rows, _, _ = _sylvester_rows(F, G, 2, 2)
         t = Poly.x(ZZ, "T")
         one = Poly.one(ZZ, "T")
         zero = Poly.zero(ZZ, "T")
@@ -83,6 +83,13 @@ class TestSylvesterLayout:
         assert cols[1] == (zero, one, zero, zero)
         assert cols[2] == (zero, t, one, zero)
         assert cols[3] == (zero, zero, t, one)
+
+    def test_stored_formal_degree_above_the_requested_one(self):
+        # g = -1 stored at formal degree 2 is read at m = 1: res_{1,1}(2X, -1)
+        f, g = zx("2*X"), Poly(ZZ, "X", (-1, 0, 0))
+        assert resultant(f, g, 1, 1) == resultant(f, g.trim(), 1, 1) == Scalar(ZZ, -2)
+        assert resultant_oracle(f, g, 1, 1) == Scalar(ZZ, -2)
+        assert res_bezout(f, g, 1, 1) == res_bezout(f, g.trim(), 1, 1)
 
 
 class TestResultant:
@@ -108,11 +115,9 @@ class TestResultant:
     def test_over_t_polynomials(self):
         F = parse_poly("X^2", ("X", "T"), ZZ)
         G = parse_poly("T*X + 1", ("X", "T"), ZZ)
-        fc = F.x_coeff_polys("X", "T")
-        gc = G.x_coeff_polys("X", "T") + [Poly.zero(ZZ, "T")]
-        r = resultant_tpoly(fc, gc, ZZ, "T")
+        r = resultant(F, G, 2, 2)
         assert r == Poly.one(ZZ, "T")
-        assert resultant_tpoly_oracle(fc, gc, ZZ, "T") == Poly.one(ZZ, "T")
+        assert resultant_oracle(F, G, 2, 2) == Poly.one(ZZ, "T")
 
     def test_oracle_size_cap(self):
         rows = [[Scalar(ZZ, 1)] * 9 for _ in range(9)]
@@ -189,11 +194,76 @@ class TestResultant:
                 if rng.random() < 0.25:
                     fc[-1] = Poly.zero(ring, "T")
                     zero_lead += 1
-            got = resultant_tpoly(fc, gc, ring, "T")
-            assert got == resultant_tpoly_oracle(fc, gc, ring, "T"), (ring, fc, gc)
+            F, G, n, m = xt_poly(ring, fc), xt_poly(ring, gc), len(fc) - 1, len(gc) - 1
+            got = resultant(F, G, n, m)
+            assert got == resultant_oracle(F, G, n, m), (ring, fc, gc)
             if k % 3 == 0:
                 assert got.is_zero()
         assert shared >= 20 and zero_lead >= 5
+
+
+def rand_xt(rng, ring, d, points):
+    """An X-polynomial over R[T] (T-degree <= 2) read at formal degree d: its
+    X^d coefficient is zero, vanishes at one of the points, or is random."""
+
+    def coeff():
+        if ring == QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randint(-3, 3)
+
+    terms = {(i, j): coeff() for i in range(d) for j in range(3) if rng.random() < 0.6}
+    shape = rng.randrange(3)
+    if shape == 1:  # c * (T - t0)
+        c, t0 = coeff() or 1, rng.choice(points)
+        terms[d, 0], terms[d, 1] = -c * t0, c
+    elif shape == 2:
+        terms.update({(d, j): coeff() for j in range(3)})
+    return MPoly(ring, ("X", "T"), terms)
+
+
+class TestSpecialisation:
+    """Setting T = t is a ring map R[T] -> R; applied entrywise to the
+    Sylvester matrix at fixed formal degrees it gives
+    res(F, G)(t) = res(F|T=t, G|T=t), also where a leading coefficient
+    vanishes at t.  homotopy.endpoint's carried resultant rests on this.
+    Over Z and Q the two sides run different routes (packed ints against
+    scalars); the cofactor oracle is a third side up to size 8."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 7)], ids=str)
+    def test_resultant_commutes_with_setting_t(self, ring):
+        rng = random.Random(f"specialise:{ring.name()}")
+        points = [0, 1, -1, 2] + ([Fraction(1, 2)] if ring == QQ else [])
+        vanishing = 0
+        for size in [*range(1, 25), *range(1, 9)]:
+            n = rng.randint(0, size)
+            m = size - n
+            F, G = rand_xt(rng, ring, n, points), rand_xt(rng, ring, m, points)
+            r = resultant(F, G, n, m)
+            if size <= 8:
+                assert r == resultant_oracle(F, G, n, m), (F, G, n, m)
+            for t in points:
+                f, g = (p.subst("T", t).to_poly("X") for p in (F, G))
+                vanishing += f.actual_degree() < n or g.actual_degree() < m
+                rt = resultant(f, g, n, m)
+                assert r.eval(t) == rt, (F, G, n, m, t)
+                if size <= 8:
+                    assert rt == resultant_oracle(f, g, n, m)
+        assert vanishing >= 40
+
+
+class TestSizeLimit:
+    def test_checked_before_padding(self):
+        # a formal degree of 10**12 would pad to 10**12 coefficients
+        x, one = zx("X"), zx("1")
+        message = "Sylvester matrix of size 1000000000000 exceeds the limit 100"
+        for route in (resultant, resultant_oracle, res_bezout):
+            with pytest.raises(ValueError, match=message):
+                route(x, one, 10**12, 0)
+
+    def test_checked_over_r_t(self):
+        F = parse_poly("X + T", ("X", "T"), ZZ)
+        with pytest.raises(ValueError, match="size 1000000000001 exceeds"):
+            resultant(F, F, 10**12, 1)
 
 
 class TestBezout:

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.resultants import (
     _last_row_cofactors,
     _poly_divider,
     bareiss_det,
-    resultant_tpoly,
+    resultant,
 )
 from p1homotopy.rings import QQ, RingMismatchError, RingTag, ZZ
 
@@ -20,6 +21,18 @@ from p1homotopy.rings import QQ, RingMismatchError, RingTag, ZZ
 def tpoly(ring, *coeffs):
     """T-polynomial from coefficients listed lowest first."""
     return Poly(ring, "T", coeffs)
+
+
+def xt_poly(ring, coeffs):
+    """The MPoly in (X, T) whose X-coefficients are the T-Polys coeffs."""
+    terms = {(i, j): c for i, p in enumerate(coeffs) for j, c in enumerate(p.raw)}
+    return MPoly(ring, ("X", "T"), terms)
+
+
+def coeffs_resultant(fc, gc, ring):
+    """resultant() of two coefficient lists, at the formal degrees their
+    lengths fix."""
+    return resultant(xt_poly(ring, fc), xt_poly(ring, gc), len(fc) - 1, len(gc) - 1)
 
 
 def split_xpoly(lead, roots):
@@ -81,7 +94,7 @@ class TestSplitOracle:
         fc = split_xpoly(Poly.one(ring, "T"), roots_f)
         gc = split_xpoly(lead, roots_g)
         expected = split_resultant(lead, roots_f, roots_g)
-        assert resultant_tpoly(fc, gc, ring, "T") == expected
+        assert coeffs_resultant(fc, gc, ring) == expected
 
     @pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
     def test_a_shared_root_gives_zero(self, ring):
@@ -89,7 +102,7 @@ class TestSplitOracle:
         roots = [rand_root(rng, ring, k % 2) for k in range(14)]
         fc = split_xpoly(Poly.one(ring, "T"), roots[:8])
         gc = split_xpoly(tpoly(ring, 2, 1), roots[7:])
-        assert resultant_tpoly(fc, gc, ring, "T").is_canonical_zero()
+        assert coeffs_resultant(fc, gc, ring).is_canonical_zero()
 
 
 class TestAgainstPolyElimination:
@@ -161,7 +174,7 @@ def test_only_fp_eliminates_polys(monkeypatch):
     for ring in (ZZ, QQ, fp):
         fc = [tpoly(ring, 1, 2), tpoly(ring, 3), tpoly(ring, 0, 1)]
         gc = [tpoly(ring, 2), tpoly(ring, 1, 1), tpoly(ring, 5)]
-        resultant_tpoly(fc, gc, ring, "T")
+        coeffs_resultant(fc, gc, ring)
     assert calls and set(calls) == {fp}
 
 

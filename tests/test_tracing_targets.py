@@ -15,7 +15,7 @@ import pytest
 
 import p1homotopy.cli  # noqa: F401  (the tracer patches every target module)
 from p1homotopy.exprio import parse_poly
-from p1homotopy.resultants import res_bezout, resultant, resultant_tpoly
+from p1homotopy.resultants import res_bezout, resultant
 from p1homotopy.rings import ZZ
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -57,8 +57,10 @@ def test_resultant_records_one_bareiss_span(tracing):
 def test_resultant_tpoly_records_one_bareiss_span(tracing):
     F = parse_poly("X^2", ("X", "T"), ZZ)
     G = parse_poly("T*X + 1", ("X", "T"), ZZ)
-    fc, gc = F.x_coeff_polys("X", "T"), G.x_coeff_polys("X", "T")
-    assert bareiss_spans(tracing, lambda: resultant_tpoly(fc, gc, ZZ, "T")) == [(3, "ZT")]
+    with tracing.Tracer().installed() as tracer:
+        resultant(F, G)
+    assert [s.name for s in tracer.spans if s.name == "resultants.tpoly"] == ["resultants.tpoly"]
+    assert [s.info for s in tracer.spans if s.name == "resultants.bareiss"] == [(3, "ZT")]
 
 
 def test_res_bezout_records_no_bareiss_span(tracing):
