@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 from . import exprio
-from .homotopy import builtin_chain, verify_chain
+from .homotopy import BUILTIN_CHAINS, builtin_chain, verify_chain
 from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplus, validate
-from .plane import builtin_plane_chain, verify_plane_chain
-from .projlinear import builtin_matrix_chain, verify_matrix_chain
+from .plane import BUILTIN_PLANE_CHAINS, builtin_plane_chain, verify_plane_chain
+from .projlinear import BUILTIN_MATRIX_CHAINS, builtin_matrix_chain, verify_matrix_chain
 from .resultants import formal_degrees, resultant
 from .rings import RingTag
 from .selftest import run_all
@@ -231,17 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-chain", "verify a homotopy certificate chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=["prop_3_4_3"], default=None)
+    p.add_argument("--builtin", choices=BUILTIN_CHAINS, default=None)
 
     p = add("verify-matrix-chain", "verify a projective-linear family chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=["prop_3_4_2"], default=None)
+    p.add_argument("--builtin", choices=BUILTIN_MATRIX_CHAINS, default=None)
     p.add_argument("--exact-junctions", action="store_true",
                    help="require exact junction equality instead of projective")
 
     p = add("verify-plane-chain", "verify a punctured-plane family chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=["prop_3_4_5"], default=None)
+    p.add_argument("--builtin", choices=BUILTIN_PLANE_CHAINS, default=None)
     p.add_argument("--nmax", type=int, default=6, help="largest certificate exponent N")
     p.add_argument("--dmax", type=int, default=None,
                    help="largest certificate coefficient degree (default: input degree + nmax)")

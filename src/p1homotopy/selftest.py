@@ -11,6 +11,7 @@ import io
 import json
 from dataclasses import dataclass
 
+from . import exprio
 from .chains import FORWARD, Chain, Link
 from .homotopy import (
     CertResultantNotUnitError,
@@ -57,9 +58,7 @@ class CheckResult:
 
 
 def _parse(text, variables, ring=ZZ):
-    from .exprio import parse_poly
-
-    return parse_poly(text, variables, ring)
+    return exprio.parse_poly(text, variables, ring)
 
 
 def _fail(name, detail):
@@ -180,17 +179,12 @@ def check_homogenization(seed, trials) -> CheckResult:
     return CheckResult(name, True, "squaring -> (T0^2, T1^2); minus_epsilon -> (T0 - T1, -T1)")
 
 
-def _run_suite(name, laws, trials, seed):
-    details = []
+def _run_suite(name, laws, trials, seed) -> CheckResult:
     for law in laws:
         result = run_property(law, trials, seed)
         if not result.passed:
-            return _fail(
-                name,
-                f"{law} failed: {json.dumps(result.counterexample)}",
-            )
-        details.append(law)
-    return CheckResult(name, True, f"{len(details)} laws x {trials} trials")
+            return _fail(name, f"{law} failed: {json.dumps(result.counterexample)}")
+    return CheckResult(name, True, f"{len(laws)} laws x {trials} trials")
 
 
 def check_resultant_laws(seed, trials) -> CheckResult:
@@ -249,10 +243,15 @@ def check_negative_controls(seed, trials) -> CheckResult:
 
 def check_io_and_cli(seed, trials) -> CheckResult:
     name = "io_roundtrip_and_cli"
-    for law in IO_LAWS:
-        result = run_property(law, trials, seed)
-        if not result.passed:
-            return _fail(name, f"{law} failed: {json.dumps(result.counterexample)}")
+    laws = _run_suite(name, IO_LAWS, trials, seed)
+    if not laws.passed:
+        return laws
+    for kind, builtin in (("homotopy", builtin_chain), ("matrix", builtin_matrix_chain),
+                          ("plane", builtin_plane_chain)):
+        chain = builtin()
+        blob = json.dumps(exprio.chain_to_json(chain, kind))
+        if exprio.chain_from_json(exprio.loads(blob), kind) != chain:
+            return _fail(name, f"builtin {kind} chain does not round-trip through JSON")
     from .cli import main
 
     def run(argv):
@@ -301,6 +300,14 @@ CHECKS = (
 )
 
 
+def _run_check(check, seed, trials) -> CheckResult:
+    try:
+        return check(seed, trials)
+    except Exception as exc:
+        return _fail(check.__name__.removeprefix("check_"), f"{type(exc).__name__}: {exc}")
+
+
 def run_all(seed: int = 7, trials: int = 1000):
-    """Run every acceptance check; returns the list of CheckResults."""
-    return [check(seed, trials) for check in CHECKS]
+    """Run every acceptance check; returns the list of CheckResults.  A check
+    that raises is a FAIL, so the other checks still report."""
+    return [_run_check(check, seed, trials) for check in CHECKS]

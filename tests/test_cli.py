@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 import p1homotopy
-from p1homotopy import cli, exprio
+from p1homotopy import cli, exprio, properties, selftest
 from p1homotopy.cli import main
 from p1homotopy.homotopy import builtin_chain
 from p1homotopy.plane import builtin_plane_chain
 from p1homotopy.projlinear import builtin_matrix_chain
 from p1homotopy.resultants import SYLVESTER_SIZE_LIMIT
+from p1homotopy.rings import ExactDivisionError
 
 
 def run(capsys, *argv):
@@ -424,6 +425,35 @@ class TestSelftest:
         payload = json.loads(out)
         assert code == 0 and len(payload) == 9
         assert all(entry["passed"] for entry in payload)
+
+    def test_a_raising_law_fails_its_suite_only(self, capsys, monkeypatch):
+        # the 5th resultant is oracle_agreement's trial 4; the run goes on
+        resultant, calls = properties.resultant, []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise ExactDivisionError("not exact")
+            return resultant(*args)
+
+        monkeypatch.setattr(properties, "resultant", flaky)
+        code, out, _ = run(capsys, "selftest", "--trials", "20")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 10 and lines[-1].startswith("8/9 checks passed")
+        assert lines[5] == ('FAIL resultant_law_suite - oracle_agreement failed: '
+                            '{"trial": 4, "error": "ExactDivisionError: not exact"}')
+        assert sum(l.startswith("PASS") for l in lines) == 8
+
+    def test_a_raising_check_is_a_fail_line(self, capsys, monkeypatch):
+        def broken(u):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(selftest, "homogenize", broken)
+        code, out, _ = run(capsys, "selftest", "--trials", "20", "--json")
+        payload = json.loads(out)
+        assert code == 1 and len(payload) == 9
+        assert [e["name"] for e in payload if not e["passed"]] == ["homogenization"]
+        assert payload[4]["detail"] == "ZeroDivisionError: division by zero"
 
 
 class TestArgparseContract:

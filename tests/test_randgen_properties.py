@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from p1homotopy import properties
 from p1homotopy.monoid import PointedMap
 from p1homotopy.properties import (
     IO_LAWS,
@@ -14,7 +15,7 @@ from p1homotopy.properties import (
     run_property,
 )
 from p1homotopy.randgen import RandomMapSpec, SamplingBudgetError, gen_valid_map
-from p1homotopy.rings import QQ, RingTag, ZZ
+from p1homotopy.rings import QQ, ExactDivisionError, RingTag, ZZ
 
 F5 = RingTag("Fp", 5)
 F_BENCH = RingTag("Fp", 1000003)
@@ -68,19 +69,59 @@ class TestRunProperty:
         assert result.passed, result.counterexample
         assert result.seed == 2024 and result.trials == 40
 
-    def test_failure_dumps_json_counterexample(self):
-        def always_fails(rng, trials):
-            return {"trial": 0, "reason": "synthetic failure"}
+    def test_failure_dumps_json_counterexample(self, monkeypatch):
+        def always_fails(rng):
+            return {"reason": "synthetic failure"}
 
-        PROPERTIES["synthetic_failure"] = always_fails
-        try:
-            result = run_property("synthetic_failure", 5, 1)
-            assert not result.passed
-            blob = json.dumps(result.counterexample)
-            assert "synthetic failure" in blob
-            assert "FAIL" in result.describe()
-        finally:
-            del PROPERTIES["synthetic_failure"]
+        monkeypatch.setitem(PROPERTIES, "synthetic_failure", always_fails)
+        result = run_property("synthetic_failure", 5, 1)
+        assert not result.passed
+        assert result.counterexample == {"trial": 0, "reason": "synthetic failure"}
+        assert "synthetic failure" in json.dumps(result.counterexample)
+        assert "FAIL" in result.describe()
+
+    def test_an_exception_fails_its_trial(self, monkeypatch):
+        calls = []
+
+        def raises_third(rng):
+            calls.append(rng.random())
+            if len(calls) == 3:
+                raise ExactDivisionError("not exact")
+
+        monkeypatch.setitem(PROPERTIES, "raises_third", raises_third)
+        result = run_property("raises_third", 5, 1)
+        assert not result.passed and len(calls) == 3
+        assert result.counterexample == {"trial": 2, "error": "ExactDivisionError: not exact"}
+
+    # first counterexamples with the cofactor oracle one too large whenever
+    # n + m >= bump_from; the trial index, the keys in order and the values
+    # pin the RNG stream each law draws from
+    @pytest.mark.parametrize("law, bump_from, expected", [
+        ("oracle_agreement", 0, {
+            "trial": 0, "ring": "Fp:5", "f": "X^3 + X^2 + 3*X + 4 (formal degree 3)",
+            "g": "3*X^4 + 4*X^3 + 3*X^2 + 4*X + 1 (formal degree 4)",
+            "bareiss": "3", "cofactor": "4"}),
+        ("swap_law", 0, {
+            "trial": 0, "ring": "Z", "f": "4*X^4 - 3*X^3 + X^2 + 2*X - 1 (formal degree 4)",
+            "g": "-3*X + 4 (formal degree 1)", "res(f,g)": "727", "(-1)^(nm) res(g,f)": "728"}),
+        ("swap_law", 7, {
+            "trial": 9, "ring": "Z", "f": "X^4 + 4*X^3 - 1 (formal degree 4)",
+            "g": "4*X^3 - X^2 - X - 3 (formal degree 3)",
+            "res(f,g)": "1823", "(-1)^(nm) res(g,f)": "1824"}),
+    ])
+    def test_a_broken_oracle_gives_a_pinned_counterexample(self, monkeypatch, law, bump_from,
+                                                           expected):
+        oracle = properties.resultant_oracle
+
+        def off_by_one(f, g, n, m):
+            r = oracle(f, g, n, m)
+            return r + r.ring.one() if n + m >= bump_from else r
+
+        monkeypatch.setattr(properties, "resultant_oracle", off_by_one)
+        result = run_property(law, 30, seed=11)
+        assert not result.passed
+        assert list(result.counterexample) == list(expected)
+        assert result.counterexample == expected
 
     def test_same_seed_same_verdict_path(self):
         a = run_property("oracle_agreement", 25, seed=5)
@@ -92,5 +133,7 @@ class TestRunProperty:
 @pytest.mark.parametrize("ring", [ZZ, QQ, F_BENCH], ids=lambda r: r.kind)
 def test_bezout_unique_above_the_oracle_cap(ring, n):
     # the cofactor oracle stops at 8x8; the field solve has no size cap
-    counterexample = bezout_unique(random.Random(n), 2, ring, (n, n))
-    assert counterexample is None, counterexample
+    rng = random.Random(n)
+    for _ in range(2):
+        counterexample = bezout_unique(rng, ring, (n, n))
+        assert counterexample is None, counterexample
