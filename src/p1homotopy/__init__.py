@@ -19,9 +19,10 @@ from .rings import (
     Scalar,
     ZZ,
 )
-from .poly import FormalDegreeError, Poly
+from .poly import Poly
 from .mpoly import MPoly
 from .resultants import (
+    FormalDegreeError,
     OracleSizeError,
     is_unit,
     reciprocal,

@@ -393,7 +393,7 @@ def _map_pair_from_json(d, what) -> tuple:
     f, g = _ring_pair_from_json(d, ("X",), what)
     if f.actual_degree() != d["n"]:
         raise SchemaError(f"{what}: numerator degree {f.actual_degree()} != n = {d['n']}")
-    return f.trim(), g.trim()
+    return f, g
 
 
 def map_from_json(d) -> PointedMap:
@@ -409,10 +409,14 @@ def sl2_from_json(d) -> SL2Witness:
     u = map_from_json(d["map"])
     p = _parse_field(d, "p", ("X",), u.ring, "sl2 witness")
     q = _parse_field(d, "q", ("X",), u.ring, "sl2 witness")
-    one = Poly.one(u.ring, "X")
-    if (p * u.f + q * u.g).trim() != one:
+    if p * u.f + q * u.g != Poly.one(u.ring, "X"):
         raise SchemaError("sl2 witness: p*f + q*g != 1")
-    return SL2Witness(u, p.trim(), q.trim())
+    # the bounds make the witness unique; at n = 0 the identity forces p = 1
+    n = u.n
+    if q.actual_degree() >= n or n and p.actual_degree() >= n - 1:
+        bound = f"deg p < {n - 1} and deg q < {n}" if n else "(p, q) = (1, 0) at n = 0"
+        raise SchemaError(f"sl2 witness: outside the degree bounds, {bound}")
+    return SL2Witness(u, p, q)
 
 
 def _cert_from_json(d, what) -> tuple:

@@ -76,7 +76,6 @@ def validate(f: Poly, g: Poly, ring: RingTag | None = None) -> PointedMap:
         raise RingMismatchError("map coefficients are not in the declared ring")
     if f.var != g.var:
         raise RingMismatchError(f"variable {f.var} vs {g.var}")
-    f = f.trim()
     n = f.actual_degree()
     if n < 0 or f.raw[n] != 1:
         raise NotMonicError(f"numerator must be monic, got {f!r}")
@@ -87,7 +86,7 @@ def validate(f: Poly, g: Poly, ring: RingTag | None = None) -> PointedMap:
     r = resultant(f, g, n, n)
     if not is_unit(r):
         raise ResultantNotUnitError(r)
-    return PointedMap(ring, n, f, g.trim(), r)
+    return PointedMap(ring, n, f, g, r)
 
 
 def bezout_pair(u: PointedMap) -> SL2Witness:
@@ -152,7 +151,7 @@ def oplus(u: PointedMap, v: PointedMap) -> PointedMap:
     res = u.res * v.res
     if u.n * v.n % 2:
         res = -res
-    return PointedMap(u.ring, n, f3.trim(), g3.trim(), res, (p3.trim(), (-mq3).trim()))
+    return PointedMap(u.ring, n, f3, g3, res, (p3, -mq3))
 
 
 NAMED_MAPS = ("identity", "zero", "squaring", "minus_epsilon")
@@ -202,4 +201,4 @@ def dehomogenize(F0: MPoly, F1: MPoly) -> PointedMap:
     ring = F0.ring
     fc = [F0.raw.get((i, n - i), 0) for i in range(n + 1)]
     gc = [F1.raw.get((i, n - i), 0) for i in range(n + 1)]
-    return validate(Poly(ring, "X", fc), Poly(ring, "X", gc).trim(), ring)
+    return validate(Poly(ring, "X", fc), Poly(ring, "X", gc), ring)

@@ -203,8 +203,8 @@ class MPoly:
         return Scalar(self.ring, acc)
 
     def to_poly(self, name: str) -> Poly:
-        """Convert to a dense univariate polynomial (requires every other
-        variable to be absent); the formal degree is the actual one."""
+        """The same value as a Poly in `name` (every other variable must be
+        absent), whose degree is the degree in `name`."""
         if name not in self.vars:
             if self.total_degree() > 0:
                 raise ValueError(f"not univariate in {name!r}: {self.vars}")

@@ -1,10 +1,9 @@
-"""Dense univariate polynomials with an explicit formal degree.
+"""Dense univariate polynomials, stored canonically.
 
-A polynomial of formal degree d stores exactly d+1 coefficients indexed by
-exponent; leading coefficients may be zero, and the formal degree is part of
-the value (two representations of the same function with different formal
-degrees are unequal).  The distinguished ZERO polynomial has no formal degree
-of its own; padding assigns it one.
+A polynomial stores its coefficients by exponent up to its degree: the
+constructor drops zero leading coefficients, so equal values are equal
+Polys with equal hashes, and zero stores ().  A formal degree above the
+actual one is not part of the value; the resultant takes it as an argument.
 
 Coefficients are stored in `raw` as raw ring values (int for Z, Fraction for
 Q, int in [0, p) for F_p) and the arithmetic runs on them, with the ring's
@@ -20,10 +19,6 @@ from itertools import zip_longest
 from .rings import ExactDivisionError, RingMismatchError, RingTag, Scalar
 
 
-class FormalDegreeError(ValueError):
-    """Requested formal degree is below the actual degree."""
-
-
 def _top(raw) -> int:
     """Index of the last nonzero raw value; -1 when there is none."""
     for i in range(len(raw) - 1, -1, -1):
@@ -36,10 +31,12 @@ class Poly:
     __slots__ = ("ring", "var", "raw")
 
     def __init__(self, ring: RingTag, var: str, coeffs):
-        """coeffs are ints, Fractions or Scalars of `ring`, by exponent."""
+        """coeffs are ints, Fractions or Scalars of `ring`, by exponent;
+        zero leading coefficients are dropped."""
         self.ring = ring
         self.var = var
-        self.raw = tuple(map(ring.norm, coeffs))
+        raw = tuple(map(ring.norm, coeffs))
+        self.raw = raw[: _top(raw) + 1] if raw and not raw[-1] else raw
 
     @property
     def coeffs(self) -> tuple:
@@ -50,7 +47,7 @@ class Poly:
 
     @staticmethod
     def zero(ring: RingTag, var: str) -> "Poly":
-        """The distinguished zero polynomial (no formal degree)."""
+        """The zero polynomial, stored as ()."""
         return Poly(ring, var, ())
 
     @staticmethod
@@ -63,46 +60,23 @@ class Poly:
 
     @staticmethod
     def constant(ring: RingTag, var: str, value) -> "Poly":
-        v = ring.norm(value)
-        return Poly(ring, var, (v,) if v else ())
+        return Poly(ring, var, (value,))
 
     # -- degrees ------------------------------------------------------
 
-    @property
-    def formal_degree(self) -> int:
-        """len(coeffs) - 1; -1 marks the distinguished ZERO."""
+    def actual_degree(self) -> int:
+        """Largest exponent with a nonzero coefficient; -1 for zero."""
         return len(self.raw) - 1
 
-    def actual_degree(self) -> int:
-        """Largest exponent with a nonzero coefficient; -1 when the value is zero."""
-        return _top(self.raw)
-
     def is_zero(self) -> bool:
-        return not any(self.raw)
-
-    def is_canonical_zero(self) -> bool:
         return not self.raw
 
     def coeff(self, k: int) -> Scalar:
         return Scalar(self.ring, self.raw[k] if 0 <= k < len(self.raw) else 0)
 
     def leading(self) -> Scalar:
-        """Coefficient at the actual degree (zero for a zero-valued polynomial)."""
-        return self.coeff(_top(self.raw))
-
-    # -- shape --------------------------------------------------------
-
-    def pad_to(self, d: int) -> "Poly":
-        """Same value, formal degree raised to d (error below actual degree)."""
-        if d < self.actual_degree():
-            raise FormalDegreeError(
-                f"cannot pad to degree {d}: actual degree is {self.actual_degree()}"
-            )
-        return Poly(self.ring, self.var, self.raw + (0,) * (d + 1 - len(self.raw)))
-
-    def trim(self) -> "Poly":
-        """Same value at its natural formal degree (ZERO when zero-valued)."""
-        return Poly(self.ring, self.var, self.raw[: _top(self.raw) + 1])
+        """Coefficient at the degree (zero for the zero polynomial)."""
+        return self.coeff(len(self.raw) - 1)
 
     # -- arithmetic (on raw values; the constructor normalises) -------
 
@@ -128,10 +102,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         a, b = self.raw, other.raw
-        if not a or not b:
-            return Poly.zero(self.ring, self.var)
-        # formal degree of a product is the sum of the formal degrees
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)  # empty when either is zero
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
@@ -162,10 +133,10 @@ class Poly:
         """Exact polynomial division; any remainder or inexact coefficient
         division is a hard error (it signals an elimination bug upstream)."""
         self._check(other)
-        den = other.raw[: _top(other.raw) + 1]
+        den = other.raw
         if not den:
             raise ExactDivisionError("division by the zero polynomial")
-        rem = list(self.raw[: _top(self.raw) + 1])
+        rem = list(self.raw)
         dd, lead = len(den) - 1, den[-1]
         if len(rem) - 1 < dd:
             if not rem:
@@ -183,7 +154,7 @@ class Poly:
                 rem[i] -= step * d
         if any(map(norm, rem)):
             raise ExactDivisionError("inexact polynomial division")
-        return Poly(self.ring, self.var, q[: _top(q) + 1])
+        return Poly(self.ring, self.var, q)
 
     # -- value --------------------------------------------------------
 

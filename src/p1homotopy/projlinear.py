@@ -46,7 +46,7 @@ class Mat2:
 
 
 def det_family(M: MatrixFamily) -> Poly:
-    return (M.a * M.d - M.b * M.c).trim()
+    return M.a * M.d - M.b * M.c
 
 
 def is_valid_family(M: MatrixFamily) -> bool:

@@ -104,12 +104,12 @@ def _rand_res_inputs(rng):
     return ring, n, m, f, g
 
 
-def _res_note(ring, f, g) -> dict:
+def _res_note(ring, f, g, n, m) -> dict:
     """The ring and both inputs of a resultant law, with their formal degrees."""
     return {
         "ring": ring.name(),
-        "f": f"{f} (formal degree {f.formal_degree})",
-        "g": f"{g} (formal degree {g.formal_degree})",
+        "f": f"{f} (formal degree {n})",
+        "g": f"{g} (formal degree {m})",
     }
 
 
@@ -123,7 +123,7 @@ def oracle_agreement(rng):
     fast = resultant(f, g, n, m)
     slow = resultant_oracle(f, g, n, m)
     if fast != slow:
-        return {**_res_note(ring, f, g), "bareiss": str(fast), "cofactor": str(slow)}
+        return {**_res_note(ring, f, g, n, m), "bareiss": str(fast), "cofactor": str(slow)}
 
 
 @_property("resultant")
@@ -134,7 +134,7 @@ def swap_law(rng):
     if (n * m) % 2:
         rhs = -rhs
     if lhs != rhs:
-        return {**_res_note(ring, f, g), "res(f,g)": str(lhs), "(-1)^(nm) res(g,f)": str(rhs)}
+        return {**_res_note(ring, f, g, n, m), "res(f,g)": str(lhs), "(-1)^(nm) res(g,f)": str(rhs)}
 
 
 @_property("resultant")
@@ -148,7 +148,7 @@ def scaling_law(rng):
     rhs = a**m * b**n * resultant_oracle(f, g, n, m)
     if lhs != rhs:
         return {
-            **_res_note(ring, f, g),
+            **_res_note(ring, f, g, n, m),
             "a": str(a),
             "b": str(b),
             "res(af,bg)": str(lhs),
@@ -169,19 +169,20 @@ def bezout_law(rng):
         h = rand_poly(rng, ring, d - 1, 3) + Poly(ring, "X", (0,) * d + (1,))
         f, g = h * rand_poly(rng, ring, n - d, 3), h * rand_poly(rng, ring, m - d, 3)
     elif shape == 2:
-        g = Poly.zero(ring, "X").pad_to(m)
+        g = Poly.zero(ring, "X")
     if n + m < 1:
         return None
     r = resultant(f, g, n, m)
     p, q = res_bezout(f, g, n, m)
-    combo = (p * f + q * g).trim()
-    top = sylvester_entries(list(f.coeffs), list(g.coeffs), ring.zero())[:-1]
+    combo = p * f + q * g
+    fc, gc = ([poly.coeff(k) for k in range(deg + 1)] for poly, deg in ((f, n), (g, m)))
+    top = sylvester_entries(fc, gc, ring.zero())[:-1]
     units = [[Scalar(ring, int(c == j)) for c in range(n + m)] for j in range(n + m)]
     y = [cofactor_det(top + [e], ring.one()) for e in units]
-    minors = (Poly(ring, "X", y[:m][::-1]).trim(), Poly(ring, "X", y[m:][::-1]).trim())
+    minors = (Poly(ring, "X", y[:m][::-1]), Poly(ring, "X", y[m:][::-1]))
     if combo != Poly.constant(ring, "X", r) or (p, q) != minors:
         return {
-            **_res_note(ring, f, g),
+            **_res_note(ring, f, g, n, m),
             "p": str(p),
             "q": str(q),
             "p*f+q*g": str(combo),
@@ -198,8 +199,8 @@ def product_law(rng):
     roots_g = [Scalar(ZZ, rng.randint(-4, 4)) for _ in range(m)]
     lead_f = Scalar(ZZ, rng.randint(-3, 3))
     lead_g = Scalar(ZZ, rng.randint(-3, 3))
-    f = split_poly(ZZ, "X", lead_f, roots_f).pad_to(n)
-    g = split_poly(ZZ, "X", lead_g, roots_g).pad_to(m)
+    f = split_poly(ZZ, "X", lead_f, roots_f)
+    g = split_poly(ZZ, "X", lead_g, roots_g)
     lhs = resultant(f, g, n, m)
     rhs = resultant_product_oracle(roots_f, roots_g, lead_f, lead_g)
     if lhs != rhs:
@@ -216,12 +217,12 @@ def product_law(rng):
 @_property("resultant")
 def reciprocal_law(rng):
     ring, n, m, f, g = _rand_res_inputs(rng)
-    lhs = resultant(reciprocal(f), reciprocal(g), n, m)
+    lhs = resultant(reciprocal(f, n), reciprocal(g, m), n, m)
     rhs = resultant_oracle(f, g, n, m)
     if (n * m) % 2:
         rhs = -rhs
     if lhs != rhs:
-        return {**_res_note(ring, f, g), "res(f*,g*)": str(lhs), "(-1)^(nm) res(f,g)": str(rhs)}
+        return {**_res_note(ring, f, g, n, m), "res(f*,g*)": str(lhs), "(-1)^(nm) res(f,g)": str(rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +295,7 @@ def matrix_law(rng):
     s = oplus(u, v)
     lhs = bezout_pair(validate(s.f, s.g, ring)).matrix()
     rhs = mat_mul(bezout_pair(u).matrix(), bezout_pair(v).matrix())
-    same = all(
-        lhs[i][j].trim() == rhs[i][j].trim() for i in range(2) for j in range(2)
-    )
-    if not same:
+    if lhs != rhs:
         return {"u": _map_note(u), "v": _map_note(v)}
 
 
@@ -305,7 +303,7 @@ def matrix_law(rng):
 def det_witness(rng):
     u = _rand_map(rng)
     w = bezout_pair(u)
-    det = (u.f * w.p + w.q * u.g).trim()
+    det = u.f * w.p + w.q * u.g
     if det != Poly.one(u.ring, "X"):
         return {"u": _map_note(u), "det": str(det)}
 
@@ -390,7 +388,7 @@ def parse_print_roundtrip(rng):
     ring = rng.choice(_RES_RINGS)
     vars = rng.choice(var_pools)
     if len(vars) == 1:
-        p = rand_poly(rng, ring, rng.randint(0, 6), 9).trim()
+        p = rand_poly(rng, ring, rng.randint(0, 6), 9)
     else:
         terms = {}
         for _ in range(rng.randint(0, 6)):
@@ -399,8 +397,6 @@ def parse_print_roundtrip(rng):
         p = MPoly(ring, vars, terms)
     text = exprio.print_poly(p)
     back = exprio.parse_poly(text, vars, ring)
-    if len(vars) == 1:
-        back = back.trim()
     if back != p:
         return {"ring": ring.name(), "printed": text, "reparsed": str(back)}
 

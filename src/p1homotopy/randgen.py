@@ -38,10 +38,9 @@ def rand_scalar(rng: random.Random, ring: RingTag, bound: int) -> Scalar:
 
 
 def rand_poly(rng: random.Random, ring: RingTag, formal_degree: int, bound: int) -> Poly:
-    """Random polynomial at the given formal degree; leading coefficients may
-    be zero, which is exactly what formal-degree laws need to see."""
-    if formal_degree < 0:
-        return Poly.zero(ring, "X")
+    """formal_degree + 1 random coefficients (zero when it is negative): the
+    leading ones may be zero, so the degree may be lower, which is what the
+    laws that pass formal_degree to the resultant need to see."""
     return Poly(
         ring, "X", tuple(rand_scalar(rng, ring, bound) for _ in range(formal_degree + 1))
     )

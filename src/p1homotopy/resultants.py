@@ -20,7 +20,7 @@ from math import lcm, prod
 from operator import not_
 
 from .mpoly import MPoly
-from .poly import FormalDegreeError, Poly, _top
+from .poly import Poly
 from .rings import QQ, ZZ, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
@@ -34,6 +34,10 @@ SYLVESTER_SIZE_LIMIT = 100
 # either limit is about 3 s of elimination
 PACKED_WORK_LIMIT = 2 * 10**12
 POLY_WORK_LIMIT = 2 * 10**7
+
+
+class FormalDegreeError(ValueError):
+    """Requested formal degree is below the actual degree."""
 
 
 class OracleSizeError(ValueError):
@@ -76,9 +80,9 @@ def sylvester_entries(fcoeffs, gcoeffs, zero):
 
 def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
     """The formal degrees (n, m) at which resultant() reads f and g, checked
-    before any coefficient is laid out.  A Poly over Z, Q or F_p defaults to
-    its formal degree; an MPoly in (X, T), read over R[T], to its X-degree
-    (0 for zero)."""
+    before any coefficient is laid out.  Each defaults to the degree (the
+    X-degree of an MPoly in (X, T), read over R[T]), 0 for zero; a negative
+    degree is a ValueError, one below the degree a FormalDegreeError."""
     tpoly = isinstance(f, MPoly)
     if tpoly:
         common = isinstance(g, MPoly) and len(f.vars) == 2 and g.vars == f.vars
@@ -89,10 +93,9 @@ def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
     degrees = []
     for p, d in ((f, n), (g, m)):
         actual = p.degree_in(p.vars[0]) if tpoly else p.actual_degree()
-        if d is None:
-            d = max(actual, 0) if tpoly else p.formal_degree
+        d = max(actual, 0) if d is None else d
         if d < 0:
-            raise ValueError("formal degrees must be supplied for the zero polynomial")
+            raise ValueError("formal degrees must not be negative")
         if d < actual:
             raise FormalDegreeError("formal degree below the actual degree")
         degrees.append(d)
@@ -103,15 +106,15 @@ def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
 def _sylvester_rows(f, g, n, m):
     """The Sylvester rows of res_{n,m}(f, g) at formal_degrees(f, g, n, m),
     the one of their ring, and m, the number of f columns.  Each polynomial
-    is laid out at exactly its formal degree, never at a larger stored one;
-    over R[T] each entry is the T-Poly of one X-coefficient."""
+    is laid out by its coefficients of X^0..X^d at its formal degree d; over
+    R[T] each entry is the T-Poly of one X-coefficient."""
     n, m = formal_degrees(f, g, n, m)
     if isinstance(f, MPoly):
         x, t = f.vars
         fc, gc = ([p.coeff_of(x, k).to_poly(t) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
         zero, one = Poly.zero(f.ring, t), Poly.one(f.ring, t)
     else:
-        fc, gc = f.pad_to(n).coeffs[: n + 1], g.pad_to(m).coeffs[: m + 1]
+        fc, gc = ([p.coeff(k) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
         zero, one = f.ring.zero(), f.ring.one()
     return sylvester_entries(fc, gc, zero), one, m
 
@@ -198,8 +201,7 @@ def _pack(raw, where):
     width = (h2.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
 
     def bits(e):
-        top = _top(e)
-        return top * width + e[top].bit_length() if top >= 0 else 0
+        return (len(e) - 1) * width + e[-1].bit_length() if e else 0
 
     _check_work([max(map(bits, r)) for r in raw], PACKED_WORK_LIMIT, where)
 
@@ -309,7 +311,7 @@ def cofactor_det(rows, one):
 
 def resultant(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: int | None = None):
     """res_{n,m}(f, g) by Bareiss elimination (formal_degrees gives the
-    defaults): a Scalar for Polys, a trimmed T-Poly for MPolys in (X, T)."""
+    defaults): a Scalar for Polys, a T-Poly for MPolys in (X, T)."""
     rows, one, _ = _sylvester_rows(f, g, n, m)
     if isinstance(one, Poly):
         return resultant_tpoly(rows, one)
@@ -319,14 +321,13 @@ def resultant(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: int | N
 def resultant_oracle(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: int | None = None):
     """Same value as resultant(), by the cofactor route (sizes <= 8)."""
     rows, one, _ = _sylvester_rows(f, g, n, m)
-    det = cofactor_det(rows, one)
-    return det.trim() if isinstance(one, Poly) else det
+    return cofactor_det(rows, one)
 
 
 # a function of its own because perfbench/tracing.py wraps it by name (resultants.tpoly)
 def resultant_tpoly(rows, one: Poly) -> Poly:
-    """The R[T] step of resultant(): the determinant of rows, trimmed."""
-    return bareiss_det(rows, one).trim()
+    """The R[T] step of resultant(): the determinant of rows."""
+    return bareiss_det(rows, one)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +352,18 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     if d is not None:  # cofactor j of A is that of A*D times d_j / det D
         den = prod(d)
         y = [QQ.exact_div(c * dj, den) for c, dj in zip(y, d)]
-    return tuple(Poly(f.ring, f.var, c[::-1]).trim() for c in (y[:m], y[m:]))
+    return tuple(Poly(f.ring, f.var, c[::-1]) for c in (y[:m], y[m:]))
 
 
 # ---------------------------------------------------------------------------
 # Reciprocals, the split product formula, units
 
 
-def reciprocal(f: Poly) -> Poly:
-    """Coefficient reversal at the formal degree (X^n * f(1/X))."""
-    return Poly(f.ring, f.var, tuple(reversed(f.coeffs)))
+def reciprocal(f: Poly, n: int) -> Poly:
+    """Coefficient reversal at formal degree n >= deg f: X^n * f(1/X)."""
+    if n < f.actual_degree():
+        raise FormalDegreeError("formal degree below the actual degree")
+    return Poly(f.ring, f.var, [f.coeff(n - k) for k in range(n + 1)])
 
 
 def resultant_product_oracle(roots_f, roots_g, lead_f: Scalar, lead_g: Scalar) -> Scalar:
@@ -378,7 +381,7 @@ def resultant_product_oracle(roots_f, roots_g, lead_f: Scalar, lead_g: Scalar) -
 
 def split_poly(ring, var: str, lead, roots) -> Poly:
     """lead * prod (X - r): the split polynomial with the given roots."""
-    out = Poly.constant(ring, var, lead).pad_to(0)
+    out = Poly.constant(ring, var, lead)
     for r in roots:
         s = r if isinstance(r, Scalar) else Scalar(ring, r)
         out = out * Poly(ring, var, (-s, ring.one()))

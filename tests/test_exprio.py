@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from p1homotopy import exprio
 from p1homotopy.chains import Chain, Link, ORIENTATIONS
 from p1homotopy.exprio import ParseError, SchemaError, parse_pair, parse_poly, print_poly
-from p1homotopy.monoid import named, validate
+from p1homotopy.monoid import bezout_pair, named, validate
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
@@ -177,20 +178,31 @@ class TestJson:
         assert back == cert
 
     def test_sl2_roundtrip(self):
-        from p1homotopy.monoid import bezout_pair
-
         w = bezout_pair(named("squaring"))
         assert exprio.sl2_from_json(exprio.sl2_to_json(w)) == w
         bad = exprio.sl2_to_json(w) | {"q": "X"}
         with pytest.raises(SchemaError):
             exprio.sl2_from_json(bad)
 
+    @pytest.mark.parametrize("n, f, g, p, q, bound", [
+        (1, "X", "1", "1", "1 - X", "deg p < 0 and deg q < 1"),
+        (2, "X^2 - X + 1", "X - 1", "X", "-X^2 - 1", "deg p < 1 and deg q < 2"),
+        (0, "1", "0", "1", "X", "(p, q) = (1, 0) at n = 0"),
+    ])
+    def test_sl2_witness_outside_the_degree_bounds(self, n, f, g, p, q, bound):
+        # p*f + q*g = 1 holds, but only the witness inside the bounds is unique
+        doc = {"map": {"ring": "Z", "n": n, "f": f, "g": g}, "p": p, "q": q}
+        with pytest.raises(SchemaError, match=f"outside the degree bounds, {re.escape(bound)}"):
+            exprio.sl2_from_json(doc)
+        inside = exprio.sl2_to_json(bezout_pair(exprio.map_from_json(doc["map"])))
+        assert exprio.sl2_from_json(inside).map.n == n
+
 
 def _random_homotopy_chain(rng, ring):
     from test_homotopy import random_cert
 
     def end(F, t):
-        return tuple(p.subst("T", t).to_poly("X").trim() for p in F)
+        return tuple(p.subst("T", t).to_poly("X") for p in F)
 
     certs = [random_cert(rng, ring, rng.randint(1, 3))[:2] for _ in range(rng.randint(0, 3))]
     ends = [end(c, rng.randint(0, 1)) for c in certs] or [end(random_cert(rng, ring, 2)[:2], 0)]
@@ -211,7 +223,7 @@ def _random_matrix_chain(rng):
 
     def family():
         return MatrixFamily(*(Poly(ZZ, "T", [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))])
-                              .trim() for _ in range(4)))
+                              for _ in range(4)))
 
     def end():
         return Mat2(*(rng.randint(-20, 20) for _ in range(4)))
@@ -262,13 +274,13 @@ coeffs = st.lists(st.integers(-99, 99), min_size=0, max_size=8)
 
 @given(coeffs)
 def test_roundtrip_z(cs):
-    p = Poly(ZZ, "X", cs).trim()
+    p = Poly(ZZ, "X", cs)
     assert parse_poly(print_poly(p), X, ZZ) == p
 
 
 @given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9), min_size=0, max_size=6))
 def test_roundtrip_q(cs):
-    p = Poly(QQ, "X", cs).trim()
+    p = Poly(QQ, "X", cs)
     assert parse_poly(print_poly(p), X, QQ) == p
 
 

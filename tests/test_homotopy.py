@@ -47,7 +47,7 @@ class TestValidateCert:
         with pytest.raises(CertResultantNotUnitError) as err:
             validate_cert(xt("X^2"), xt("X + T"))
         t2 = parse_poly("T^2", ("T",), ZZ)
-        assert err.value.res.trim() in (t2, -t2)
+        assert err.value.res in (t2, -t2)
 
     def test_third_link(self):
         c = validate_cert(xt("X^2 + 2*T*X + 2*T"), xt("X + (2*T - 1)"))

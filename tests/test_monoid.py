@@ -70,14 +70,14 @@ class TestBezoutPair:
         w = bezout_pair(named("identity"))
         assert w.p.is_zero() and w.q == zx("1")
         m = w.matrix()
-        assert m[0][0] == zx("X") and m[0][1].trim() == zx("-1")
+        assert m[0][0] == zx("X") and m[0][1] == zx("-1")
         assert m[1][0] == zx("1") and m[1][1].is_zero()
 
     def test_minus_epsilon(self):
         w = bezout_pair(named("minus_epsilon"))
         assert w.p.is_zero() and w.q == zx("-1")
         m = w.matrix()
-        assert m[0][1].trim() == zx("1")
+        assert m[0][1] == zx("1")
 
     def test_degree_two(self):
         u = validate(zx("X^2 - X + 1"), zx("X - 1"))
@@ -87,7 +87,7 @@ class TestBezoutPair:
     def test_unit_normalization_over_q(self):
         u = validate(zx("X^2", QQ), zx("2", QQ), QQ)
         w = bezout_pair(u)
-        assert (w.p * u.f + w.q * u.g).trim() == Poly.one(QQ, "X")
+        assert w.p * u.f + w.q * u.g == Poly.one(QQ, "X")
 
     def test_degree_bounds(self):
         rng = random.Random(3)
@@ -96,7 +96,7 @@ class TestBezoutPair:
             w = bezout_pair(u)
             assert w.p.actual_degree() < u.n - 1
             assert w.q.actual_degree() < u.n
-            assert (w.p * u.f + w.q * u.g).trim() == Poly.one(ZZ, "X")
+            assert w.p * u.f + w.q * u.g == Poly.one(ZZ, "X")
 
     def test_witness_outside_the_bounds_raises(self, monkeypatch):
         # an explicit check, not an assert, so it also holds under python -O
@@ -124,7 +124,7 @@ class TestOplus:
         s = oplus(named("identity"), named("identity"))
         assert s.f == zx("X^2 - 1") and s.g == zx("X")
         # res value frozen from the cofactor oracle
-        assert resultant_oracle(s.f, s.g.pad_to(2), 2, 2) == Scalar(ZZ, -1)
+        assert resultant_oracle(s.f, s.g, 2, 2) == Scalar(ZZ, -1)
         assert s.res == Scalar(ZZ, -1)
 
     def test_matrix_of_sum_is_product(self):
@@ -136,11 +136,7 @@ class TestOplus:
                 s = oplus(u, v)  # carries the product; validate its pair afresh
                 lhs = bezout_pair(validate(s.f, s.g, ring)).matrix()
                 rhs = mat_mul(bezout_pair(u).matrix(), bezout_pair(v).matrix())
-                assert all(
-                    lhs[i][j].trim() == rhs[i][j].trim()
-                    for i in range(2)
-                    for j in range(2)
-                )
+                assert lhs == rhs
 
     def test_associativity_and_degrees(self):
         rng = random.Random(7)

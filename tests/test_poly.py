@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from p1homotopy.poly import FormalDegreeError, Poly
+from p1homotopy.poly import Poly
 from p1homotopy.rings import ExactDivisionError, QQ, RingMismatchError, RingTag, Scalar, ZZ
 
 F7 = RingTag("Fp", 7)
@@ -22,40 +22,39 @@ def test_difference_of_squares():
     assert (X + ONE) * (X - ONE) == P(-1, 0, 1)
 
 
-def test_additive_identity_keeps_formal_degree():
+def test_additive_identity():
     p = P(0, 0, 1)  # X^2
-    assert (p + ZERO) == p
-    assert (p + ZERO).formal_degree == 2
+    assert p + ZERO == ZERO + p == p
+    assert (p - p).raw == ()
 
 
 def test_schoolbook_expansion():
     # (X^2 - X + 1)(X - 1) + X = X^3 - 2X^2 + 3X - 1
     got = P(1, -1, 1) * P(-1, 1) + ONE * X
-    assert got.trim() == P(-1, 3, -2, 1)
+    assert got == P(-1, 3, -2, 1)
 
 
-def test_mul_formal_degree_is_sum():
-    a = P(1, 0)  # formal degree 1, actual 0
+def test_mul_degree_is_sum():
+    a = P(1, 0)  # the zero leading coefficient is dropped: degree 0
     b = P(1, 1)
-    assert (a * b).formal_degree == 2
+    assert a.actual_degree() == 0
+    assert (a * b).actual_degree() == 1 and a * b == b
 
 
-def test_pad_examples():
-    assert ONE.pad_to(1).coeffs == (Scalar(ZZ, 1), Scalar(ZZ, 0))
-    assert P(-1, 1).pad_to(1) == P(-1, 1)
-    assert ZERO.pad_to(2).coeffs == tuple(Scalar(ZZ, 0) for _ in range(3))
-    with pytest.raises(FormalDegreeError):
-        P(0, 0, 1).pad_to(1)
+def test_zero_leading_coefficients_are_dropped():
+    assert P(1, 0) == ONE and P(1, 0).coeffs == (Scalar(ZZ, 1),)
+    assert P(0, 0, 1, 0, 0).raw == (0, 0, 1)
+    assert Poly(F7, "X", (1, 7, 14)) == Poly.one(F7, "X")
+    assert Poly(QQ, "X", (Fraction(1, 2), Fraction(0))).raw == (Fraction(1, 2),)
+    assert P(0, 0, 1).leading() == Scalar(ZZ, 1) and P(0, 0, 1, 0).actual_degree() == 2
 
 
 def test_zero_polynomial_is_distinguished():
-    assert ZERO.formal_degree == -1
-    assert ZERO.actual_degree() == -1
-    assert ZERO.is_zero() and ZERO.is_canonical_zero()
-    padded = ZERO.pad_to(2)
-    assert padded.is_zero() and not padded.is_canonical_zero()
-    assert padded != ZERO  # formal degree is part of the value
-    assert padded.trim() == ZERO
+    assert ZERO.actual_degree() == -1 and ZERO.raw == ()
+    assert ZERO.is_zero() and ZERO.leading().is_zero()
+    zeros = P(0, 0, 0)
+    assert zeros == ZERO and zeros.raw == () and hash(zeros) == hash(ZERO)
+    assert Poly.constant(ZZ, "X", 0) == ZERO
 
 
 def test_exact_div_examples():
@@ -120,10 +119,10 @@ coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=7)
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_ring_axioms(a, b, c):
     pa, pb, pc = P(*a), P(*b), P(*c)
-    assert ((pa + pb) + pc).trim() == (pa + (pb + pc)).trim()
-    assert (pa * (pb + pc)).trim() == (pa * pb + pa * pc).trim()
+    assert (pa + pb) + pc == pa + (pb + pc)
+    assert pa * (pb + pc) == pa * pb + pa * pc
     assert (pa - pa).is_zero()
-    assert ((pa * pb) * pc).trim() == (pa * (pb * pc)).trim()
+    assert (pa * pb) * pc == pa * (pb * pc)
 
 
 @given(coeff_lists, coeff_lists, st.integers(-5, 5))
@@ -134,13 +133,14 @@ def test_eval_is_a_homomorphism(a, b, point):
     assert (pa + pb).eval(s) == pa.eval(s) + pb.eval(s)
 
 
-@given(coeff_lists, st.integers(0, 4), st.integers(-5, 5))
-def test_pad_never_changes_value(coeffs, extra, point):
-    p = P(*coeffs)
-    d = max(p.actual_degree(), 0) + extra
-    padded = p.pad_to(d)
+@given(st.sampled_from((ZZ, QQ, F7)), coeff_lists, st.integers(0, 4), st.integers(-5, 5))
+def test_appended_zeros_leave_the_value(ring, coeffs, extra, point):
+    p = Poly(ring, "X", coeffs)
+    padded = Poly(ring, "X", coeffs + [0] * extra)
+    assert padded == p and hash(padded) == hash(p) and padded.raw == p.raw
     assert padded.actual_degree() == p.actual_degree()
-    assert padded.eval(Scalar(ZZ, point)) == p.eval(Scalar(ZZ, point))
+    assert padded.eval(point) == p.eval(point)
+    assert not p.raw or p.raw[-1]
 
 
 @given(coeff_lists, coeff_lists)
@@ -148,4 +148,4 @@ def test_exact_div_inverts_mul(a, b):
     pa, pb = P(*a), P(*b)
     if pb.is_zero():
         return
-    assert (pa * pb).exact_div(pb) == pa.trim()
+    assert (pa * pb).exact_div(pb) == pa

@@ -108,6 +108,15 @@ class TestRunProperty:
             "trial": 9, "ring": "Z", "f": "X^4 + 4*X^3 - 1 (formal degree 4)",
             "g": "4*X^3 - X^2 - X - 3 (formal degree 3)",
             "res(f,g)": "1823", "(-1)^(nm) res(g,f)": "1824"}),
+        # the law passes its formal degree, above the degree of the value
+        ("swap_law", 8, {
+            "trial": 11, "ring": "Z", "f": "-2*X^3 - X^2 - 3*X - 3 (formal degree 4)",
+            "g": "2*X^4 - 2*X^3 + 4*X^2 - X (formal degree 4)",
+            "res(f,g)": "612", "(-1)^(nm) res(g,f)": "613"}),
+        ("scaling_law", 0, {
+            "trial": 0, "ring": "Z", "f": "-2*X^2 - 4*X + 2 (formal degree 2)",
+            "g": "-X^3 - 2*X^2 + 3*X + 2 (formal degree 4)", "a": "2", "b": "-1",
+            "res(af,bg)": "-2048", "a^m b^n res(f,g)": "-2032"}),
     ])
     def test_a_broken_oracle_gives_a_pinned_counterexample(self, monkeypatch, law, bump_from,
                                                            expected):

@@ -50,7 +50,7 @@ def split_resultant(lead, roots_f, roots_g):
     for a in roots_f:
         for b in roots_g:
             acc = acc * (a - b)
-    return acc.trim()
+    return acc
 
 
 def rand_tpoly(rng, ring, degree, bits=3):
@@ -74,7 +74,7 @@ def poly_elimination(rows, one):
     """The determinant by Bareiss on Poly entries, as F_p[T] runs it."""
     forms = [{0: e} for e in rows[-1]]
     det = _last_row_cofactors(rows[:-1], forms, _poly_divider, Poly.is_zero)
-    return det.get(0, one - one).trim()
+    return det.get(0, one - one)
 
 
 class TestSplitOracle:
@@ -102,7 +102,7 @@ class TestSplitOracle:
         roots = [rand_root(rng, ring, k % 2) for k in range(14)]
         fc = split_xpoly(Poly.one(ring, "T"), roots[:8])
         gc = split_xpoly(tpoly(ring, 2, 1), roots[7:])
-        assert coeffs_resultant(fc, gc, ring).is_canonical_zero()
+        assert coeffs_resultant(fc, gc, ring).raw == ()
 
 
 class TestAgainstPolyElimination:
@@ -136,10 +136,10 @@ class TestAgainstPolyElimination:
                     row[j] = zero
             elif shape == 3:
                 rows[rng.randrange(size)] = [zero] * size
-            got = bareiss_det(rows, one).trim()
+            got = bareiss_det(rows, one)
             assert got == poly_elimination(rows, one), (ring, k)
             if shape in (2, 3):
-                assert got.is_canonical_zero()
+                assert got.raw == ()
 
     @pytest.mark.parametrize(
         "ring, diagonal",
@@ -161,8 +161,8 @@ class TestAgainstPolyElimination:
         for i, coeffs in enumerate(diagonal):
             rows[i][i] = tpoly(ring, *coeffs)
             expected = expected * rows[i][i]
-        got = bareiss_det(rows, one).trim()
-        assert got == expected.trim() == poly_elimination(rows, one)
+        got = bareiss_det(rows, one)
+        assert got == expected == poly_elimination(rows, one)
 
 
 def test_only_fp_eliminates_polys(monkeypatch):
