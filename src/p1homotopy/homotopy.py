@@ -75,7 +75,7 @@ def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
     n = F.degree_in(XVAR)
     if n < 0:
         raise NotMonicInXError("zero numerator")
-    if F.coeff_of(XVAR, n).raw != {(0,): 1}:
+    if {e: c for e, c in F.raw.items() if e[0] == n} != {(n, 0): 1}:
         raise NotMonicInXError(f"X^{n} coefficient must be the constant 1")
     if G.degree_in(XVAR) >= n:
         raise XDegreeTooHighError(

@@ -105,16 +105,6 @@ class MPoly:
         except ValueError:
             raise ValueError(f"unknown variable {name!r} (vars {self.vars})") from None
 
-    def coeff_of(self, name: str, k: int) -> "MPoly":
-        """Coefficient of name**k, as a polynomial in the remaining variables."""
-        i = self._index(name)
-        rest = self.vars[:i] + self.vars[i + 1 :]
-        terms = {}
-        for e, c in self.raw.items():
-            if e[i] == k:
-                terms[e[:i] + e[i + 1 :]] = c
-        return MPoly(self.ring, rest, terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.raw}
         return len(degs) <= 1

@@ -28,6 +28,7 @@ from .mpoly import MPoly
 from .poly import Poly
 from .randgen import RandomMapSpec, _gen_valid_map, rand_poly, rand_scalar
 from .resultants import (
+    _sylvester_rows,
     cofactor_det,
     reciprocal,
     res_bezout,
@@ -35,7 +36,6 @@ from .resultants import (
     resultant_oracle,
     resultant_product_oracle,
     split_poly,
-    sylvester_entries,
 )
 from .rings import QQ, RingTag, Scalar, ZZ
 
@@ -175,10 +175,9 @@ def bezout_law(rng):
     r = resultant(f, g, n, m)
     p, q = res_bezout(f, g, n, m)
     combo = p * f + q * g
-    fc, gc = ([poly.coeff(k) for k in range(deg + 1)] for poly, deg in ((f, n), (g, m)))
-    top = sylvester_entries(fc, gc, ring.zero())[:-1]
-    units = [[Scalar(ring, int(c == j)) for c in range(n + m)] for j in range(n + m)]
-    y = [cofactor_det(top + [e], ring.one()) for e in units]
+    rows, one, _ = _sylvester_rows(f, g, n, m)
+    units = [[int(c == j) for c in range(n + m)] for j in range(n + m)]
+    y = [cofactor_det(rows[:-1] + [e], one) for e in units]
     minors = (Poly(ring, "X", y[:m][::-1]), Poly(ring, "X", y[m:][::-1]))
     if combo != Poly.constant(ring, "X", r) or (p, q) != minors:
         return {

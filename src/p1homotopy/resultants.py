@@ -1,16 +1,19 @@
 """Sylvester matrices and resultants over exact domains.
 
 One fraction-free engine, Bareiss elimination with column swaps, serves both
-determinants and the last-row cofactors behind Bezout certificates.  Scalar
-entries run as raw values, with Scalars only at the boundary: ints over Z,
-residues over F_p (reduced before any zero test), and over Q the integers of
-A*D, D the diagonal of column denominator lcms d_j: det A = det(A*D) / det D,
-and last-row cofactor j is that of A*D times d_j / det D.  Poly entries give
-resultants over R[T]: over Z[T] and Q[T] (scaled the same way) each entry is
-packed into one int by Kronecker substitution T = 2^B, with B from Hadamard's
-bound, and the determinant is read back as balanced base-2^B digits; F_p[T]
-eliminates the Polys (packing loses at large p; see the README).  The
-oracle, expansion by minors (capped at 8x8), shares no code with it.
+determinants and the last-row cofactors behind Bezout certificates.  The
+Sylvester matrix is raw from layout to result: ints over Z, Fractions over
+Q, residues in [0, p) over F_p, and over R[T] tuples of raw T-coefficients;
+only the result becomes a Scalar or a T-Poly.  Over Q the engine runs on the
+integers of A*D, D the diagonal of column denominator lcms d_j, with the
+last row's entry or symbol in column j scaled by d_j like its column and
+every coefficient of the result divided by det D: det A = det(A*D) / det D,
+and last-row cofactor j is that of A*D times d_j / det D.  Over Z[T] and
+Q[T] (scaled the same way) each entry is packed into one int by Kronecker
+substitution T = 2^B, with B from Hadamard's bound, and the determinant is
+read back as balanced base-2^B digits; F_p[T] eliminates Polys (packing
+loses at large p; see the README).  The oracle, expansion by minors (capped
+at 8x8), boxes its entries and shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -62,20 +65,14 @@ def sylvester_entries(fcoeffs, gcoeffs, zero):
     down-shifted f coefficients (leading coefficient topmost), then n
     columns of down-shifted g coefficients.
     """
-    n = len(fcoeffs) - 1
-    m = len(gcoeffs) - 1
-    size = n + m
-    rows = []
-    for r in range(size):
-        row = []
-        for j in range(m):
-            i = r - j
-            row.append(fcoeffs[n - i] if 0 <= i <= n else zero)
-        for j in range(n):
-            i = r - j
-            row.append(gcoeffs[m - i] if 0 <= i <= m else zero)
-        rows.append(row)
-    return rows
+    n, m = len(fcoeffs) - 1, len(gcoeffs) - 1
+    # column j of a block holds the coefficients, leading first, j rows down
+    columns = [
+        [zero] * j + list(c[::-1]) + [zero] * (k - 1 - j)
+        for c, k in ((fcoeffs, m), (gcoeffs, n))
+        for j in range(k)
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
@@ -103,19 +100,27 @@ def formal_degrees(f, g, n: int | None = None, m: int | None = None) -> tuple:
     return tuple(degrees)
 
 
+def _t_coeffs(p, d):
+    """The raw T-coefficient tuples (lowest first, no trailing zero) of
+    X^0..X^d in an MPoly in (X, T)."""
+    cols = [{} for _ in range(d + 1)]
+    for (i, j), c in p.raw.items():
+        cols[i][j] = c
+    return [tuple(col.get(j, 0) for j in range(max(col, default=-1) + 1)) for col in cols]
+
+
 def _sylvester_rows(f, g, n, m):
-    """The Sylvester rows of res_{n,m}(f, g) at formal_degrees(f, g, n, m),
-    the one of their ring, and m, the number of f columns.  Each polynomial
-    is laid out by its coefficients of X^0..X^d at its formal degree d; over
-    R[T] each entry is the T-Poly of one X-coefficient."""
+    """The raw Sylvester rows of res_{n,m}(f, g) at formal_degrees(f, g, n,
+    m), the one of their ring (a Scalar, or a T-Poly over R[T]), and m, the
+    number of f columns.  Each polynomial is laid out by its raw coefficients
+    of X^0..X^d, 0-padded to its formal degree d, or over R[T] by _t_coeffs."""
     n, m = formal_degrees(f, g, n, m)
     if isinstance(f, MPoly):
-        x, t = f.vars
-        fc, gc = ([p.coeff_of(x, k).to_poly(t) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
-        zero, one = Poly.zero(f.ring, t), Poly.one(f.ring, t)
+        fc, gc = (_t_coeffs(p, d) for p, d in ((f, n), (g, m)))
+        zero, one = (), Poly.one(f.ring, f.vars[1])
     else:
-        fc, gc = ([p.coeff(k) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
-        zero, one = f.ring.zero(), f.ring.one()
+        fc, gc = (p.raw + (0,) * (d + 1 - len(p.raw)) for p, d in ((f, n), (g, m)))
+        zero, one = 0, f.ring.one()
     return sylvester_entries(fc, gc, zero), one, m
 
 
@@ -167,21 +172,20 @@ def _poly_divider(prev):
 
 
 def _raw_rows(rows, ring, tpoly=False):
-    """Raw rows, their divider, and over Q the column scales d (rows of A*D).
-
-    tpoly: the entries are Polys, kept as tuples of raw coefficients, and
-    d_j clears every coefficient in column j.
+    """The rows to eliminate, their divider, the column scales d and the map
+    back to the result: over Q the integer rows of A*D (d_j clearing every
+    coefficient in column j, also of tuples when tpoly) and division by det D;
+    elsewhere the rows, d_j = 1 and the identity.
     """
-    raw = [[e.raw for e in r] if tpoly else list(map(ring.norm, r)) for r in rows]
     if ring.kind != "Q":
-        return raw, ring.divider, None
+        return rows, ring.divider, [1] * len(rows), lambda c: c
     if tpoly:
-        d = [lcm(*(c.denominator for e in col for c in e)) for col in zip(*raw)]
-        raw = [[tuple(c.numerator * (dj // c.denominator) for c in e) for e, dj in zip(r, d)] for r in raw]
+        d = [lcm(*(c.denominator for e in col for c in e)) for col in zip(*rows)]
+        raw = [[tuple(c.numerator * (dj // c.denominator) for c in e) for e, dj in zip(r, d)] for r in rows]
     else:
-        d = [lcm(*(v.denominator for v in col)) for col in zip(*raw)]
-        raw = [[v.numerator * (dj // v.denominator) for v, dj in zip(r, d)] for r in raw]
-    return raw, ZZ.divider, d
+        d = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
+        raw = [[v.numerator * (dj // v.denominator) for v, dj in zip(r, d)] for r in rows]
+    return raw, ZZ.divider, d, partial(QQ.exact_div, b=prod(d))
 
 
 def _pack(raw, where):
@@ -240,38 +244,41 @@ def _check_work(sizes, limit, where):
 
 
 def bareiss_det(rows, one):
-    """Fraction-free determinant by the one elimination engine.
+    """Fraction-free determinant of raw rows by the one elimination engine.
 
+    The entries carry no ring; one (a Scalar, or a T-Poly over R[T]) gives it:
+    ints, Fractions or residues in [0, p), or over R[T] tuples of raw
+    T-coefficients, lowest first, with no trailing zero.
     _last_row_cofactors (Bareiss with column swaps, which also yields the
     last-row cofactors for res_bezout) runs with the last row as one-symbol
     forms {0: entry}; the determinant is the coefficient of symbol 0.  Over
     Z[T] and Q[T] the entries are packed into ints (_pack) and the digits of
-    the result read back; F_p[T] eliminates Polys, as packed lifts of large
-    residues lose beyond size about 20.  cofactor_det is the independent
-    oracle.  Over R[T] the estimated work is checked first (_check_work).
+    the result read back; F_p[T] builds and eliminates Polys, as packed lifts
+    of large residues lose beyond size about 20.  cofactor_det is the
+    independent oracle.  Over R[T] the estimated work is checked first
+    (_check_work).
     """
     if not rows:
         return one
     ring, tpoly = one.ring, isinstance(one, Poly)
     where = f"{ring.name()}[{one.var}]" if tpoly else None
-    if tpoly and any(e.ring != ring or e.var != one.var for r in rows for e in r):
-        raise RingMismatchError(f"entries outside {where}")
     if tpoly and ring.kind == "Fp":
-        _check_work([max(e.actual_degree() + 1 for e in r) for r in rows], POLY_WORK_LIMIT, where)
-        forms = [{0: e} for e in rows[-1]]
-        return _last_row_cofactors(rows[:-1], forms, _poly_divider, Poly.is_zero).get(0, one - one)
-    raw, divider, d = _raw_rows(rows, ring, tpoly)
+        _check_work([max(map(len, r)) for r in rows], POLY_WORK_LIMIT, where)
+        polys = [[Poly(ring, one.var, e) for e in r] for r in rows]
+        forms = [{0: e} for e in polys[-1]]
+        return _last_row_cofactors(polys[:-1], forms, _poly_divider, Poly.is_zero).get(0, one - one)
+    raw, divider, _, unscale = _raw_rows(rows, ring, tpoly)
     if tpoly:
         raw, width = _pack(raw, where)
     det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider, not_).get(0, 0)
-    value = (lambda c: c) if d is None else partial(QQ.exact_div, b=prod(d))
     if tpoly:
-        return Poly(ring, one.var, [value(c) for c in _unpack(det, width)])
-    return Scalar(ring, value(det))
+        return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))
+    return Scalar(ring, unscale(det))
 
 
 def cofactor_det(rows, one):
-    """Determinant by expansion by minors (memoized); independent of Bareiss."""
+    """Determinant of raw rows (as for bareiss_det), boxed as one is, by
+    expansion by minors (memoized); independent of Bareiss."""
     size = len(rows)
     if size > ORACLE_SIZE_CAP:
         raise OracleSizeError(
@@ -279,6 +286,8 @@ def cofactor_det(rows, one):
         )
     if size == 0:
         return one
+    box = partial(Poly, one.ring, one.var) if isinstance(one, Poly) else partial(Scalar, one.ring)
+    rows = [list(map(box, r)) for r in rows]
     memo = {}
 
     def minor(r, cols):
@@ -326,7 +335,7 @@ def resultant_oracle(f: Poly | MPoly, g: Poly | MPoly, n: int | None = None, m: 
 
 # a function of its own because perfbench/tracing.py wraps it by name (resultants.tpoly)
 def resultant_tpoly(rows, one: Poly) -> Poly:
-    """The R[T] step of resultant(): the determinant of rows."""
+    """The R[T] step of resultant(): the determinant of raw rows."""
     return bareiss_det(rows, one)
 
 
@@ -337,21 +346,21 @@ def resultant_tpoly(rows, one: Poly) -> Poly:
 def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     """Polynomials (p, q) with deg p < m, deg q < n and p*f + q*g = res_{n,m}(f,g).
 
-    Coefficients are the last-row cofactors of the Sylvester matrix (Cramer
-    on the linear system whose matrix is Sylvester's), all found in one
-    fraction-free elimination with the last row replaced by symbols z_j, so
-    everything stays in the base ring; works even when the resultant is zero.
+    f and g are Polys over Z, Q or F_p (a TypeError otherwise).  Coefficients
+    are the last-row cofactors of the Sylvester matrix (Cramer on the linear
+    system whose matrix is Sylvester's), all found in one fraction-free
+    elimination with the last row replaced by symbols z_j, so everything
+    stays in the base ring; works even when the resultant is zero.
     """
+    if not (isinstance(f, Poly) and isinstance(g, Poly)):
+        raise TypeError("res_bezout takes two Polys over Z, Q or F_p")
     rows, _, m = _sylvester_rows(f, g, n, m)
     size = len(rows)
     if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")
-    raw, divider, d = _raw_rows(rows, f.ring)
-    cof = _last_row_cofactors(raw[:-1], [{j: 1} for j in range(size)], divider, not_)
-    y = [cof.get(j, 0) for j in range(size)]
-    if d is not None:  # cofactor j of A is that of A*D times d_j / det D
-        den = prod(d)
-        y = [QQ.exact_div(c * dj, den) for c, dj in zip(y, d)]
+    raw, divider, d, unscale = _raw_rows(rows, f.ring)
+    cof = _last_row_cofactors(raw[:-1], [{j: dj} for j, dj in enumerate(d)], divider, not_)
+    y = [unscale(cof.get(j, 0)) for j in range(size)]
     return tuple(Poly(f.ring, f.var, c[::-1]) for c in (y[:m], y[m:]))
 
 

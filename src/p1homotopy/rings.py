@@ -3,7 +3,8 @@
 Every scalar is immutable and carries its ring tag; mixing rings raises
 RingMismatchError instead of coercing.  The ring rules live on RingTag as
 operations on raw values (`norm`, `exact_div`, `divider`); Poly, MPoly and
-the Bareiss elimination compute on raw values, and Scalar is their boundary.
+the resultants (from the Sylvester layout on) compute on raw values, and
+Scalar is their boundary: a resultant over Z, Q or F_p builds one, its value.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class RingTag:
                 raise ValueError(f"bad prime field spec {text!r}") from None
             return RingTag("Fp", p)
         raise ValueError(f"unknown ring {text!r} (expected z, q, or fp:P)")
-
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
 
     def one(self) -> "Scalar":
         return Scalar(self, 1)

@@ -55,8 +55,10 @@ class TestValidateCert:
         assert resultant_oracle(c.F, c.G, c.n, c.n) == Poly.one(ZZ, "T")
 
     def test_shape_errors(self):
-        with pytest.raises(NotMonicInXError):
-            validate_cert(xt("T*X^2"), xt("1"))
+        # the X^n coefficient must be the constant 1, read off the raw terms
+        for F in ("T*X^2", "2*X^2", "(1 + T)*X^2 + X"):
+            with pytest.raises(NotMonicInXError):
+                validate_cert(xt(F), xt("1"))
         with pytest.raises(XDegreeTooHighError):
             validate_cert(xt("X"), xt("X^2"))
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from p1homotopy import resultants
 from p1homotopy.exprio import parse_poly
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
@@ -23,7 +24,7 @@ from p1homotopy.resultants import (
     split_poly,
     sylvester_entries,
 )
-from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
+from p1homotopy.rings import QQ, RingMismatchError, RingTag, Scalar, ZZ
 from test_tpoly_bareiss import xt_poly
 
 F5 = RingTag("Fp", 5)
@@ -42,6 +43,12 @@ def sylvester_rows(f, g, n, m):
     return sylvester_entries(fc, gc, Scalar(ZZ, 0))
 
 
+def raw_rows(rows):
+    """The raw rows the engine takes: each Scalar's value, each T-Poly's
+    coefficient tuple."""
+    return [[e.raw if isinstance(e, Poly) else e.value for e in row] for row in rows]
+
+
 def xmul(a, b):
     """Product of two X-polynomials given as lists of T-polynomials."""
     out = [Poly.zero(a[0].ring, "T")] * (len(a) + len(b) - 1)
@@ -54,7 +61,7 @@ def xmul(a, b):
 def rand_entry(rng, ring):
     """A sparse random entry: half zeros; Z[T] entries of T-degree <= 2."""
     if rng.random() < 0.5:
-        return Poly.zero(ZZ, "T") if ring == "ZT" else ring.zero()
+        return Poly.zero(ZZ, "T") if ring == "ZT" else Scalar(ring, 0)
     if ring == "ZT":
         return Poly(ZZ, "T", rand_poly(rng, ZZ, rng.randint(0, 2), 3).coeffs)
     return rand_scalar(rng, ring, 4)
@@ -78,9 +85,7 @@ class TestSylvesterLayout:
         F = parse_poly("X^2", ("X", "T"), ZZ)
         G = parse_poly("T*X + 1", ("X", "T"), ZZ)
         rows, _, _ = _sylvester_rows(F, G, 2, 2)
-        t = Poly.x(ZZ, "T")
-        one = Poly.one(ZZ, "T")
-        zero = Poly.zero(ZZ, "T")
+        t, one, zero = (0, 1), (1,), ()
         cols = [tuple(row[j] for row in rows) for j in range(4)]
         assert cols[0] == (one, zero, zero, zero)
         assert cols[1] == (zero, one, zero, zero)
@@ -125,21 +130,17 @@ class TestResultant:
         assert resultant_oracle(F, G, 2, 2) == Poly.one(ZZ, "T")
 
     def test_oracle_size_cap(self):
-        rows = [[Scalar(ZZ, 1)] * 9 for _ in range(9)]
+        rows = [[1] * 9 for _ in range(9)]
         with pytest.raises(OracleSizeError):
             cofactor_det(rows, Scalar(ZZ, 1))
 
     def test_bareiss_row_swap(self):
         # leading zero pivot forces a swap; determinant of [[0,1],[1,0]] is -1
-        rows = [[Scalar(ZZ, 0), Scalar(ZZ, 1)], [Scalar(ZZ, 1), Scalar(ZZ, 0)]]
+        rows = [[0, 1], [1, 0]]
         assert bareiss_det(rows, Scalar(ZZ, 1)) == Scalar(ZZ, -1)
 
     def test_bareiss_zero_column(self):
-        rows = [
-            [Scalar(ZZ, 0), Scalar(ZZ, 1), Scalar(ZZ, 2)],
-            [Scalar(ZZ, 0), Scalar(ZZ, 3), Scalar(ZZ, 4)],
-            [Scalar(ZZ, 0), Scalar(ZZ, 5), Scalar(ZZ, 6)],
-        ]
+        rows = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
         assert bareiss_det(rows, Scalar(ZZ, 1)).is_zero()
 
     def test_bareiss_matches_cofactor_on_sparse_matrices(self):
@@ -163,6 +164,7 @@ class TestResultant:
             elif shape == 2 and size > 1:
                 i, j = rng.sample(range(size), 2)
                 rows[j] = list(rows[i])
+            rows = raw_rows(rows)
             det = bareiss_det(rows, one)
             assert det == cofactor_det(rows, one), (k, rows)
             if shape < 2 or (shape == 2 and size > 1):
@@ -272,6 +274,21 @@ class TestFormalDegrees:
         with pytest.raises(FormalDegreeError):
             resultant(zx("X^2"), zx("X"), 1, 1)
 
+    def test_a_pair_of_two_rings_or_variables_is_refused(self):
+        # the raw rows carry no ring, so the pair is checked before layout
+        F, t = parse_poly("X + T", ("X", "T"), ZZ), Poly.x(ZZ, "T")
+        pairs = [
+            (zx("X"), Poly.x(QQ, "X")),
+            (zx("X"), t),
+            (F, parse_poly("X + T", ("X", "T"), RingTag("Fp", 5))),
+            (F, parse_poly("X + S", ("X", "S"), ZZ)),
+            (F, zx("X")),
+        ]
+        for f, g in pairs:
+            for route in (resultant, resultant_oracle):
+                with pytest.raises(RingMismatchError):
+                    route(f, g)
+
 
 class TestSizeLimit:
     def test_checked_before_padding(self):
@@ -325,6 +342,16 @@ class TestBezout:
             Poly.zero(ZZ, "X"),
             Poly.zero(ZZ, "X"),
         )
+
+    def test_polynomials_over_r_t_are_a_type_error(self, monkeypatch):
+        # res_bezout is defined over Z, Q and F_p only; an MPoly pair, which
+        # formal_degrees accepts, is refused before the layout
+        F = parse_poly("X^2 + T", ("X", "T"), ZZ)
+        G = parse_poly("X + 1", ("X", "T"), ZZ)
+        monkeypatch.setattr(resultants, "_sylvester_rows", None)
+        for f, g in ((F, G), (F, zx("X + 1")), (zx("X + 1"), G)):
+            with pytest.raises(TypeError, match="two Polys over Z, Q or F_p"):
+                res_bezout(f, g)
 
 
 class TestReciprocal:

@@ -1,22 +1,27 @@
 """Scalar Bareiss on raw ring values: the F_p reduction hazard, resultants
-and Bezout witnesses above the cofactor oracle's cap, and the Scalar
-boundary of the elimination."""
+and Bezout witnesses above the cofactor oracle's cap, and the boundary of
+the elimination: the Sylvester matrix is raw from layout to result."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from p1homotopy import rings
+from p1homotopy.exprio import parse_poly
+from p1homotopy.homotopy import CertResultantNotUnitError, validate_cert
+from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
+from p1homotopy.randgen import RandomMapSpec, gen_valid_map
 from p1homotopy.resultants import (
+    _sylvester_rows,
     bareiss_det,
     cofactor_det,
     res_bezout,
     resultant,
     resultant_product_oracle,
     split_poly,
-    sylvester_entries,
 )
 from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
 
@@ -24,25 +29,24 @@ F3, F5, F101 = RingTag("Fp", 3), RingTag("Fp", 5), RingTag("Fp", 101)
 
 
 def sylvester(f, g, n, m):
-    """The Sylvester rows of f and g read at formal degrees n and m."""
-    fc, gc = ([p.coeff(k) for k in range(d + 1)] for p, d in ((f, n), (g, m)))
-    return sylvester_entries(fc, gc, f.ring.zero())
+    """The raw Sylvester rows of f and g read at formal degrees n and m."""
+    return _sylvester_rows(f, g, n, m)[0]
 
 
 def first_step_hazard(rows, p):
-    """The second pivot's entry after one Bareiss step, on plain integers, is
-    a nonzero multiple of p: left unreduced it would be taken as a pivot where
-    the elimination over F_p must swap columns."""
-    a = [[e.value for e in row] for row in rows]
-    e11 = a[0][0] * a[1][1] - a[1][0] * a[0][1]
-    return a[0][0] != 0 and e11 != 0 and e11 % p == 0
+    """The second pivot's entry after one Bareiss step, on the raw residues,
+    is a nonzero multiple of p: left unreduced it would be taken as a pivot
+    where the elimination over F_p must swap columns."""
+    (a00, a01, *_), (a10, a11, *_) = rows[:2]
+    e11 = a00 * a11 - a10 * a01
+    return a00 != 0 and e11 != 0 and e11 % p == 0
 
 
 def oracle_witness(f, g, n, m):
     """(p, q) from the last-row cofactors by expansion by minors."""
     ring = f.ring
     top = sylvester(f, g, n, m)[:-1]
-    units = [[Scalar(ring, int(c == j)) for c in range(n + m)] for j in range(n + m)]
+    units = [[int(c == j) for c in range(n + m)] for j in range(n + m)]
     y = [cofactor_det(top + [e], ring.one()) for e in units]
     return Poly(ring, "X", y[:m][::-1]), Poly(ring, "X", y[m:][::-1])
 
@@ -69,11 +73,11 @@ class TestFpReduction:
 
     def test_square_matrix_needing_a_swap(self):
         vals = [[1, 2, 0, 1], [4, 3, 2, 0], [2, 1, 1, 3], [3, 0, 1, 4]]
-        rows = [[Scalar(F5, v) for v in row] for row in vals]
+        rows = [list(row) for row in vals]
         assert first_step_hazard(rows, 5)
         det = bareiss_det(rows, F5.one())
         assert det == cofactor_det(rows, F5.one()) and not det.is_zero()
-        rows[3] = [a + b for a, b in zip(rows[0], rows[2])]
+        rows[3] = [(a + b) % 5 for a, b in zip(rows[0], rows[2])]
         assert bareiss_det(rows, F5.one()).is_zero()
         assert cofactor_det(rows, F5.one()).is_zero()
 
@@ -173,3 +177,42 @@ class TestScalarBoundary:
             run()
             # the full 24x24 elimination makes about 4,300 entry operations
             assert len(made) <= 2 * size, len(made)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 1000003)], ids=["Z", "Q", "Fp"])
+    def test_no_entry_is_normalised_or_boxed_at_degree_12(self, ring, monkeypatch):
+        # laying out Scalars and unboxing them again took one norm per
+        # entry: 605 calls per resultant and 628 per res_bezout at n = 12
+        n = 12
+        u = gen_valid_map(RandomMapSpec(ring, n, n, seed=3))
+        made = counting(monkeypatch, (rings.RingTag, "norm"), (rings.Scalar, "__init__"))
+        for run in (lambda: resultant(u.f, u.g, n, n), lambda: res_bezout(u.f, u.g, n, n)):
+            made.clear()
+            run()
+            # res_bezout normalises the 2n coefficients of its two Polys
+            assert made["RingTag.norm"] <= 2 * n + 4 and made["Scalar.__init__"] <= 4, made
+
+    def test_no_poly_per_entry_over_z_t(self, monkeypatch):
+        # a Z[T] certificate of X-degree 6; laying out each X-coefficient as
+        # an MPoly and then a T-Poly made 14 MPolys and 17 Polys
+        F = parse_poly("X^6 + (2*T - 1)*X^5 + 3*T*X^3 + X + T", ("X", "T"), ZZ)
+        G = parse_poly("(T + 1)*X^5 - X^2 + 2*T", ("X", "T"), ZZ)
+        made = counting(monkeypatch, (Poly, "__init__"), (MPoly, "__init__"))
+        resultant(F, G, 6, 6)
+        assert made["Poly.__init__"] <= 2 and made["MPoly.__init__"] == 0, made
+        made.clear()
+        with pytest.raises(CertResultantNotUnitError):
+            validate_cert(F, G)
+        assert made["Poly.__init__"] <= 2 and made["MPoly.__init__"] == 0, made
+
+
+def counting(monkeypatch, *targets):
+    """Count the calls of each (class, method name), keyed "Class.method"."""
+    made = Counter()
+    for owner, name in targets:
+
+        def wrapper(*args, _original=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
+            made[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return made

@@ -15,7 +15,7 @@ from p1homotopy.resultants import (
     bareiss_det,
     resultant,
 )
-from p1homotopy.rings import QQ, RingMismatchError, RingTag, ZZ
+from p1homotopy.rings import QQ, RingTag, ZZ
 
 
 def tpoly(ring, *coeffs):
@@ -68,6 +68,11 @@ def rand_root(rng, ring, parity):
     if ring == QQ:
         slope = Fraction(slope, rng.randint(1, 3))
     return tpoly(ring, 2 * rng.randint(-2, 2) + parity, slope)
+
+
+def raw_rows(rows):
+    """The raw rows the engine takes: each T-Poly's coefficient tuple."""
+    return [[e.raw for e in row] for row in rows]
 
 
 def poly_elimination(rows, one):
@@ -136,7 +141,7 @@ class TestAgainstPolyElimination:
                     row[j] = zero
             elif shape == 3:
                 rows[rng.randrange(size)] = [zero] * size
-            got = bareiss_det(rows, one)
+            got = bareiss_det(raw_rows(rows), one)
             assert got == poly_elimination(rows, one), (ring, k)
             if shape in (2, 3):
                 assert got.raw == ()
@@ -161,7 +166,7 @@ class TestAgainstPolyElimination:
         for i, coeffs in enumerate(diagonal):
             rows[i][i] = tpoly(ring, *coeffs)
             expected = expected * rows[i][i]
-        got = bareiss_det(rows, one)
+        got = bareiss_det(raw_rows(rows), one)
         assert got == expected == poly_elimination(rows, one)
 
 
@@ -177,10 +182,3 @@ def test_only_fp_eliminates_polys(monkeypatch):
         coeffs_resultant(fc, gc, ring)
     assert calls and set(calls) == {fp}
 
-
-@pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 7)], ids=str)
-def test_entries_of_another_ring_or_variable_are_refused(ring):
-    one = Poly.one(ring, "T")
-    for stranger in (Poly.one(RingTag("Fp", 5), "T"), Poly.one(ring, "S")):
-        with pytest.raises(RingMismatchError):
-            bareiss_det([[one, one], [stranger, one]], one)
