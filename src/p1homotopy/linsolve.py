@@ -18,20 +18,20 @@ position, and the lowest live row swapped into place, so R, E and the pivots
 are the dense sweep's entry for entry and the certificates do not depend on
 the representation.
 
-feasible_mod_p is a sound pre-filter on layers of sparse {row key: int}
-columns and on targets: modulo a fixed prime, the columns are reduced layer
-by layer to an echelon basis keyed by leading (largest) row key, and each
-target is top-reduced against it.  The leading keys are distinct, so a
-target lies in the span of the first k layers exactly when its reduction
-uses only basis vectors born in them.  "Not in that span mod p" implies "no
-integer solution from those columns"; the converse may fail.
+feasible_mod_p is a sound pre-filter over F_2.  Columns and targets are
+int bitsets (bit i holds row i mod 2); the columns are reduced layer by
+layer to an echelon basis keyed by leading (highest) bit, a reduction step
+being one XOR, as in the Macaulay matrices of F4 (Faugere, J. Pure Appl.
+Algebra 139, 1999) packed into machine words as in M4RI (Albrecht, Bard and
+Hart, ACM TOMS 37, 2010).  Each target is top-reduced against the basis.
+The leading bits are distinct, so a target lies in the span of the first k
+layers exactly when its reduction uses only basis vectors born in them.  An
+integer solution reduces mod 2, so "not in that span mod 2" implies "no
+integer solution from those columns"; the converse may fail.  The name
+says mod p because callers and tracers know the filter by it.
 """
 
 from __future__ import annotations
-
-# Mersenne prime 2^31 - 1.
-FILTER_PRIME = 2147483647
-
 
 def _echelon_transposed(rows, ncols):
     """Column echelon form of A via row ops on R = A^T.
@@ -157,38 +157,23 @@ def solve_integer(a_rows, b, ncols: int | None = None):
     return None if x is None else [x.get(j, 0) for j in range(ncols)]
 
 
-def _reduce_mod_p(v: dict, basis: dict, p: int):
-    """v mod p top-reduced against basis, and the latest layer count among
-    the vectors used: v is in the span exactly when the remainder is empty."""
-    v = {k: c % p for k, c in v.items() if c % p}
-    used = 0
-    while v:
-        lead = max(v)
-        entry = basis.get(lead)
-        if entry is None:
-            break
-        piv, born = entry
-        used = max(used, born)
-        c = v[lead]
-        for k, x in piv.items():
-            v[k] = (v.get(k, 0) - c * x) % p
-            if not v[k]:
-                del v[k]
-    return v, used
-
-
 def feasible_mod_p(layers, targets):
     """Per target, the length of the shortest prefix of layers (lists of
-    columns) whose span mod p holds it, or None when no prefix does: None
-    means certainly unsolvable over Z with all the columns."""
-    p = FILTER_PRIME
-    basis = {}  # leading row key -> (column with leading coefficient 1, layers to reach it)
+    columns) whose span mod 2 holds it, or None when no prefix does: None
+    means certainly unsolvable over Z with all the columns.  Columns and
+    targets are int bitsets, bit i the entry of row i mod 2."""
+    basis = {}  # leading bit -> (column, layers to reach it)
     for born, layer in enumerate(layers, start=1):
-        for col in layer:
-            v, _ = _reduce_mod_p(col, basis, p)
+        for v in layer:
+            while v and (lead := v.bit_length() - 1) in basis:
+                v ^= basis[lead][0]
             if v:
-                lead = max(v)
-                inv = pow(v[lead], -1, p)
-                basis[lead] = ({k: x * inv % p for k, x in v.items()}, born)
-    reduced = (_reduce_mod_p(t, basis, p) for t in targets)
-    return [None if v else used for v, used in reduced]
+                basis[lead] = (v, born)
+    out = []
+    for v in targets:
+        used = 0  # the latest layer among the basis vectors the target uses
+        while v and (lead := v.bit_length() - 1) in basis:
+            piv, born = basis[lead]
+            v, used = v ^ piv, max(used, born)
+        out.append(None if v else used)
+    return out

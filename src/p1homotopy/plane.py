@@ -7,7 +7,8 @@ meets only the origin is a membership certificate: polynomials A_i, B_i with
 
 i.e. (T0,T1)^N is contained in the ideal (F0, F1).  Certificates are
 searched for over Z with bounded N and bounded coefficient total degree: one
-modular pass per family, then exact integer linear algebra with one system
+pass mod 2 per family on int bitsets (a sound filter, since a certificate
+over Z reduces mod 2), then exact integer linear algebra with one system
 per degree shared by all N.  A failed search is inconclusive, never a proof
 of nonexistence.
 """
@@ -107,23 +108,16 @@ def _monomials_upto(d: int):
     return out
 
 
-def _columns(fam: PlaneFamily, monos) -> dict:
-    """Sparse columns (F0*m, F1*m) of each multiplier m; they do not depend on N."""
-    return {
-        m: tuple(
-            {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): c for e, c in poly.raw.items()}
-            for poly in (fam.F0, fam.F1)
-        )
-        for m in monos
-    }
-
-
-def _exact_solver(cols: dict, degree: int):
+def _exact_solver(fam: PlaneFamily, degree: int):
     """N -> certificate or None from one integer system: columns F0*m, then
     F1*m, over _monomials_upto(degree), as sparse columns keyed by monomial
     (a target key no column has is a row no column reaches)."""
     monos = _monomials_upto(degree)
-    solver = IntegerSolver([cols[m][0] for m in monos] + [cols[m][1] for m in monos])
+    solver = IntegerSolver([
+        {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): c for e, c in poly.raw.items()}
+        for poly in (fam.F0, fam.F1)
+        for m in monos
+    ])
     half = len(monos)
 
     def certificate(N):
@@ -145,7 +139,9 @@ def _exact_solver(cols: dict, degree: int):
 # Largest N and coefficient degree cap a search accepts: the systems grow with
 # the cube of the cap.  At both limits the dense mod-q family
 # (3*(T0 + T1) + 2*T*(T0 + 2*T1), (T0 + 2*T1)^2), the slowest seen, takes
-# about 0.6 s in process (Python 3.11, 2-vCPU VM), nearly all in the echelon.
+# about 0.35 s in process (Python 3.11, 2-vCPU VM shared with other jobs),
+# nearly all in the integer echelon at the cap: it passes the filter mod 2
+# from N = 2 on.
 N_LIMIT = 12
 DEGREE_LIMIT = 12
 
@@ -157,10 +153,14 @@ def default_degree_cap(fam: PlaneFamily, n_max: int) -> int:
 def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) -> MembershipCertificate:
     """Smallest-N, then smallest-degree certificate within the bounds.
 
-    One modular pass gives each N the least degree whose columns span its
-    targets mod p.  A solution over Z reduces mod p, and one at degree d is
-    one at d + 1, so the exact search for N starts there, skips N when the
-    cap fails too, and else ascends.  Deterministic given the bounds.
+    One pass mod 2 (linsolve.feasible_mod_p) gives each N the least degree
+    whose columns span its targets mod 2.  A monomial (e0, e1, et) is bit
+    (e0*B + e1)*B + et with B above every exponent, so bit order is lex
+    order and F*m mod 2 is F mod 2 shifted by the bit of m.  A solution over
+    Z reduces mod 2, and one at degree d is one at d + 1, so the exact
+    search for N starts there, skips N when the cap fails too, and else
+    ascends to the least degree solvable over Z.  An integer system is
+    built only for a degree some N needs.  Deterministic given the bounds.
     Raises ValueError above N_LIMIT or DEGREE_LIMIT, and MembershipNotFound
     when the bounds are exhausted.
     """
@@ -169,17 +169,23 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
         raise ValueError(f"membership search bounds N <= {n_max}, degree <= {d_cap} exceed "
                          f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
     monos = _monomials_upto(d_cap)
-    cols = _columns(fam, monos)
+    # the width: at least 1, and above every exponent of a column or target
+    B = max(d_cap, 0) + max(fam.F0.total_degree(), fam.F1.total_degree(), n_max, 0) + 1
+
+    def bit(e):
+        return (e[0] * B + e[1]) * B + e[2]
+
+    images = [sum(1 << bit(e) for e, c in F.raw.items() if c & 1) for F in (fam.F0, fam.F1)]
     layers = [[] for _ in range(d_cap + 1)]
     for m in monos:
-        layers[sum(m)].extend(cols[m])
-    targets = [{(i, N - i, 0): 1} for N in range(1, n_max + 1) for i in range(N + 1)]
+        layers[sum(m)].extend(image << bit(m) for image in images)
+    targets = [1 << bit((i, N - i, 0)) for N in range(1, n_max + 1) for i in range(N + 1)]
     prefixes = iter(feasible_mod_p(layers, targets))
     solvers = {}
 
     def solve(N, degree):
         if degree not in solvers:
-            solvers[degree] = _exact_solver(cols, degree)
+            solvers[degree] = _exact_solver(fam, degree)
         return solvers[degree](N)
 
     for N in range(1, n_max + 1):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 from p1homotopy.linsolve import IntegerSolver, _echelon_transposed, feasible_mod_p, solve_integer
 
@@ -101,23 +100,30 @@ def random_sparse_rows(rng, m, n):
 
 
 def sparse(rows, rhs_list):
-    """Dense rows and right-hand sides as the filter's sparse columns and
-    targets, keyed by row index."""
+    """Dense rows and right-hand sides as sparse columns and right-hand
+    sides keyed by row index."""
     ncols = len(rows[0]) if rows else 0
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
     targets = [{i: v for i, v in enumerate(b) if v} for b in rhs_list]
     return columns, targets
 
 
-def in_span(columns, targets):
-    """The filter's verdict with every column in one layer: True = maybe
-    solvable, False = certainly not."""
-    return [n is not None for n in feasible_mod_p([columns], targets)]
+def bits(vector):
+    """An integer vector mod 2 as the filter's bitset: bit i is entry i."""
+    return sum(1 << i for i, v in enumerate(vector) if v % 2)
 
 
-def rank_q(rows):
-    """Rank over Q by Gaussian elimination in Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def in_span(rows, rhs_list):
+    """The filter's verdict on dense rows with every column in one layer:
+    True = maybe solvable, False = certainly not."""
+    ncols = len(rows[0]) if rows else 0
+    columns = [bits([row[j] for row in rows]) for j in range(ncols)]
+    return [n is not None for n in feasible_mod_p([columns], [bits(b) for b in rhs_list])]
+
+
+def rank_f2(rows):
+    """Rank over F_2 by Gaussian elimination on plain lists of 0 and 1."""
+    m = [[v % 2 for v in row] for row in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
@@ -126,8 +132,7 @@ def rank_q(rows):
         m[rank], m[piv] = m[piv], m[rank]
         for i in range(len(m)):
             if i != rank and m[i][col]:
-                f = m[i][col] / m[rank][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
 
@@ -181,45 +186,51 @@ def test_multiple_rhs_share_reduction():
 
 
 def test_filter_is_sound():
-    # the modular filter never rejects a solvable system
+    # the filter mod 2 never rejects a system solvable over Z
     rng = random.Random(3)
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         x0 = [rng.randint(-5, 5) for _ in range(n)]
         b = mat_vec(rows, x0)
-        assert in_span(*sparse(rows, [b])) == [True]
+        assert in_span(rows, [b]) == [True]
 
 
 def test_filter_detects_rank_obstructions():
     # x = 1 and x = 2 simultaneously: infeasible mod every prime
-    assert in_span(*sparse([[1], [1]], [[1, 2], [0, 0]])) == [False, True]
+    assert in_span([[1], [1]], [[1, 2], [0, 0]]) == [False, True]
+    # 2x = 1: solvable mod every odd prime, so a filter mod 2^31 - 1 passed
+    # it; mod 2 the column vanishes and the target is rejected
+    assert feasible_mod_p([[bits([2])]], [bits([1])]) == [None]
 
 
 def test_filter_agrees_with_rank_over_q():
-    # entries |a| <= 6 and at most 5 rows: every minor of [A | b] is below
-    # 6^5 * 5^(5/2) < FILTER_PRIME, so the verdict mod p is the verdict over Q
+    # the filter works over F_2, so its verdict is the rank test over F_2 for
+    # every entry size (the prime filter matched rank over Q only for small
+    # entries); and a rejected system has no integer solution
     rng = random.Random(11)
     verdicts = set()
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-6, 6) for _ in range(m)]
-        over_q = rank_q(rows) == rank_q([row + [v] for row, v in zip(rows, b)])
-        assert in_span(*sparse(rows, [b])) == [over_q]
-        verdicts.add(over_q)
+        over_f2 = rank_f2(rows) == rank_f2([row + [v] for row, v in zip(rows, b)])
+        assert in_span(rows, [b]) == [over_f2]
+        if not over_f2:
+            assert reference_solve(rows, b, n) is None
+        verdicts.add(over_f2)
     assert verdicts == {True, False}
 
 
 def test_empty_shapes():
     assert solve_integer([], [], ncols=0) == []
-    assert in_span(*sparse([], [[]])) == [True]
+    assert in_span([], [[]]) == [True]
 
 
 def test_least_prefix_agrees_with_rank_over_q():
-    # layers of random columns (entries |a| <= 6, at most 5 rows, so the
-    # verdict mod p is the verdict over Q): the reported prefix length is
-    # the first k whose columns span b, by a Fraction rank test per prefix
+    # layers of random columns (entries |a| <= 6, at most 5 rows): the
+    # reported prefix length is the first k whose columns span b mod 2, by
+    # a rank test over F_2 per prefix
     rng = random.Random(23)
     seen = set()
     for _ in range(300):
@@ -236,11 +247,10 @@ def test_least_prefix_agrees_with_rank_over_q():
         def spans(k, b):
             cols = [c for layer in layers[:k] for c in layer]
             rows = [[c[i] for c in cols] for i in range(m)]
-            return rank_q(rows) == rank_q([r + [v] for r, v in zip(rows, b)])
+            return rank_f2(rows) == rank_f2([r + [v] for r, v in zip(rows, b)])
 
         expect = [next((k for k in range(len(layers) + 1) if spans(k, b)), None) for b in targets]
-        columns = [[{i: v for i, v in enumerate(c) if v} for c in layer] for layer in layers]
-        got = feasible_mod_p(columns, [{i: v for i, v in enumerate(b) if v} for b in targets])
+        got = feasible_mod_p([[bits(c) for c in layer] for layer in layers], [bits(b) for b in targets])
         assert got == expect
         seen.update(expect)
     assert None in seen and 0 in seen and {1, 2, 3, 4} & seen == {1, 2, 3, 4}

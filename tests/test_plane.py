@@ -137,11 +137,27 @@ def search(f, n_max, d_max):
         return None
 
 
+@pytest.mark.parametrize("n_max, d_max", [(0, 0), (1, 0), (0, -1), (1, -1), (2, -5)])
+def test_edge_bounds(n_max, d_max):
+    # the zero family and (T0, T1) at bounds with no multiplier or no target:
+    # the bit width stays positive, so no shift count is negative (at (2, -5)
+    # a width of d_max + max(deg, n_max) + 1 would be), and only (T0, T1)
+    # at N = 1, degree 0 certifies
+    for f0, f1 in [("0", "0"), ("T0", "T1")]:
+        got = search(fam(f0, f1), n_max, d_max)
+        assert got == reference_search(fam(f0, f1), n_max, d_max)
+        assert (got is not None) == (f0 == "T0" and (n_max, d_max) == (1, 0))
+
+
 SHAPES = [
     ("automorphism", "T0 + 2*T1 + (2 - T)*T1^2", "T0 + 3*T1 + (2 - T)*T1^2", 2, 4),
     ("line", "(T0 + T1)*(T0 - T)", "(T0 + T1)*(2*T1 + 1)", 3, 3),
     ("mod q", "2*T0 + 2*T1 + T*T1", "T1^2", 3, 4),
     ("mod q, substituted", "3*(T0 + T1) + 2*T*(T0 + 2*T1)", "(T0 + 2*T1)^2", 2, 3),
+    # even coefficients: the pair is (T0, T1) mod 2, so the filter gives N = 1
+    # degree 0, and the exact search climbs to the degree over Z (3 and 2)
+    ("even ascent", "T0 + 2*T*T1^3", "T1", 1, 4),
+    ("even automorphism, substituted", "T0 + T1 + 2*T*(T0 + 2*T1)^2", "T0 + 2*T1", 1, 4),
 ]
 
 
@@ -182,15 +198,30 @@ class TestSearchMatchesReferenceScan:
         f = fam("T*T0 + T1^2", "-T0")
         assert find_membership(f, 3) == reference_search(f, 3, default_degree_cap(f, 3))
 
-    def test_ascent_above_the_mod_p_degree(self, monkeypatch):
-        # no family seen so far is solvable over Z only above its mod-p
-        # degree; a fake that is monotone in the degree makes N = 1
-        # unsolvable everywhere and N = 2 below degree 3
+    def test_ascent_from_the_mod_2_degree(self, monkeypatch):
+        # T0 + 2*T*T1^3, T1 is (T0, T1) mod 2: N = 1 starts at degree 0, the
+        # cap is solvable, and the search climbs to the degree over Z
         real, built = plane._exact_solver, []
 
-        def fake(cols, degree):
+        def spy(family, degree):
             built.append(degree)
-            solve = real(cols, degree)
+            return real(family, degree)
+
+        monkeypatch.setattr(plane, "_exact_solver", spy)
+        cert = find_membership(fam("T0 + 2*T*T1^3", "T1"), 1, 4)
+        assert built == [0, 4, 1, 2, 3]
+        assert cert.N == 1 and cert.coefficient_degree() == 3
+
+    def test_ascent_above_the_mod_p_degree(self, monkeypatch):
+        # families with even coefficients climb above their mod-2 degree
+        # (the test above); a fake that is monotone in the degree also makes
+        # N = 1 unsolvable everywhere, so N = 2 is reached, and N = 2
+        # unsolvable below degree 3
+        real, built = plane._exact_solver, []
+
+        def fake(family, degree):
+            built.append(degree)
+            solve = real(family, degree)
             return lambda N: None if N == 1 or degree < 3 else solve(N)
 
         monkeypatch.setattr(plane, "_exact_solver", fake)
