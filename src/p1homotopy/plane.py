@@ -139,9 +139,9 @@ def _exact_solver(fam: PlaneFamily, degree: int):
 # Largest N and coefficient degree cap a search accepts: the systems grow with
 # the cube of the cap.  At both limits the dense mod-q family
 # (3*(T0 + T1) + 2*T*(T0 + 2*T1), (T0 + 2*T1)^2), the slowest seen, takes
-# about 0.35 s in process (Python 3.11, 2-vCPU VM shared with other jobs),
+# about 0.17 s in process (Python 3.11, 2-vCPU VM shared with other jobs),
 # nearly all in the integer echelon at the cap: it passes the filter mod 2
-# from N = 2 on.
+# from N = 2 on, and the cap rules out every N.
 N_LIMIT = 12
 DEGREE_LIMIT = 12
 
@@ -154,13 +154,14 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     """Smallest-N, then smallest-degree certificate within the bounds.
 
     One pass mod 2 (linsolve.feasible_mod_p) gives each N the least degree
-    whose columns span its targets mod 2.  A monomial (e0, e1, et) is bit
-    (e0*B + e1)*B + et with B above every exponent, so bit order is lex
-    order and F*m mod 2 is F mod 2 shifted by the bit of m.  A solution over
-    Z reduces mod 2, and one at degree d is one at d + 1, so the exact
-    search for N starts there, skips N when the cap fails too, and else
-    ascends to the least degree solvable over Z.  An integer system is
-    built only for a degree some N needs.  Deterministic given the bounds.
+    whose columns span its targets mod 2.  A row's bit is the lex rank of
+    its monomial among the rows of the system, so a bitset costs the size
+    of the system, not the degrees of the family.  A solution over Z
+    reduces mod 2, and one at degree d is one at d + 1, so the exact search
+    for N starts there, skips N when the cap fails too, and else ascends to
+    the least degree solvable over Z.  An integer system is built only for
+    a degree some N needs; once the cap's exists, it is asked first, so an
+    N it rules out builds no other.  Deterministic given the bounds.
     Raises ValueError above N_LIMIT or DEGREE_LIMIT, and MembershipNotFound
     when the bounds are exhausted.
     """
@@ -168,18 +169,24 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     if n_max > N_LIMIT or d_cap > DEGREE_LIMIT:
         raise ValueError(f"membership search bounds N <= {n_max}, degree <= {d_cap} exceed "
                          f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
-    monos = _monomials_upto(d_cap)
-    # the width: at least 1, and above every exponent of a column or target
+    # the code (e0*B + e1)*B + et of a monomial, B above every exponent,
+    # orders monomials lexicographically and adds as they do
     B = max(d_cap, 0) + max(fam.F0.total_degree(), fam.F1.total_degree(), n_max, 0) + 1
 
-    def bit(e):
+    def code(e):
         return (e[0] * B + e[1]) * B + e[2]
 
-    images = [sum(1 << bit(e) for e, c in F.raw.items() if c & 1) for F in (fam.F0, fam.F1)]
+    odd = [[code(e) for e, c in F.raw.items() if c & 1] for F in (fam.F0, fam.F1)]
+    monos = [(sum(m), code(m)) for m in _monomials_upto(d_cap)]
+    wanted = [code((i, N - i, 0)) for N in range(1, n_max + 1) for i in range(N + 1)]
+    rows = {c + cm for cs in odd for c in cs for _, cm in monos}.union(wanted)
+    rank = {c: r for r, c in enumerate(sorted(rows))}
     layers = [[] for _ in range(d_cap + 1)]
-    for m in monos:
-        layers[sum(m)].extend(image << bit(m) for image in images)
-    targets = [1 << bit((i, N - i, 0)) for N in range(1, n_max + 1) for i in range(N + 1)]
+    for cs in odd:  # F*m mod 2 for every m: a sum over the odd terms of F
+        per_term = ([1 << rank[c + cm] for _, cm in monos] for c in cs)
+        for (d, _), column in zip(monos, map(sum, zip(*per_term))):
+            layers[d].append(column)
+    targets = [1 << rank[c] for c in wanted]
     prefixes = iter(feasible_mod_p(layers, targets))
     solvers = {}
 
@@ -193,12 +200,12 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
         if None in lengths:
             continue
         degree = max(lengths) - 1
-        cert = solve(N, degree)
+        cert = None if d_cap in solvers else solve(N, degree)
         if cert is None and solve(N, d_cap) is None:
             continue  # unsolvable at the cap, so at every degree
         while cert is None:
-            degree += 1
             cert = solve(N, degree)
+            degree += 1
         if not verify_membership(fam, cert).ok:
             raise AssertionError("solver produced a bad certificate")
         return cert

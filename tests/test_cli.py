@@ -399,6 +399,38 @@ def test_plane_search_at_the_bounds_runs(capsys, tmp_path):
     assert code == 0 and "degree <= 6" in out
 
 
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("fam, bounds", [
+    ({"F0": "T0^4096", "F1": "T1"}, ["--nmax", "1", "--dmax", "0"]),
+    ({"F0": "T0^4096", "F1": "T1"}, ["--nmax", "12", "--dmax", "12"]),
+    ({"F0": "T0^200 + T*T1^150 + T0^3*T1^190", "F1": "T1^199 + T*T0^100 + 3*T0^7*T^90"},
+     ["--nmax", "12", "--dmax", "12"]),
+], ids=["deg4096-1-0", "deg4096-12-12", "deg200-12-12"])
+def test_plane_search_memory_follows_the_system_not_the_degree(tmp_path, fam, bounds):
+    # the filter's bitsets are as long as the system has rows: a family of
+    # degree 4096 at small bounds is a small system, refuted in well under
+    # 1 GiB of address space (bits indexed by exponent would need gigabytes)
+    path = tmp_path / "high.json"
+    end = {"F0": "T0", "F1": "T1"}
+    path.write_text(json.dumps({
+        "links": [{"family": fam, "orientation": "forward"}], "from": end, "to": end,
+    }))
+    src = str(Path(p1homotopy.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "p1homotopy.cli", "verify-plane-chain", str(path), *bounds],
+        env={**os.environ, "PYTHONPATH": pythonpath}, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.startswith("link 1: NOT CERTIFIED (no certificate within")
+
+
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"), TypeError("bad operand")])
 def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch, exc):
     # an engine bug must not read as "verification failed" (exit 1) or

@@ -140,8 +140,8 @@ def search(f, n_max, d_max):
 @pytest.mark.parametrize("n_max, d_max", [(0, 0), (1, 0), (0, -1), (1, -1), (2, -5)])
 def test_edge_bounds(n_max, d_max):
     # the zero family and (T0, T1) at bounds with no multiplier or no target:
-    # the bit width stays positive, so no shift count is negative (at (2, -5)
-    # a width of d_max + max(deg, n_max) + 1 would be), and only (T0, T1)
+    # the monomial codes stay distinct (at (2, -5) a base of
+    # d_max + max(deg, n_max) + 1 would be negative), and only (T0, T1)
     # at N = 1, degree 0 certifies
     for f0, f1 in [("0", "0"), ("T0", "T1")]:
         got = search(fam(f0, f1), n_max, d_max)
@@ -211,6 +211,21 @@ class TestSearchMatchesReferenceScan:
         cert = find_membership(fam("T0 + 2*T*T1^3", "T1"), 1, 4)
         assert built == [0, 4, 1, 2, 3]
         assert cert.N == 1 and cert.coefficient_degree() == 3
+
+    def test_a_failed_cap_is_asked_first(self, monkeypatch):
+        # T0 + 2*T, T1 is (T0, T1) mod 2 but has no certificate over Z: every
+        # N passes the filter, N = 1 builds its start degree and the cap, and
+        # each later N is ruled out by the cap alone
+        real, built = plane._exact_solver, []
+
+        def spy(family, degree):
+            built.append(degree)
+            return real(family, degree)
+
+        monkeypatch.setattr(plane, "_exact_solver", spy)
+        with pytest.raises(MembershipNotFound):
+            find_membership(fam("T0 + 2*T", "T1"), 4, 4)
+        assert built == [0, 4]
 
     def test_ascent_above_the_mod_p_degree(self, monkeypatch):
         # families with even coefficients climb above their mod-2 degree
