@@ -6,17 +6,18 @@ forward substitution with divisibility checks; the reduction is shared
 across right-hand sides.  solve_integer is a one-shot adapter from dense
 rows.
 
-The system is given by its sparse {row key: int} columns, and every row of
-the reduction is sparse too: R = A^T and the unimodular E are lists of
-{index: nonzero int} dicts, and a column -> live rows index finds the rows
-that are nonzero at a column in time proportional to their number.  A row
-operation costs the nonzeros of the pivot row, not the width of the system,
-so the work follows the fill-in rather than rows times columns (sparse
-elimination as in Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
-The pivot rule is the dense one: the smallest |entry|, ties to the lowest
-position, and the lowest live row swapped into place, so R, E and the pivots
-are the dense sweep's entry for entry and the certificates do not depend on
-the representation.
+The system is given by its sparse {row key: int} columns; the keys are the
+caller's, must sort, and their order is the sweep's pivot order.  Every row
+of the reduction is sparse too: R = A^T and the unimodular E are lists of
+dicts from row keys and from columns to nonzero ints, and a column -> live
+rows index finds the rows that are nonzero at a column in time proportional
+to their number.  A row operation costs the nonzeros of the pivot row, not
+the width of the system, so the work follows the fill-in rather than rows
+times columns (sparse elimination as in Dumas, Saunders and Villard, J.
+Symbolic Comput. 32, 2001).  The pivot rule is the dense one: the smallest
+|entry|, ties to the lowest position, and the lowest live row swapped into
+place, so R, E and the pivots are the dense sweep's entry for entry and the
+certificates do not depend on the representation.
 
 feasible_mod_p is a sound pre-filter over F_2.  Columns and targets are
 int bitsets (bit i holds row i mod 2); the columns are reduced layer by
@@ -36,10 +37,10 @@ from __future__ import annotations
 def _echelon_transposed(rows, ncols):
     """Column echelon form of A via row ops on R = A^T.
 
-    rows are the ncols columns of A as sparse {row of A: int} dicts, that
+    rows are the ncols columns of A as sparse {row key: int} dicts, that
     is the rows of R.  Returns (R, E, pivots) with R = E @ A^T as lists of
     sparse rows in position order, E unimodular, and pivots a list of
-    (row_of_A, row_of_R) pairs in processing order.  After the sweep every
+    (row key, row of R) pairs in sorted key order.  After the sweep every
     non-pivot row of R is identically zero, so the pivot entries alone
     decide solvability.
     """
@@ -102,23 +103,16 @@ def _echelon_transposed(rows, ncols):
 
 class IntegerSolver:
     """Reduces A, given by its sparse {row key: int} columns, once and
-    answers A x = b for many right-hand sides."""
+    answers A x = b for many right-hand sides.  The keys are the caller's
+    and must sort; their order is the sweep's pivot order."""
 
     def __init__(self, columns):
-        keys = sorted(set().union(*columns))
-        self.row_of = {key: i for i, key in enumerate(keys)}
-        rows = [{self.row_of[k]: v for k, v in col.items()} for col in columns]
-        self.R, self.E, self.pivots = _echelon_transposed(rows, len(rows))
+        self.R, self.E, self.pivots = _echelon_transposed(columns, len(columns))
 
     def solve(self, b):
         """An integer solution of A x = b as a sparse {column: int}, b a
         sparse {row key: int}; None when there is none."""
-        residual = {}
-        for key, v in b.items():
-            if v:
-                if key not in self.row_of:
-                    return None  # a row no column reaches
-                residual[self.row_of[key]] = v
+        residual = {key: v for key, v in b.items() if v}
         y = []
         for k, (arow, _) in enumerate(self.pivots):
             v = residual.get(arow)

@@ -46,9 +46,6 @@ class PointedMap:
     res: Scalar
     witness: tuple | None = field(default=None, compare=False, repr=False)
 
-    def pair(self):
-        return (self.f, self.g)
-
     def __str__(self):
         from .exprio import print_map
 

@@ -63,10 +63,6 @@ class MPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(ring: RingTag, vars) -> "MPoly":
-        return MPoly(ring, tuple(vars), {})
-
-    @staticmethod
     def constant(ring: RingTag, vars, value) -> "MPoly":
         vars = tuple(vars)
         return MPoly(ring, vars, {(0,) * len(vars): value})

@@ -104,17 +104,25 @@ def _monomials_upto(d: int):
         for e1 in range(d + 1 - e0):
             for et in range(d + 1 - e0 - e1):
                 out.append((e0, e1, et))
-    out.sort()
-    return out
+    return out  # in lex order
+
+
+def _monomial_code(fam: PlaneFamily):
+    """e -> (e0*B + e1)*B + et, B above every exponent a search within the
+    limits meets, so codes sort as monomials do in lex order and add as they
+    do.  One code keys both the filter's ranks and the integer rows."""
+    B = max(fam.F0.total_degree(), fam.F1.total_degree(), 0) + DEGREE_LIMIT + N_LIMIT + 1
+    return lambda e: (e[0] * B + e[1]) * B + e[2]
 
 
 def _exact_solver(fam: PlaneFamily, degree: int):
     """N -> certificate or None from one integer system: columns F0*m, then
-    F1*m, over _monomials_upto(degree), as sparse columns keyed by monomial
-    (a target key no column has is a row no column reaches)."""
+    F1*m, over _monomials_upto(degree), as sparse columns keyed by the code
+    of each monomial (_monomial_code)."""
+    code = _monomial_code(fam)
     monos = _monomials_upto(degree)
     solver = IntegerSolver([
-        {(e[0] + m[0], e[1] + m[1], e[2] + m[2]): c for e, c in poly.raw.items()}
+        {code(e) + code(m): c for e, c in poly.raw.items()}
         for poly in (fam.F0, fam.F1)
         for m in monos
     ])
@@ -123,7 +131,7 @@ def _exact_solver(fam: PlaneFamily, degree: int):
     def certificate(N):
         combos = []
         for i in range(N + 1):
-            x = solver.solve({(i, N - i, 0): 1})
+            x = solver.solve({code((i, N - i, 0)): 1})
             if x is None:
                 return None
             a_terms = {monos[k]: v for k, v in x.items() if k < half}
@@ -154,9 +162,10 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     """Smallest-N, then smallest-degree certificate within the bounds.
 
     One pass mod 2 (linsolve.feasible_mod_p) gives each N the least degree
-    whose columns span its targets mod 2.  A row's bit is the lex rank of
-    its monomial among the rows of the system, so a bitset costs the size
-    of the system, not the degrees of the family.  A solution over Z
+    whose columns span its targets mod 2.  A row's bit is the rank of its
+    monomial's code among the rows of the system, so a bitset costs the
+    size of the system, not the degrees of the family; the same code
+    (_monomial_code) keys the rows of the integer systems.  A solution over Z
     reduces mod 2, and one at degree d is one at d + 1, so the exact search
     for N starts there, skips N when the cap fails too, and else ascends to
     the least degree solvable over Z.  An integer system is built only for
@@ -169,13 +178,7 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     if n_max > N_LIMIT or d_cap > DEGREE_LIMIT:
         raise ValueError(f"membership search bounds N <= {n_max}, degree <= {d_cap} exceed "
                          f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
-    # the code (e0*B + e1)*B + et of a monomial, B above every exponent,
-    # orders monomials lexicographically and adds as they do
-    B = max(d_cap, 0) + max(fam.F0.total_degree(), fam.F1.total_degree(), n_max, 0) + 1
-
-    def code(e):
-        return (e[0] * B + e[1]) * B + e[2]
-
+    code = _monomial_code(fam)
     odd = [[code(e) for e, c in F.raw.items() if c & 1] for F in (fam.F0, fam.F1)]
     monos = [(sum(m), code(m)) for m in _monomials_upto(d_cap)]
     wanted = [code((i, N - i, 0)) for N in range(1, n_max + 1) for i in range(N + 1)]

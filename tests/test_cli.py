@@ -160,6 +160,17 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify-chain", str(path))
         assert code == 0 and "PASS" in out
 
+    def test_matrix_ends_as_constant_strings(self, capsys, tmp_path):
+        # matrix ends may be integers or constant strings; both decode alike
+        doc = exprio.chain_to_json(builtin_matrix_chain(), "matrix")
+        text_ends = doc | {end: {k: str(v) for k, v in doc[end].items()} for end in ("from", "to")}
+        assert text_ends["from"] == {"a": "1", "b": "-1", "c": "1", "d": "0"}
+        assert exprio.chain_from_json(text_ends, "matrix") == builtin_matrix_chain()
+        path = tmp_path / "ends.json"
+        path.write_text(json.dumps(text_ends))
+        code, out, _ = run(capsys, "verify-matrix-chain", str(path))
+        assert code == 0 and out.strip().endswith("PASS")
+
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)

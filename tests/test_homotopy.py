@@ -7,6 +7,7 @@ from p1homotopy.chains import Chain, Link
 from p1homotopy.exprio import parse_poly
 from p1homotopy.homotopy import (
     CertResultantNotUnitError,
+    CertValidationError,
     FORWARD,
     NotMonicInXError,
     REVERSED,
@@ -61,6 +62,18 @@ class TestValidateCert:
                 validate_cert(xt(F), xt("1"))
         with pytest.raises(XDegreeTooHighError):
             validate_cert(xt("X"), xt("X^2"))
+
+    @pytest.mark.parametrize("F, G, g", [
+        (zx("X^2"), zx("1"), "1"),
+        (parse_poly("X^2", ("T", "X"), ZZ), parse_poly("T*X + 1", ("T", "X"), ZZ), "T*X + 1"),
+    ], ids=["polys_in_x", "mpolys_in_t_x"])
+    def test_inputs_are_read_in_x_and_t(self, F, G, g):
+        c = validate_cert(F, G)
+        assert (c.F, c.G, c.res) == (xt("X^2"), xt(g), Poly.one(ZZ, "T"))
+
+    def test_coefficients_from_another_ring(self):
+        with pytest.raises(CertValidationError, match="coefficients in Q, expected Z"):
+            validate_cert(xt("X^2"), parse_poly("T*X + 1", XT, QQ))
 
     def test_unit_rule_depends_on_the_coefficient_ring(self):
         # over a field any nonzero constant of k[T] is a unit; over Z only +-1

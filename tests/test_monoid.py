@@ -19,7 +19,7 @@ from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.randgen import RandomMapSpec, _gen_valid_map
 from p1homotopy.resultants import SYLVESTER_SIZE_LIMIT, resultant_oracle
-from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
+from p1homotopy.rings import QQ, RingMismatchError, RingTag, Scalar, ZZ
 
 F5 = RingTag("Fp", 5)
 
@@ -57,6 +57,15 @@ class TestValidate:
             validate(zx("X"), zx("X^2"))
         with pytest.raises(DegreeTooHighError):
             validate(zx("X"), zx("X"))
+
+    @pytest.mark.parametrize("f, g, ring, message", [
+        (zx("X"), zx("1", QQ), None, "not in the declared ring"),
+        (zx("X"), zx("1"), QQ, "not in the declared ring"),
+        (zx("X"), parse_poly("1", ("T",), ZZ), None, "variable X vs T"),
+    ], ids=["pair_rings", "declared_ring", "variables"])
+    def test_mismatches(self, f, g, ring, message):
+        with pytest.raises(RingMismatchError, match=message):
+            validate(f, g, ring)
 
     def test_neutral_element_shape(self):
         e = validate(zx("1"), Poly.zero(ZZ, "X"))

@@ -11,6 +11,7 @@ from p1homotopy.plane import (
     FORWARD,
     MembershipCertificate,
     MembershipNotFound,
+    MembershipVerdict,
     PlaneFamily,
     REVERSED,
     builtin_plane_chain,
@@ -66,6 +67,11 @@ class TestVerifyMembership:
         verdict = verify_membership(f, cert)
         assert not verdict
         assert verdict.failing_index == 1
+
+    def test_wrong_length_fails_at_index_0(self):
+        # N = 1 needs two identities; a certificate with one fails before any
+        cert = MembershipCertificate(1, ((p3("0"), p3("1")),))
+        assert verify_membership(fam("T0", "T1"), cert) == MembershipVerdict(False, 0)
 
 
 class TestFindMembership:
@@ -140,9 +146,8 @@ def search(f, n_max, d_max):
 @pytest.mark.parametrize("n_max, d_max", [(0, 0), (1, 0), (0, -1), (1, -1), (2, -5)])
 def test_edge_bounds(n_max, d_max):
     # the zero family and (T0, T1) at bounds with no multiplier or no target:
-    # the monomial codes stay distinct (at (2, -5) a base of
-    # d_max + max(deg, n_max) + 1 would be negative), and only (T0, T1)
-    # at N = 1, degree 0 certifies
+    # the monomial codes stay distinct, and only (T0, T1) at N = 1, degree 0
+    # certifies
     for f0, f1 in [("0", "0"), ("T0", "T1")]:
         got = search(fam(f0, f1), n_max, d_max)
         assert got == reference_search(fam(f0, f1), n_max, d_max)

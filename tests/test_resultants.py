@@ -28,6 +28,7 @@ from p1homotopy.rings import QQ, RingMismatchError, RingTag, Scalar, ZZ
 from test_tpoly_bareiss import xt_poly
 
 F5 = RingTag("Fp", 5)
+F7 = RingTag("Fp", 7)
 
 
 def zx(text):
@@ -444,3 +445,53 @@ class TestLawsSmall:
             f = rand_poly(rng, F5, n, 4)
             g = rand_poly(rng, F5, m, 4)
             assert resultant(f, g, n, m) == resultant_oracle(f, g, n, m)
+
+
+# every degree pair with 9 <= 2nm <= 72: composite Sylvester sizes 10 to 72
+COMPOSITION_DEGREES = [(n, m) for n in range(1, 7) for m in range(1, 7) if 9 <= 2 * n * m <= 72]
+
+
+def rand_map_pair(rng, ring, n, zeros):
+    """f monic of degree n and g of degree < n, each lower coefficient zero
+    with probability `zeros`."""
+    def coeff():
+        return 0 if rng.random() < zeros else rand_scalar(rng, ring, 3)
+
+    return Poly(ring, "X", [coeff() for _ in range(n)] + [1]), Poly(ring, "X", [coeff() for _ in range(n)])
+
+
+def compose(u, v):
+    """(f, g) of the composite (f/g)∘(f'/g') by Poly arithmetic: the sums
+    over i of f_i f'^i g'^(n-i) and of g_i f'^i g'^(n-i), n = deg f."""
+    (f, g), (f2, g2) = u, v
+    n = f.actual_degree()
+    terms = [f2**i * g2 ** (n - i) for i in range(n + 1)]
+
+    def substitute(p):
+        out = Poly.zero(p.ring, "X")
+        for i, t in enumerate(terms):
+            out = out + t.scale(p.coeff(i))
+        return out
+
+    return substitute(f), substitute(g)
+
+
+@pytest.mark.parametrize(
+    "ring, zeros, degrees",
+    [
+        (ZZ, 0.0, COMPOSITION_DEGREES),
+        (QQ, 0.0, COMPOSITION_DEGREES[:-1:3]),  # fractions grow: a third, to size 60
+        # half the lower coefficients zero: pivots vanish and columns swap, above size 24 too
+        (F7, 0.5, COMPOSITION_DEGREES * 2),
+    ],
+    ids=["Z", "Q", "F7"],
+)
+def test_composition_law(ring, zeros, degrees):
+    # u = f/g of degree n and v of degree m: res(u∘v) = res(u)^m * res(v)^(n^2)
+    rng = random.Random(23)
+    for n, m in degrees:
+        u, v = rand_map_pair(rng, ring, n, zeros), rand_map_pair(rng, ring, m, zeros)
+        composite = compose(u, v)
+        assert composite[0].actual_degree() == n * m
+        expected = resultant(*u, n, n) ** m * resultant(*v, m, m) ** (n * n)
+        assert resultant(*composite, n * m, n * m) == expected
