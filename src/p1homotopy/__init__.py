@@ -54,7 +54,6 @@ from .homotopy import (
     HomotopyCert,
     NotMonicInXError,
     XDegreeTooHighError,
-    builtin_chain,
     endpoint,
     reverse,
     validate_cert,
@@ -63,7 +62,6 @@ from .homotopy import (
 from .projlinear import (
     Mat2,
     MatrixFamily,
-    builtin_matrix_chain,
     det_family,
     endpoint_matrix,
     fixes_infinity,
@@ -77,13 +75,12 @@ from .plane import (
     MembershipCertificate,
     MembershipNotFound,
     PlaneFamily,
-    builtin_plane_chain,
     find_membership,
     plane_endpoint,
     verify_membership,
     verify_plane_chain,
 )
-from .exprio import ParseError, SchemaError, parse_pair, parse_poly, print_map, print_poly
+from .exprio import ParseError, SchemaError, builtin_chain, parse_pair, parse_poly, print_map, print_poly
 from .randgen import RandomMapSpec, SamplingBudgetError, gen_valid_map
 from .properties import (
     IO_LAWS,

@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 from . import exprio
-from .homotopy import BUILTIN_CHAINS, builtin_chain, verify_chain
+from .homotopy import verify_chain
 from .monoid import MapValidationError, ResultantNotUnitError, bezout_pair, oplus, validate
-from .plane import BUILTIN_PLANE_CHAINS, builtin_plane_chain, verify_plane_chain
-from .projlinear import BUILTIN_MATRIX_CHAINS, builtin_matrix_chain, verify_matrix_chain
+from .plane import verify_plane_chain
+from .projlinear import verify_matrix_chain
 from .resultants import formal_degrees, resultant
 from .rings import RingTag
 from .selftest import run_all
@@ -149,24 +149,22 @@ def _print_chain_report(args, report) -> int:
     return 0 if report.passed else 1
 
 
-# command -> (chain kind, builtin chain by name, verifier with the command's
-# flags); the lambdas look the verifiers up per call, like main's commands
+# command -> (chain kind, verifier with the command's flags); the lambdas
+# look the verifiers up per call, like main's commands
 CHAIN_COMMANDS = {
-    "verify-chain": ("homotopy", builtin_chain, lambda chain, args: verify_chain(chain)),
-    "verify-matrix-chain": ("matrix", builtin_matrix_chain, lambda chain, args: verify_matrix_chain(
+    "verify-chain": ("homotopy", lambda chain, args: verify_chain(chain)),
+    "verify-matrix-chain": ("matrix", lambda chain, args: verify_matrix_chain(
         chain, exact_junctions=args.exact_junctions)),
-    "verify-plane-chain": ("plane", builtin_plane_chain, lambda chain, args: verify_plane_chain(
+    "verify-plane-chain": ("plane", lambda chain, args: verify_plane_chain(
         chain, n_max=args.nmax, d_max=args.dmax)),
 }
 
 
 def cmd_verify(args) -> int:
-    kind, builtin, verify = CHAIN_COMMANDS[args.command]
-    if args.builtin:
-        chain = builtin(args.builtin)
-    else:
-        chain = exprio.chain_from_json(_load_json(args.file), kind)
-    return _print_chain_report(args, verify(chain, args))
+    """Read the chain document, builtin or from the file, and verify it."""
+    kind, verify = CHAIN_COMMANDS[args.command]
+    doc = exprio.BUILTIN_CHAINS[kind][args.builtin] if args.builtin else _load_json(args.file)
+    return _print_chain_report(args, verify(exprio.chain_from_json(doc, kind), args))
 
 
 def cmd_selftest(args) -> int:
@@ -231,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-chain", "verify a homotopy certificate chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=BUILTIN_CHAINS, default=None)
+    p.add_argument("--builtin", choices=exprio.BUILTIN_CHAINS["homotopy"], default=None)
 
     p = add("verify-matrix-chain", "verify a projective-linear family chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=BUILTIN_MATRIX_CHAINS, default=None)
+    p.add_argument("--builtin", choices=exprio.BUILTIN_CHAINS["matrix"], default=None)
     p.add_argument("--exact-junctions", action="store_true",
                    help="require exact junction equality instead of projective")
 
     p = add("verify-plane-chain", "verify a punctured-plane family chain")
     p.add_argument("file", nargs="?")
-    p.add_argument("--builtin", choices=BUILTIN_PLANE_CHAINS, default=None)
+    p.add_argument("--builtin", choices=exprio.BUILTIN_CHAINS["plane"], default=None)
     p.add_argument("--nmax", type=int, default=6, help="largest certificate exponent N")
     p.add_argument("--dmax", type=int, default=None,
                    help="largest certificate coefficient degree (default: input degree + nmax)")

@@ -505,6 +505,51 @@ CHAIN_KINDS = {
 }
 
 
+# The worked examples of the source paper (Props 3.4.2, 3.4.3 and 3.4.5) as
+# chain documents, read like any chain file: kind -> name -> document.
+BUILTIN_CHAINS = {
+    # The four-certificate chain from the squaring map X^2/1 to
+    # (X^2-X+1)/(X-1), traversed (forward, forward, reversed, forward).
+    "homotopy": {"prop_3_4_3": {
+        "links": [
+            {"cert": {"ring": "Z", "n": 2, "f": "X^2", "g": "T*X + 1"}, "orientation": "forward"},
+            {"cert": {"ring": "Z", "n": 2, "f": "X^2 + 2*T*X + 2*T", "g": "X + 1"},
+             "orientation": "forward"},
+            {"cert": {"ring": "Z", "n": 2, "f": "X^2 + 2*T*X + 2*T", "g": "X + (2*T - 1)"},
+             "orientation": "reversed"},
+            {"cert": {"ring": "Z", "n": 2, "f": "X^2 - T*X + T", "g": "X - 1"}, "orientation": "forward"},
+        ],
+        "from": {"ring": "Z", "n": 2, "f": "X^2", "g": "1"},
+        "to": {"ring": "Z", "n": 2, "f": "X^2 - X + 1", "g": "X - 1"},
+    }},
+    # The two-family chain joining the two composites of the swap and the
+    # shear of P^1: H1 = [[T,-1],[1,0]] traversed backwards, then
+    # H2 = [[0,1],[-1,T]] forwards; the junction holds up to the unit -1.
+    "matrix": {"prop_3_4_2": {
+        "links": [
+            {"family": {"a": "T", "b": "-1", "c": "1", "d": "0"}, "orientation": "reversed"},
+            {"family": {"a": "0", "b": "1", "c": "-1", "d": "T"}, "orientation": "forward"},
+        ],
+        "from": {"a": 1, "b": -1, "c": 1, "d": 0},
+        "to": {"a": 0, "b": 1, "c": -1, "d": 1},
+    }},
+    # The six-family chain from (T0^2, T1) to (T0, T1^2), traversed
+    # (forward, reversed, reversed, forward, reversed, reversed).
+    "plane": {"prop_3_4_5": {
+        "links": [
+            {"family": {"F0": "(T0 + T*T1)^2", "F1": "T1"}, "orientation": "forward"},
+            {"family": {"F0": "(T0 + T1)^2", "F1": "T*T1 + (T - 1)*T0"}, "orientation": "reversed"},
+            {"family": {"F0": "(T*T0 + T1)^2", "F1": "-T0"}, "orientation": "reversed"},
+            {"family": {"F0": "T*T0 + T1^2", "F1": "-T0"}, "orientation": "forward"},
+            {"family": {"F0": "T0 + T*T1^2", "F1": "-T0 + (1 - T)*T1^2"}, "orientation": "reversed"},
+            {"family": {"F0": "T0", "F1": "-T*T0 + T1^2"}, "orientation": "reversed"},
+        ],
+        "from": {"F0": "T0^2", "F1": "T1"},
+        "to": {"F0": "T0", "F1": "T1^2"},
+    }},
+}
+
+
 def chain_to_json(chain: Chain, kind: str) -> dict:
     """The document {"links": [{<link key>: family, "orientation": ...,
     ["cert": proof]}], "from": end, "to": end} of a chain of the given kind."""
@@ -545,6 +590,11 @@ def chain_from_json(d, kind: str) -> Chain:
         except ValueError as exc:  # the orientation
             raise SchemaError(f"{what}: {exc}") from None
     return Chain(tuple(links), from_, to)
+
+
+def builtin_chain(kind: str, name: str) -> Chain:
+    """The builtin chain of a kind by name, read from its document."""
+    return chain_from_json(BUILTIN_CHAINS[kind][name], kind)
 
 
 def loads(text: str) -> dict:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, exact, walk_chain
+from .chains import Chain, ChainReport, Link, exact, walk_chain
 from .monoid import MapValidationError, PointedMap, validate
 from .mpoly import MPoly
 from .poly import Poly
 from .resultants import is_unit, resultant
-from .rings import RingTag, ZZ
+from .rings import RingTag
 
 XVAR = "X"
 TVAR = "T"
@@ -153,32 +153,3 @@ def verify_chain(chain: Chain) -> ChainReport:
         end_failure = f"end map invalid: {exc}"
     certify = partial(_certify_link, ring=ring)
     return walk_chain("homotopy", chain.links, certify, exact, *ends, end_failure=end_failure)
-
-
-# ---------------------------------------------------------------------------
-# Built-in chain
-
-
-BUILTIN_CHAINS = ("prop_3_4_3",)
-
-
-def builtin_chain(name: str = "prop_3_4_3") -> Chain:
-    """The shipped four-certificate chain from the squaring map X^2/1 to
-    (X^2-X+1)/(X-1), traversed (forward, forward, reversed, forward)."""
-    if name not in BUILTIN_CHAINS:
-        raise ValueError(f"unknown builtin chain {name!r}")
-    from .exprio import parse_poly
-
-    def xt(s):
-        return parse_poly(s, (XVAR, TVAR), ZZ)
-
-    def x(s):
-        return parse_poly(s, (XVAR,), ZZ)
-
-    links = (
-        Link((xt("X^2"), xt("T*X + 1")), FORWARD),
-        Link((xt("X^2 + 2*T*X + 2*T"), xt("X + 1")), FORWARD),
-        Link((xt("X^2 + 2*T*X + 2*T"), xt("X + (2*T - 1)")), REVERSED),
-        Link((xt("X^2 - T*X + T"), xt("X - 1")), FORWARD),
-    )
-    return Chain(links, (x("X^2"), x("1")), (x("X^2 - X + 1"), x("X - 1")))

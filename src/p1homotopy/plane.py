@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, exact, walk_chain
+from .chains import Chain, ChainReport, Link, exact, walk_chain
 from .linsolve import IntegerSolver, feasible_mod_p
 from .mpoly import MPoly
 from .rings import ZZ
@@ -264,32 +264,3 @@ def verify_plane_chain(chain: Chain, n_max: int = 6, d_max: int | None = None) -
     junctions under the link orientations and the end pairs, all exactly."""
     certify = partial(_certify_family, n_max=n_max, d_max=d_max)
     return walk_chain("plane", chain.links, certify, exact, chain.from_, chain.to)
-
-
-BUILTIN_PLANE_CHAINS = ("prop_3_4_5",)
-
-
-def builtin_plane_chain(name: str = "prop_3_4_5") -> Chain:
-    """The shipped six-family chain from (T0^2, T1) to (T0, T1^2), traversed
-    (forward, reversed, reversed, forward, reversed, reversed)."""
-    if name not in BUILTIN_PLANE_CHAINS:
-        raise ValueError(f"unknown builtin plane chain {name!r}")
-    from .exprio import parse_poly
-
-    def p(s):
-        return parse_poly(s, PLANE_VARS, ZZ)
-
-    def q(s):
-        return parse_poly(s, POINT_VARS, ZZ)
-
-    fams = [
-        PlaneFamily(p("(T0 + T*T1)^2"), p("T1")),
-        PlaneFamily(p("(T0 + T1)^2"), p("T*T1 + (T - 1)*T0")),
-        PlaneFamily(p("(T*T0 + T1)^2"), p("-T0")),
-        PlaneFamily(p("T*T0 + T1^2"), p("-T0")),
-        PlaneFamily(p("T0 + T*T1^2"), p("-T0 + (1 - T)*T1^2")),
-        PlaneFamily(p("T0"), p("-T*T0 + T1^2")),
-    ]
-    orientations = (FORWARD, REVERSED, REVERSED, FORWARD, REVERSED, REVERSED)
-    links = tuple(Link(f, o) for f, o in zip(fams, orientations))
-    return Chain(links, (q("T0^2"), q("T1")), (q("T0"), q("T1^2")))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import FORWARD, REVERSED, Chain, ChainReport, Link, walk_chain
+from .chains import Chain, ChainReport, Link, walk_chain
 from .poly import Poly
 from .resultants import is_unit
-from .rings import ZZ
 
 TVAR = "T"
 
@@ -120,21 +119,3 @@ def verify_matrix_chain(chain: Chain, exact_junctions: bool = False) -> ChainRep
         return u is not None, u
 
     return walk_chain("matrix", chain.links, _certify_family, match, chain.from_, chain.to)
-
-
-BUILTIN_MATRIX_CHAINS = ("prop_3_4_2",)
-
-
-def builtin_matrix_chain(name: str = "prop_3_4_2") -> Chain:
-    """The shipped two-family chain joining the two composites of the swap
-    and the shear of P^1: H1 = [[T,-1],[1,0]] traversed backwards, then
-    H2 = [[0,1],[-1,T]] forwards; the junction holds up to the unit -1."""
-    if name not in BUILTIN_MATRIX_CHAINS:
-        raise ValueError(f"unknown builtin matrix chain {name!r}")
-    t = Poly.x(ZZ, TVAR)
-    one = Poly.one(ZZ, TVAR)
-    zero = Poly.zero(ZZ, TVAR)
-    h1 = MatrixFamily(t, -one, one, zero)
-    h2 = MatrixFamily(zero, one, -one, t)
-    links = (Link(h1, REVERSED), Link(h2, FORWARD))
-    return Chain(links, Mat2(1, -1, 1, 0), Mat2(0, 1, -1, 1))

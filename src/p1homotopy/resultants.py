@@ -11,10 +11,11 @@ every coefficient of the result divided by det D: det A = det(A*D) / det D,
 and last-row cofactor j is that of A*D times d_j / det D.  Over Z[T] and
 Q[T] (scaled the same way) each entry is packed into one int by Kronecker
 substitution T = 2^B, with B from Hadamard's bound, and the determinant is
-read back as balanced base-2^B digits.  F_p[T] interpolates the engine's
-values over F_p at T = 0..D when p > D, a bound on the T-degree, and packs
-the residues' balanced lifts otherwise.  The oracle, expansion by minors
-(capped at 8x8), boxes its entries and shares no code with the engine.
+read back as balanced base-2^B digits.  F_p[T] packs the residues' balanced
+lifts, or, when p > D (a bound on the T-degree) and that route's work count
+takes the smaller share of its limit, interpolates the engine's values over
+F_p at T = 0..D.  The oracle, expansion by minors (capped at 8x8), boxes its
+entries and shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ ORACLE_SIZE_CAP = 8
 # Z[T], the slowest CLI case, takes seconds, and the cost grows cubically
 SYLVESTER_SIZE_LIMIT = 100
 # Largest work of an R[T] determinant, each limit about 3 s: the estimate of
-# _pack in squared bits, refused above it (random dense Sylvester matrices
-# are the slowest per unit), and the exact operation count of _evaluated_det,
-# above which the lifts are packed (at most 3.3e-7 s per unit measured)
+# _packed_work in squared bits, refused above it (random dense Sylvester
+# matrices are the slowest per unit), and the exact operation count of
+# _evaluated_det (at most 3.3e-7 s per unit measured).  Over F_p[T] the route
+# whose work takes the smaller share of its limit runs
 PACKED_WORK_LIMIT = 2 * 10**12
 EVALUATED_WORK_LIMIT = 10**7
 
@@ -191,13 +193,13 @@ def _raw_rows(rows, ring, tpoly=False):
     return raw, ZZ.divider, d, partial(QQ.exact_div, b=prod(d))
 
 
-def _pack(raw, where):
-    """Kronecker substitution T = 2^B: each tuple of integer coefficients
-    becomes one int, and B the digit width.  The work is checked before
-    packing: after pivot k the entries are minors of rows 0..k+1, so no
-    larger than s_k, the sum of those rows' largest packed bit lengths
-    (each within one); the step updates (len - 1 - k)^2 of them, each at a
-    cost taken as s_k^2.
+def _packed_work(raw):
+    """(B, work) of Kronecker substitution T = 2^B on integer rows: the digit
+    width B and the estimated work of eliminating the packed ints, in squared
+    bits.  After pivot k the entries are minors of rows 0..k+1, so no larger
+    than s_k, the sum of those rows' largest packed bit lengths (each within
+    one); the step updates (len - 1 - k)^2 of them, each at a cost taken as
+    s_k^2.
 
     The elimination of the packed ints is integer Bareiss on A(2^B), exact
     whatever B, so it yields det A(2^B).  By Hadamard's inequality on
@@ -214,11 +216,11 @@ def _pack(raw, where):
         return (len(e) - 1) * width + e[-1].bit_length() if e else 0
 
     n, s = len(raw), accumulate(max(map(bits, r)) for r in raw)
-    work = sum((n - 1 - k) ** 2 * sk * sk for k, sk in enumerate(s))
-    if work > PACKED_WORK_LIMIT:
-        raise ValueError(
-            f"determinant of size {n} over {where} exceeds the work budget ({work} > {PACKED_WORK_LIMIT})"
-        )
+    return width, sum((n - 1 - k) ** 2 * sk * sk for k, sk in enumerate(s))
+
+
+def _pack(raw, width):
+    """Each tuple of integer coefficients as one int, T = 2^width."""
 
     def pack(e):
         acc = 0
@@ -226,7 +228,7 @@ def _pack(raw, where):
             acc = (acc << width) + c
         return acc
 
-    return [list(map(pack, r)) for r in raw], width
+    return [list(map(pack, r)) for r in raw]
 
 
 def _unpack(v, width):
@@ -241,18 +243,22 @@ def _unpack(v, width):
     return out
 
 
-def _evaluated_det(rows, ring):
+def _evaluated_det(rows, ring, packed_work):
     """The coefficients of the determinant of rows over F_p[T], from the
     engine over F_p at T = 0..D interpolated in Newton form; D bounds its
     T-degree: the least of the sums, over the rows or over the columns, of
-    the largest entry T-degree (0 for a zero line).  None when p <= D, or
-    when the exact operation count is above EVALUATED_WORK_LIMIT: per point,
-    a product per coefficient, sum_k (size - 1 - k)^2 entry updates of the
-    elimination and at most D + 1 interpolation steps."""
+    the largest entry T-degree (0 for a zero line).  The work is an exact
+    operation count: per point, a product per coefficient, sum_k
+    (size - 1 - k)^2 entry updates of the elimination and at most D + 1
+    interpolation steps.  None when p <= D, when the work is above
+    EVALUATED_WORK_LIMIT, or when its share of that limit is not below the
+    share of PACKED_WORK_LIMIT that packed_work, the packed route's
+    estimate, takes."""
     p, terms = ring.modulus, [len(e) for r in rows for e in r]
     bound = min(sum(max(1, *map(len, line)) - 1 for line in lines) for lines in (rows, zip(*rows)))
     work = (bound + 1) * (sum(k * k for k in range(len(rows))) + sum(terms) + bound + 1)
-    if p <= bound or work > EVALUATED_WORK_LIMIT:
+    if (p <= bound or work > EVALUATED_WORK_LIMIT
+            or work * PACKED_WORK_LIMIT >= packed_work * EVALUATED_WORK_LIMIT):
         return None
     values = []
     for t in range(bound + 1):
@@ -277,23 +283,28 @@ def bareiss_det(rows, one):
     ints, Fractions or residues in [0, p), or over R[T] tuples of raw
     T-coefficients, lowest first, with no trailing zero.  The engine is
     _last_row_cofactors (Bareiss with column swaps, which also yields the
-    last-row cofactors for res_bezout) on int rows (_raw_rows).  Over F_p[T]
-    with p above the T-degree bound D the determinant is interpolated from
-    its values at T = 0..D (_evaluated_det), unless the exact count of that
-    work is above EVALUATED_WORK_LIMIT.  Otherwise, over Z[T], Q[T] and
-    F_p[T], the entries (lifts over F_p[T]) are packed into ints (_pack),
-    the elimination's estimated work checked first, and the digits of the
-    result read back.  cofactor_det is the independent oracle.
+    last-row cofactors for res_bezout) on int rows (_raw_rows).  Over Z[T],
+    Q[T] and F_p[T] the entries (lifts over F_p[T]) are packed into ints
+    (_pack) and the digits of the result read back, the elimination's
+    estimated work (_packed_work) checked first.  Over F_p[T] with p above
+    the T-degree bound D the determinant is instead interpolated from its
+    values at T = 0..D (_evaluated_det) when the exact count of that work
+    takes a smaller share of its limit than the packed estimate of its own.
+    cofactor_det is the independent oracle.
     """
     if not rows:
         return one
     ring, tpoly = one.ring, isinstance(one, Poly)
-    coeffs = _evaluated_det(rows, ring) if tpoly and ring.kind == "Fp" else None
-    if coeffs is not None:
-        return Poly(ring, one.var, coeffs)
     raw, divider, _, unscale = _raw_rows(rows, ring, tpoly)
     if tpoly:
-        raw, width = _pack(raw, f"{ring.name()}[{one.var}]")
+        width, work = _packed_work(raw)
+        coeffs = _evaluated_det(rows, ring, work) if ring.kind == "Fp" else None
+        if coeffs is not None:
+            return Poly(ring, one.var, coeffs)
+        if work > PACKED_WORK_LIMIT:
+            raise ValueError(f"determinant of size {len(raw)} over {ring.name()}[{one.var}]"
+                             f" exceeds the work budget ({work} > {PACKED_WORK_LIMIT})")
+        raw = _pack(raw, width)
     det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider).get(0, 0)
     if tpoly:
         return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))

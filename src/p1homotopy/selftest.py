@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 from . import exprio
 from .chains import FORWARD, Chain, Link
-from .homotopy import (
-    CertResultantNotUnitError,
-    builtin_chain,
-    validate_cert,
-    verify_chain,
-)
+from .exprio import BUILTIN_CHAINS, builtin_chain
+from .homotopy import CertResultantNotUnitError, validate_cert, verify_chain
 from .monoid import (
     ResultantNotUnitError,
     bezout_pair,
@@ -28,12 +24,11 @@ from .monoid import (
     oplus,
     validate,
 )
-from .plane import builtin_plane_chain, verify_plane_chain
+from .plane import verify_plane_chain
 from .poly import Poly
 from .projlinear import (
     Mat2,
     MatrixFamily,
-    builtin_matrix_chain,
     det_family,
     endpoint_matrix,
     image_of_infinity_in_open,
@@ -97,7 +92,7 @@ def check_monoid_sum_reproduction(seed, trials) -> CheckResult:
 
 def check_builtin_cert_chain(seed, trials) -> CheckResult:
     name = "builtin_cert_chain"
-    chain = builtin_chain("prop_3_4_3")
+    chain = builtin_chain("homotopy", "prop_3_4_3")
     report = verify_chain(chain)
     if not report.passed:
         return _fail(name, f"chain failed at {report.first_failure}")
@@ -115,7 +110,7 @@ def check_builtin_cert_chain(seed, trials) -> CheckResult:
 
 def check_builtin_matrix_chain(seed, trials) -> CheckResult:
     name = "builtin_matrix_chain"
-    chain = builtin_matrix_chain("prop_3_4_2")
+    chain = builtin_chain("matrix", "prop_3_4_2")
     h1 = chain.links[0].family
     h2 = chain.links[1].family
     one_t = Poly.one(ZZ, "T")
@@ -139,7 +134,7 @@ def check_builtin_matrix_chain(seed, trials) -> CheckResult:
 
 def check_builtin_plane_chain(seed, trials) -> CheckResult:
     name = "builtin_plane_chain"
-    chain = builtin_plane_chain("prop_3_4_5")
+    chain = builtin_chain("plane", "prop_3_4_5")
     orientations = tuple(link.orientation[0].upper() for link in chain.links)
     if orientations != ("F", "R", "R", "F", "R", "R"):
         return _fail(name, f"orientations are {orientations}")
@@ -217,12 +212,12 @@ def check_negative_controls(seed, trials) -> CheckResult:
     except CertResultantNotUnitError as exc:
         if exc.res not in (t2, -t2):
             return _fail(name, f"X^2/(X+T) rejected with resultant {exc.res}, expected +-T^2")
-    chain = builtin_chain("prop_3_4_3")
+    chain = builtin_chain("homotopy", "prop_3_4_3")
     flipped = chain.links[:2] + (Link(chain.links[2].family, FORWARD),) + chain.links[3:]
     report = verify_chain(Chain(flipped, chain.from_, chain.to))
     if report.passed or report.first_failure != "junction 2/3":
         return _fail(name, f"orientation flip failed at {report.first_failure!r}, expected junction 2/3")
-    mchain = builtin_matrix_chain("prop_3_4_2")
+    mchain = builtin_chain("matrix", "prop_3_4_2")
     t = Poly.x(ZZ, "T")
     two_t = t + t
     perturbed = MatrixFamily(Poly.zero(ZZ, "T"), Poly.one(ZZ, "T"), -Poly.one(ZZ, "T"), two_t)
@@ -231,7 +226,7 @@ def check_negative_controls(seed, trials) -> CheckResult:
     mreport = verify_matrix_chain(mutated)
     if mreport.passed or "to mismatch" not in (mreport.first_failure or ""):
         return _fail(name, f"matrix perturbation failed at {mreport.first_failure!r}, expected to mismatch")
-    pchain = builtin_plane_chain("prop_3_4_5")
+    pchain = builtin_chain("plane", "prop_3_4_5")
     plinks = (pchain.links[0], Link(pchain.links[1].family, FORWARD)) + pchain.links[2:]
     preport = verify_plane_chain(Chain(plinks, pchain.from_, pchain.to), n_max=2, d_max=4)
     if preport.passed or preport.first_failure != "junction 1/2":
@@ -244,12 +239,12 @@ def check_io_and_cli(seed, trials) -> CheckResult:
     laws = _run_suite(name, IO_LAWS, trials, seed)
     if not laws.passed:
         return laws
-    for kind, builtin in (("homotopy", builtin_chain), ("matrix", builtin_matrix_chain),
-                          ("plane", builtin_plane_chain)):
-        chain = builtin()
-        blob = json.dumps(exprio.chain_to_json(chain, kind))
-        if exprio.chain_from_json(exprio.loads(blob), kind) != chain:
-            return _fail(name, f"builtin {kind} chain does not round-trip through JSON")
+    for kind, docs in BUILTIN_CHAINS.items():
+        for builtin in docs:
+            chain = builtin_chain(kind, builtin)
+            blob = json.dumps(exprio.chain_to_json(chain, kind))
+            if exprio.chain_from_json(exprio.loads(blob), kind) != chain:
+                return _fail(name, f"builtin {kind} chain does not round-trip through JSON")
     from .cli import main
 
     def run(argv):

@@ -9,9 +9,7 @@ import pytest
 import p1homotopy
 from p1homotopy import cli, exprio, properties, selftest
 from p1homotopy.cli import main
-from p1homotopy.homotopy import builtin_chain
-from p1homotopy.plane import builtin_plane_chain
-from p1homotopy.projlinear import builtin_matrix_chain
+from p1homotopy.exprio import BUILTIN_CHAINS, builtin_chain
 from p1homotopy.resultants import SYLVESTER_SIZE_LIMIT
 from p1homotopy.poly import Poly
 from p1homotopy.rings import ExactDivisionError, RingTag
@@ -156,16 +154,16 @@ class TestVerifyCommands:
 
     def test_chain_from_file(self, capsys, tmp_path):
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain(), "homotopy")))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain("homotopy", "prop_3_4_3"), "homotopy")))
         code, out, _ = run(capsys, "verify-chain", str(path))
         assert code == 0 and "PASS" in out
 
     def test_matrix_ends_as_constant_strings(self, capsys, tmp_path):
         # matrix ends may be integers or constant strings; both decode alike
-        doc = exprio.chain_to_json(builtin_matrix_chain(), "matrix")
+        doc = exprio.chain_to_json(builtin_chain("matrix", "prop_3_4_2"), "matrix")
         text_ends = doc | {end: {k: str(v) for k, v in doc[end].items()} for end in ("from", "to")}
         assert text_ends["from"] == {"a": "1", "b": "-1", "c": "1", "d": "0"}
-        assert exprio.chain_from_json(text_ends, "matrix") == builtin_matrix_chain()
+        assert exprio.chain_from_json(text_ends, "matrix") == builtin_chain("matrix", "prop_3_4_2")
         path = tmp_path / "ends.json"
         path.write_text(json.dumps(text_ends))
         code, out, _ = run(capsys, "verify-matrix-chain", str(path))
@@ -178,7 +176,7 @@ class TestVerifyCommands:
         assert code == 2 and err == "error: input is nested too deeply\n"
 
     def test_failing_chain_file_exits_1(self, capsys, tmp_path):
-        blob = exprio.chain_to_json(builtin_chain(), "homotopy")
+        blob = exprio.chain_to_json(builtin_chain("homotopy", "prop_3_4_3"), "homotopy")
         blob["links"][2]["orientation"] = "forward"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(blob))
@@ -238,7 +236,7 @@ class TestVerifyCommands:
 
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(exprio.chain_to_json(builtin_matrix_chain(), "matrix")))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain("matrix", "prop_3_4_2"), "matrix")))
         code, _, _ = run(capsys, "verify-matrix-chain", str(path))
         assert code == 0
 
@@ -259,7 +257,7 @@ class TestVerifyCommands:
 
     def test_plane_chain_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(exprio.chain_to_json(builtin_plane_chain(), "plane")))
+        path.write_text(json.dumps(exprio.chain_to_json(builtin_chain("plane", "prop_3_4_5"), "plane")))
         code, _, _ = run(capsys, "verify-plane-chain", str(path), "--nmax", "2", "--dmax", "4")
         assert code == 0
 
@@ -270,14 +268,26 @@ class TestVerifyCommands:
         assert code == 2
 
 
-# kind -> (command, builtin chain)
-KIND_COMMANDS = {kind: (command, builtin) for command, (kind, builtin, _) in cli.CHAIN_COMMANDS.items()}
+# kind -> command
+KIND_COMMANDS = {kind: command for command, (kind, _) in cli.CHAIN_COMMANDS.items()}
+# (kind, name) of every builtin chain
+BUILTINS = [(kind, name) for kind, docs in BUILTIN_CHAINS.items() for name in docs]
+
+
+@pytest.mark.parametrize("kind, name", BUILTINS)
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["txt", "json"])
+def test_builtin_reads_as_its_document_in_a_file(capsys, tmp_path, kind, name, mode):
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps(BUILTIN_CHAINS[kind][name]))
+    command = KIND_COMMANDS[kind]
+    assert run(capsys, command, "--builtin", name, *mode) == run(capsys, command, str(path), *mode)
 
 
 def _chain_document(kind):
-    """The builtin chain of a kind as a document; link 1 of the plane chain
-    also carries a (well-formed) certificate."""
-    doc = exprio.chain_to_json(KIND_COMMANDS[kind][1](), kind)
+    """The builtin chain of a kind as a canonical document; link 1 of the
+    plane chain also carries a (well-formed) certificate."""
+    (name,) = BUILTIN_CHAINS[kind]
+    doc = exprio.chain_to_json(builtin_chain(kind, name), kind)
     if kind == "plane":
         doc["links"][1]["cert"] = {"N": 1, "combos": [{"A": "0", "B": "1"}, {"A": "1", "B": "0"}]}
     return doc
@@ -360,7 +370,7 @@ def test_schema_error_is_one_line_naming_its_path(capsys, tmp_path, defect):
         owner[last] = value
     file = tmp_path / "defect.json"
     file.write_text(json.dumps(doc))
-    code, out, err = run(capsys, KIND_COMMANDS[kind][0], str(file))
+    code, out, err = run(capsys, KIND_COMMANDS[kind], str(file))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -148,17 +148,19 @@ class TestJson:
         with pytest.raises(SchemaError):
             exprio.loads("{not json")
 
-    def test_chain_roundtrip(self):
-        from p1homotopy.homotopy import builtin_chain
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, docs in exprio.BUILTIN_CHAINS.items() for name in docs])
+    def test_builtin_chain_round_trips(self, kind, name):
+        chain = exprio.builtin_chain(kind, name)
+        assert exprio.chain_from_json(exprio.chain_to_json(chain, kind), kind) == chain
 
-        chain = builtin_chain()
+    def test_chain_roundtrip(self):
+        chain = exprio.builtin_chain("homotopy", "prop_3_4_3")
         blob = json.dumps(exprio.chain_to_json(chain, "homotopy"))
         assert exprio.chain_from_json(exprio.loads(blob), "homotopy") == chain
 
     def test_matrix_family_schema(self):
-        from p1homotopy.projlinear import builtin_matrix_chain
-
-        chain = builtin_matrix_chain()
+        chain = exprio.builtin_chain("matrix", "prop_3_4_2")
         doc = exprio.chain_to_json(chain, "matrix")
         d = doc["links"][0]["family"]
         assert d == {"a": "T", "b": "-1", "c": "1", "d": "0"}
@@ -168,9 +170,9 @@ class TestJson:
         assert exprio.chain_from_json(exprio.loads(blob), "matrix") == chain
 
     def test_plane_chain_roundtrip(self):
-        from p1homotopy.plane import builtin_plane_chain, find_membership
+        from p1homotopy.plane import find_membership
 
-        chain = builtin_plane_chain()
+        chain = exprio.builtin_chain("plane", "prop_3_4_5")
         blob = json.dumps(exprio.chain_to_json(chain, "plane"))
         assert exprio.chain_from_json(exprio.loads(blob), "plane") == chain
         cert = find_membership(chain.links[0].family, 2, 4)

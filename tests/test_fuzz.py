@@ -22,9 +22,10 @@ from p1homotopy.cli import CHAIN_COMMANDS, main
 FUZZ = settings(max_examples=120, deadline=timedelta(seconds=3), derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 # kind -> command line before the file; the plane search is kept small
-COMMANDS = {kind: [command] for command, (kind, _, _) in CHAIN_COMMANDS.items()}
+COMMANDS = {kind: [command] for command, (kind, _) in CHAIN_COMMANDS.items()}
 COMMANDS["plane"] += ["--nmax", "2", "--dmax", "4"]
-BUILTINS = {kind: exprio.chain_to_json(builtin(), kind) for kind, builtin, _ in CHAIN_COMMANDS.values()}
+BUILTINS = {kind: exprio.chain_to_json(exprio.builtin_chain(kind, name), kind)
+            for kind, docs in exprio.BUILTIN_CHAINS.items() for name in docs}
 KEYS = ["links", "from", "to", "cert", "family", "orientation", "ring", "n", "f", "g",
         "a", "b", "c", "d", "F0", "F1", "N", "combos", "A", "B", "extra"]
 

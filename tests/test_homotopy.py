@@ -3,16 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from p1homotopy.chains import Chain, Link
-from p1homotopy.exprio import parse_poly
+from p1homotopy.chains import FORWARD, REVERSED, Chain, Link
+from p1homotopy.exprio import builtin_chain, parse_poly
 from p1homotopy.homotopy import (
     CertResultantNotUnitError,
     CertValidationError,
-    FORWARD,
     NotMonicInXError,
-    REVERSED,
     XDegreeTooHighError,
-    builtin_chain,
     endpoint,
     reverse,
     validate_cert,
@@ -106,7 +103,7 @@ class TestEndpoints:
         assert endpoint(c, 1) == zmap("X^2 - X + 1", "X - 1")
 
     def test_resultant_specializes(self):
-        chain = builtin_chain()
+        chain = builtin_chain("homotopy", "prop_3_4_3")
         for link in chain.links:
             c = validate_cert(*link.family)
             for t in (0, 1):
@@ -165,7 +162,7 @@ class TestEndpointsInheritTheResultant:
             assert non_pm_one >= 10
 
     def test_builtin_chain(self):
-        for link in builtin_chain().links:
+        for link in builtin_chain("homotopy", "prop_3_4_3").links:
             F, G = link.family
             cert = validate_cert(F, G)
             for t in (0, 1):
@@ -182,7 +179,7 @@ class TestReverse:
         assert r.F == xt("X^2")
 
     def test_involution_and_swap(self):
-        for link in builtin_chain().links:
+        for link in builtin_chain("homotopy", "prop_3_4_3").links:
             c = validate_cert(*link.family)
             r = reverse(c)
             assert reverse(r) == c
@@ -192,15 +189,15 @@ class TestReverse:
 
 class TestVerifyChain:
     def test_builtin_passes(self):
-        report = verify_chain(builtin_chain("prop_3_4_3"))
+        report = verify_chain(builtin_chain("homotopy", "prop_3_4_3"))
         assert report.passed
         assert [lr.detail.res for lr in report.links] == [Poly.one(ZZ, "T")] * 4
         assert all(jr.ok for jr in report.junctions)
         assert report.from_ok and report.to_ok
 
     def test_unknown_builtin(self):
-        with pytest.raises(ValueError):
-            builtin_chain("prop_0_0_0")
+        with pytest.raises(KeyError):
+            builtin_chain("homotopy", "prop_0_0_0")
 
     def test_single_constant_certificate(self):
         chain = Chain(
@@ -217,7 +214,7 @@ class TestVerifyChain:
         assert not verify_chain(bad).passed
 
     def test_orientation_flip_fails_at_junction_2_3(self):
-        base = builtin_chain()
+        base = builtin_chain("homotopy", "prop_3_4_3")
         links = list(base.links)
         links[2] = Link(links[2].family, FORWARD)
         report = verify_chain(Chain(tuple(links), base.from_, base.to))
@@ -239,7 +236,7 @@ class TestVerifyChain:
     def test_report_walk_reconstructs_connectivity(self):
         """A PASS report must chain together: walking the reported endpoint
         maps reproduces from -> to."""
-        chain = builtin_chain()
+        chain = builtin_chain("homotopy", "prop_3_4_3")
         report = verify_chain(chain)
         assert report.passed
         current = validate(*chain.from_)

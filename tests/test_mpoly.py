@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from p1homotopy import rings
-from p1homotopy.exprio import parse_poly
-from p1homotopy.homotopy import builtin_chain, endpoint, validate_cert
+from p1homotopy.exprio import builtin_chain, parse_poly
+from p1homotopy.homotopy import endpoint, validate_cert
 from p1homotopy.monoid import validate
 from p1homotopy.mpoly import MPoly
-from p1homotopy.plane import builtin_plane_chain, find_membership, verify_membership
+from p1homotopy.plane import find_membership, verify_membership
 from p1homotopy.poly import Poly
 from p1homotopy.rings import QQ, RingMismatchError, RingTag, Scalar, ZZ
 
@@ -152,7 +152,7 @@ class TestScalarBoundary:
         assert made == []
 
     def test_certificates_and_endpoints(self, made):
-        chain = builtin_chain()
+        chain = builtin_chain("homotopy", "prop_3_4_3")
         for link in chain.links:
             made.clear()
             cert = validate_cert(*link.family, ZZ)
@@ -166,7 +166,7 @@ class TestScalarBoundary:
                 assert len(made) == 1, len(made)
 
     def test_verify_membership_builds_none(self, made):
-        for link in builtin_plane_chain().links:
+        for link in builtin_chain("plane", "prop_3_4_5").links:
             fam = link.family
             cert = find_membership(fam)
             made.clear()

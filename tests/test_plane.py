@@ -4,17 +4,14 @@ import pytest
 from test_linsolve import reference_solve
 
 from p1homotopy import plane
-from p1homotopy.chains import Chain, Link
-from p1homotopy.exprio import parse_poly
+from p1homotopy.chains import FORWARD, REVERSED, Chain, Link
+from p1homotopy.exprio import builtin_chain, parse_poly
 from p1homotopy.mpoly import MPoly
 from p1homotopy.plane import (
-    FORWARD,
     MembershipCertificate,
     MembershipNotFound,
     MembershipVerdict,
     PlaneFamily,
-    REVERSED,
-    builtin_plane_chain,
     default_degree_cap,
     find_membership,
     plane_endpoint,
@@ -181,7 +178,7 @@ def random_family(rng):
 
 class TestSearchMatchesReferenceScan:
     def test_builtin_families(self):
-        for link in builtin_plane_chain().links:
+        for link in builtin_chain("plane", "prop_3_4_5").links:
             assert find_membership(link.family, 2, 4) == reference_search(link.family, 2, 4)
 
     @pytest.mark.parametrize("name, f0, f1, n_max, d_max", SHAPES, ids=[s[0] for s in SHAPES])
@@ -262,7 +259,7 @@ class TestEndpoints:
 
 class TestChain:
     def test_builtin_passes_with_small_certificates(self):
-        chain = builtin_plane_chain("prop_3_4_5")
+        chain = builtin_chain("plane", "prop_3_4_5")
         assert tuple(l.orientation for l in chain.links) == (
             FORWARD, REVERSED, REVERSED, FORWARD, REVERSED, REVERSED,
         )
@@ -273,7 +270,7 @@ class TestChain:
             assert lr.detail.cert.coefficient_degree() <= 4
 
     def test_orientation_flip_fails_at_junction_1_2(self):
-        base = builtin_plane_chain()
+        base = builtin_chain("plane", "prop_3_4_5")
         links = (base.links[0], Link(base.links[1].family, FORWARD)) + base.links[2:]
         report = verify_plane_chain(Chain(links, base.from_, base.to), n_max=2, d_max=4)
         assert not report.passed
@@ -311,14 +308,14 @@ class TestChain:
 
 class TestCertificateProperties:
     def test_found_certificates_verify(self):
-        for link in builtin_plane_chain().links:
+        for link in builtin_chain("plane", "prop_3_4_5").links:
             cert = find_membership(link.family, 2, 4)
             assert verify_membership(link.family, cert)
 
     def test_endpoint_commutes_with_membership(self):
         """Substituting T = t into a verified certificate yields a verified
         certificate for the endpoint pair."""
-        for link in builtin_plane_chain().links:
+        for link in builtin_chain("plane", "prop_3_4_5").links:
             cert = find_membership(link.family, 2, 4)
             for t in (0, 1):
                 s = Scalar(ZZ, t)
@@ -333,7 +330,7 @@ class TestCertificateProperties:
     def test_certified_families_vanish_only_with_all_monomials(self):
         """At any integer point where F0 = F1 = 0 the identities force every
         monomial T0^i T1^(N-i) to vanish; spot-check points on the built-ins."""
-        for link in builtin_plane_chain().links:
+        for link in builtin_chain("plane", "prop_3_4_5").links:
             cert = find_membership(link.family, 2, 4)
             for point in [(0, 0, 0), (0, 0, 1), (0, 0, -2)]:
                 vals = {k: Scalar(ZZ, v) for k, v in zip(V3, point)}

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from p1homotopy.chains import Chain, Link
+from p1homotopy.chains import FORWARD, Chain, Link
+from p1homotopy.exprio import builtin_chain
 from p1homotopy.poly import Poly
 from p1homotopy.projlinear import (
-    FORWARD,
     Mat2,
     MatrixFamily,
-    builtin_matrix_chain,
     det_family,
     endpoint_matrix,
     fixes_infinity,
@@ -95,13 +94,13 @@ class TestBasePoint:
 
 class TestChain:
     def test_builtin_passes(self):
-        report = verify_matrix_chain(builtin_matrix_chain("prop_3_4_2"))
+        report = verify_matrix_chain(builtin_chain("matrix", "prop_3_4_2"))
         assert report.passed
         assert report.junctions[0].unit == -1
         assert report.from_ok and report.to_ok
 
     def test_entry_perturbation_fails_at_the_far_endpoint(self):
-        base = builtin_matrix_chain()
+        base = builtin_chain("matrix", "prop_3_4_2")
         two_t = T + T
         perturbed = MatrixFamily(ZERO, ONE, -ONE, two_t)
         chain = Chain(
@@ -115,7 +114,7 @@ class TestChain:
         assert "to mismatch" in report.first_failure
 
     def test_exact_junctions_reject_the_sign(self):
-        report = verify_matrix_chain(builtin_matrix_chain(), exact_junctions=True)
+        report = verify_matrix_chain(builtin_chain("matrix", "prop_3_4_2"), exact_junctions=True)
         assert not report.passed
         assert report.first_failure == "junction 1/2"
 

@@ -1,11 +1,14 @@
-"""Determinants over R[T]: Kronecker-packed ints over Z[T], Q[T] and F_p[T]
-with p <= D, evaluation and interpolation over F_p[T] with p > D (D the
-T-degree bound).  The split product formula at every Sylvester size up to 24,
+"""Determinants over R[T]: Kronecker-packed ints over Z[T], Q[T] and F_p[T],
+or evaluation and interpolation over F_p[T] with p > D (D the T-degree
+bound) when that route's work count is the smaller share of its limit.  The split product formula at every Sylvester size up to 24,
 the values at T = 0..D by scalar Bareiss on random and extreme matrices, the
-digit width at Hadamard's bound, and the route chosen from p and D."""
+digit width at Hadamard's bound, and the route chosen from p, D and the
+two routes' work counts."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from p1homotopy.resultants import bareiss_det, resultant
 from p1homotopy.rings import QQ, RingTag, ZZ
 
 F7, F1000003 = RingTag("Fp", 7), RingTag("Fp", 1000003)
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def tpoly(ring, *coeffs):
@@ -184,21 +188,34 @@ class TestAgainstPolyElimination:
 
 
 def test_the_route_is_chosen_from_p_and_the_degree_bound(monkeypatch):
-    # Z[T] and Q[T] always pack; F_p[T] packs lifts only when p <= D
+    # Z[T] and Q[T] always pack; F_p[T] evaluates only when p > D and the
+    # evaluation count takes a smaller share of EVALUATED_WORK_LIMIT than the
+    # packed estimate takes of PACKED_WORK_LIMIT
     packed = []
     pack = resultants._pack
-    monkeypatch.setattr(resultants, "_pack", lambda raw, where: packed.append(where) or pack(raw, where))
+    monkeypatch.setattr(resultants, "_pack", lambda raw, width: packed.append(width) or pack(raw, width))
     low = ("T*X^2 + 3*X + 2*T + 1", "5*X^2 + (T + 1)*X + 2")  # D = 4
     high = ("(X+T)^4+1", "(X-T)^3")  # D = 18; the resultant has T-degree 12
+    # a certificate of the chains generator: its resultant is a constant,
+    # while D = 63
+    doc = json.loads((GOLDEN_INPUTS / "homotopy_fp_links.json").read_text(encoding="utf-8"))
+    cert = (doc["links"][0]["cert"]["f"], doc["links"][0]["cert"]["g"])
     for ring, pair, packs in [
         (ZZ, low, True),
         (QQ, low, True),
         (F7, high, True),
-        (F7, low, False),
-        (F1000003, high, False),
-        (F1000003, low, False),
+        (F7, low, True),
+        (F1000003, high, True),
+        (F1000003, low, True),
+        (F1000003, cert, True),
     ]:
         F, G = (parse_poly(p, ("X", "T"), ring) for p in pair)
         packed.clear()
         resultant(F, G)
-        assert packed == ([f"{ring.name()}[T]"] if packs else []), (ring, pair)
+        assert len(packed) == packs, (ring, pair)
+    # a dense F_p[T] matrix of size 24 and T-degree 2 evaluates
+    rng = random.Random(5)
+    rows = [[tuple(rng.randrange(1, 1000003) for _ in range(3)) for _ in range(24)] for _ in range(24)]
+    packed.clear()
+    got = bareiss_det(rows, Poly.one(F1000003, "T"))
+    assert packed == [] and got.actual_degree() <= 48
