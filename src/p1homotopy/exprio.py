@@ -18,12 +18,14 @@ Grammar (whitespace-insensitive; multiplication always explicit):
 
 '^' binds tighter than '*', '*' tighter than '+'/'-'; a leading '-' negates
 the whole first term, so printed polynomials round-trip exactly.  Integers
-are ASCII digits.  A parse accumulates one raw term dict {exponent vector:
-raw coefficient}; '*' and '^' go through `mpoly.mul_terms`, which applies
-MPoly's one normalisation (over Q integral values stay ints until the end,
-so they multiply at the speed of Z), except that a power of a monomial is
-one power of its coefficient.  A parse spends at most MAX_PARSE_WORK units
-on coefficient products, each weighted by its operands' sizes
+are ASCII digits.  Where a term starts, a monomial [c*]V[^e]*... without
+whitespace is one token, checked and charged as its rules would be.  A
+parse accumulates one raw term dict {exponent vector: raw coefficient}; '*'
+and '^' go through `mpoly.mul_terms`, which applies MPoly's one
+normalisation (over Q integral values stay ints until the end, so they
+multiply at the speed of Z), except that a power of a monomial is one power
+of its coefficient.  A parse spends at most MAX_PARSE_WORK units on
+coefficient products, each weighted by its operands' sizes
 (_Parser.charge).  Canonical printing orders terms by descending exponent
 (descending lexicographic exponent vectors for multivariate polynomials).
 """
@@ -73,8 +75,24 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^()/])|(?P<bad>\S)")
+_LEXEME = r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)"
+_POWER = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?"
+# The lexer inside a term and where a term starts; there, [c*]V[^e]*...
+# without whitespace is one token, unless it is the base of a '^' or the
+# head of a longer number or name.
+_TOKENS = (re.compile(rf"\s*(?:{_LEXEME})"), re.compile(
+    rf"\s*(?:(?P<mono>(?:[0-9]+\*)?{_POWER}(?:\*{_POWER})*(?![0-9A-Za-z_])(?!\s*\^))|{_LEXEME})"))
+
+
+def _literal(text: str, pos: int, cap=None) -> int:
+    """The value of ASCII digits (an exponent when cap is given)."""
+    try:
+        value = int(text)
+    except ValueError:  # longer than the interpreter's str -> int limit
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+    if cap is not None and value > cap:
+        raise ParseError(f"exponent {value} exceeds the limit {cap}", pos)
+    return value
 
 
 def _q_parse_norm(c):
@@ -94,22 +112,30 @@ def _sized(terms: dict) -> tuple:
 
 class _Parser:
     """Recursive descent over (kind, text, position) tokens, kind being 'int',
-    'name', 'end' or the operator; every rule returns a fresh raw term dict,
-    factor and atom as a sized one, (terms, bits, fraction) as in _sized."""
+    'name', 'mono', 'end' or the operator; every rule returns a fresh raw term
+    dict, factor and atom as a sized one, (terms, bits, fraction) as in _sized."""
 
     def __init__(self, text: str, vars: tuple, ring: RingTag):
-        self.tokens = []
-        for m in _TOKEN.finditer(text):
-            kind, tok = m.lastgroup, m.group()
+        # A term starts at the text's start, after '(' or '+', and after a '-'
+        # that does not negate an atom (one not after an operator).  Elsewhere
+        # the rules group a monomial's products otherwise, or bind a '-'
+        # tighter than its '^', so there it is lexed in pieces.
+        self.tokens, prev, starts, end = [], "(", True, 0
+        while m := _TOKENS[starts].match(text, end):
+            kind, end = m.lastgroup, m.end()
+            tok, pos = m.group(kind), m.start(kind)
             if kind == "bad":
-                raise ParseError(f"unexpected character {tok!r}", m.start())
-            self.tokens.append((tok if kind == "op" else kind, tok, m.start()))
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            kind = tok if kind == "op" else kind
+            self.tokens.append((kind, tok, pos))
+            starts = kind in ("(", "+") or kind == "-" and prev not in "+-*^/"
+            prev = kind
         self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.ring = ring
         self.norm = _q_parse_norm if ring == QQ else ring.norm
         self.zero = (0,) * len(vars)
-        self.units = {v: tuple(int(k == vars.index(v)) for k in range(len(vars))) for v in vars}
+        self.index = {v: k for k, v in enumerate(vars)}
         self.work = 0
 
     def peek(self):
@@ -123,15 +149,12 @@ class _Parser:
     def fail(self, msg: str):
         raise ParseError(msg, self.peek()[2])
 
-    def integer(self, msg: str):
+    def integer(self, msg: str, cap=None):
         """The value and position of the next token, which must be an int."""
         if self.peek()[0] != "int":
             self.fail(msg)
         _, text, pos = self.take()
-        try:
-            return int(text), pos
-        except ValueError:  # longer than the interpreter's str -> int limit
-            raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+        return _literal(text, pos, cap), pos
 
     def charge(self, products: int, sa: int, sb: int, fraction: bool, pos: int):
         """Spend the work of `products` coefficient products of an sa-bit by an
@@ -175,9 +198,7 @@ class _Parser:
         if self.peek()[0] != "^":
             return base
         pos = self.take()[2]
-        e, e_pos = self.integer("expected a natural-number exponent after '^'")
-        if e > MAX_EXPONENT:
-            raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", e_pos)
+        e = self.integer("expected a natural-number exponent after '^'", MAX_EXPONENT)[0]
         terms, bits, fraction = base
         if len(terms) == 1:  # a monomial: one power, charged as e products
             # of an operand of e * bits / 2 bits on average by a bits-bit one
@@ -190,8 +211,35 @@ class _Parser:
             acc = self.mul(acc, base, pos)
         return acc
 
+    def monomial(self, text: str, pos: int) -> tuple:
+        """The sized term of a name or a monomial token [c*]V[^e]*..., with the
+        checks and charges of its rules in their order: e products at each
+        '^', as factor charges V^e, then one product at each '*'."""
+        exps, c, bits = [0] * len(self.zero), 1, None
+        for part in text.split("*"):
+            name, caret, e = part.partition("^")
+            if name.isdigit():
+                c = self.norm(_literal(name, pos))
+                bits = c.bit_length() + 1 if c else 0
+            elif name not in self.index:
+                declared = ", ".join(self.index)
+                raise ParseError(f"undeclared variable {name!r} (declared: {declared})", pos)
+            else:
+                if caret:
+                    e = _literal(e, pos + len(name) + 1, MAX_EXPONENT)
+                    self.charge(e, e, 2, False, pos + len(name))
+                exps[self.index[name]] += e if caret else 1
+                if bits is not None:  # a product by a nonzero term adds a bit
+                    self.charge(1 if c else 0, bits, 2, False, pos - 1)
+                bits = 2 if bits is None else bits + (3 if c else 2)
+            pos += len(part) + 1
+        return {tuple(exps): c} if c else {}, bits, False
+
     def atom(self) -> tuple:
         kind, text, pos = self.peek()
+        if kind in ("mono", "name"):
+            self.take()
+            return self.monomial(text, pos)
         if kind == "int":
             value = self.integer("expected a number, variable, '(' or '-'")[0]
             if self.peek()[0] == "/":
@@ -204,13 +252,6 @@ class _Parser:
                 value = Fraction(value, den)
             c = self.norm(value)
             return _sized({self.zero: c} if c else {})
-        if kind == "name":
-            self.take()
-            if text not in self.units:
-                raise ParseError(
-                    f"undeclared variable {text!r} (declared: {', '.join(self.units)})", pos
-                )
-            return {self.units[text]: 1}, 2, False
         if kind == "(":
             self.take()
             inner = self.expr()

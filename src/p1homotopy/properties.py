@@ -11,8 +11,9 @@ below list the registered names in definition order.
 
 The resultant laws are checked against the cofactor oracle (never against
 Bareiss itself), the product formula against split polynomials with known
-roots, and Bezout uniqueness against a from-scratch field solver with two
-pivot orders.
+roots, the composition law at Sylvester size 2nm against resultants of
+sizes 2n and 2m, and Bezout uniqueness against a from-scratch field solver
+with two pivot orders.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mpoly import MPoly
 from .poly import Poly
 from .randgen import RandomMapSpec, _gen_valid_map, rand_poly, rand_scalar
 from .resultants import (
+    SYLVESTER_SIZE_LIMIT,
     _sylvester_rows,
     cofactor_det,
     reciprocal,
@@ -41,6 +43,7 @@ from .rings import QQ, RingTag, Scalar, ZZ
 
 F5 = RingTag("Fp", 5)
 F2 = RingTag("Fp", 2)
+F7 = RingTag("Fp", 7)
 
 _RES_RINGS = (ZZ, ZZ, QQ, F5, F2)
 _MAP_RINGS = (ZZ, ZZ, QQ, F5)
@@ -222,6 +225,44 @@ def reciprocal_law(rng):
         rhs = -rhs
     if lhs != rhs:
         return {**_res_note(ring, f, g, n, m), "res(f*,g*)": str(lhs), "(-1)^(nm) res(f,g)": str(rhs)}
+
+
+# Degree pairs (n, m) of composites u∘v: Sylvester sizes 2nm from 10 to the limit
+_COMPOSITIONS = [(n, m) for n in range(1, 51) for m in range(1, 51)
+                 if 9 <= 2 * n * m <= SYLVESTER_SIZE_LIMIT]
+
+
+def _composition(rng, ring, zeros, cap, wide):
+    """res(u∘v) = res(u)^m res(v)^(n^2) for u = f/g of degree n and v = f'/g'
+    of degree m, f and f' monic, deg g < n and deg g' < m, each lower
+    coefficient zero with probability `zeros`: a known answer at Sylvester
+    size 2nm from sizes 2n and 2m.  2nm is at most cap, or, with probability
+    wide, SYLVESTER_SIZE_LIMIT.  The composite comes from Poly arithmetic
+    alone: the sums over i of f_i f'^i g'^(n-i) and of g_i f'^i g'^(n-i)."""
+    cap = SYLVESTER_SIZE_LIMIT if rng.random() < wide else cap
+    n, m = rng.choice([(n, m) for n, m in _COMPOSITIONS if 2 * n * m <= cap])
+    u, v = (tuple(Poly(ring, "X", [0 if rng.random() < zeros else rand_scalar(rng, ring, 3)
+                                   for _ in range(d)] + [top]) for top in (1, 0)) for d in (n, m))
+    powers = [v[0] ** i * v[1] ** (n - i) for i in range(n + 1)]
+    f, g = (sum((t.scale(p.coeff(i)) for i, t in enumerate(powers)), Poly.zero(ring, "X"))
+            for p in u)
+    lhs = resultant(f, g, n * m, n * m)
+    rhs = resultant(*u, n, n) ** m * resultant(*v, m, m) ** (n * n)
+    if lhs != rhs:
+        return {"ring": ring.name(), "u": f"({u[0]})/({u[1]})", "v": f"({v[0]})/({v[1]})",
+                "res(u∘v)": str(lhs), "res(u)^m res(v)^(n^2)": str(rhs)}
+
+
+@_property("resultant")
+def composition_law(rng):
+    # a size-100 trial over Z takes up to 0.25 s, so wide draws are rare
+    return _composition(rng, ZZ, 0.0, 12, 0.002)
+
+
+@_property("resultant")
+def composition_law_fp(rng):
+    # zero-heavy: pivots vanish mod 7 and columns swap, above size 24 too
+    return _composition(rng, F7, 0.3, 28, 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ class TestGrammar:
     def test_unary_minus_in_atoms(self):
         assert zx("2*-3") == Poly(ZZ, "X", (-6,))
         assert zx("(-3)^2") == Poly(ZZ, "X", (9,))
+        # a '-' that negates an atom binds tighter than '^', also on a monomial
+        assert zx("1 - -X^2") == Poly(ZZ, "X", (1, 0, -1))
+        assert zx("2*-X^2*X") == Poly(ZZ, "X", (0, 0, 0, 2))
 
     def test_whitespace_insignificant(self):
         assert zx("X ^ 2-X+  1") == zx("X^2 - X + 1")
@@ -381,6 +384,16 @@ class TestParseWork:
         with pytest.raises(ParseError, match="coefficient products"):
             parse_poly("(1/2*X + 1/3*T + 1)^70", ("X", "T"), QQ)
 
+    @pytest.mark.parametrize("text, pos", [
+        (" + ".join(["X^4096"] * 49), 433),  # at the 49th '^'
+        (" + ".join(["7*X^4096*T^4096"] * 30), 435),  # at the 25th term's first '^'
+        (" + ".join(["X*T"] * 200001), 1200001),  # at the last '*'
+    ], ids=["powers", "monomials", "products"])
+    def test_a_crossing_inside_a_monomial_keeps_its_position(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ("X", "T"), ZZ)
+        assert err.value.pos == pos and "coefficient products" in err.value.msg
+
     def test_sized_inputs_below_the_budget_parse(self):
         assert zx("(2^4096)^64") == Poly(ZZ, "X", (2 ** (4096 * 64),))
         big = "9" * 4000
@@ -487,3 +500,59 @@ def test_parse_agrees_with_plain_evaluation(ring):
             got = parsed.eval(pt if len(names) > 1 else pt["X"]).value
             want = _value(tree, pt)
             assert got == (want % ring.modulus if ring.modulus else want), (text, pt)
+
+
+def _spaced(text):
+    """text with a space after every '*' and around every '^', so that no
+    monomial forms one token, and the index in it of each index of text."""
+    spaced, where = "", []
+    for ch in text:
+        where.append(len(spaced) + (ch == "^"))
+        spaced += {"*": "* ", "^": " ^ "}.get(ch, ch)
+    return spaced, where + [len(spaced)]
+
+
+def _outcome(text, vars, ring):
+    try:
+        return parse_poly(text, vars, ring)
+    except ParseError as exc:
+        return exc.msg, exc.pos
+
+
+def _assert_parses_as_spaced(text, vars, ring):
+    spaced, where = _spaced(text)
+    got, want = _outcome(text, vars, ring), _outcome(spaced, vars, ring)
+    if isinstance(got, tuple):
+        got = got[0], where[got[1]]
+    assert got == want, (text, got, want)
+
+
+SPACED_CASES = [
+    "3^2*X", "1/2*X", "X^2^3", "2*X^3^2", "X^20*T", "XY", "X^0", "0*X", "1000003*X",
+    "X*X", "2*X/3", "X^" + "7" * 4301,
+    # where no term starts, a monomial's text is read in pieces: a '-' that
+    # negates an atom binds tighter than '^', and products group to the left
+    "1 - -X^2*T", "X*-X^2", "--X^2", "(X+1)*2*X^3*T", "X 2*X", "X^2*3*X", "(T - 1)*X*T",
+    # the last term's products cross the budget, at its second '*'; grouped
+    # the other way they would fit
+    " + ".join(["X^4096"] * 48 + ["X^3389", "(X+1)*X*T"]),
+    " + ".join(["7*X^4096*T^4096"] * 30), "X^4097*T", "2*X*Z^2", "12345678901234567890*T^3*X",
+]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 1000003)], ids=["Z", "Q", "F1000003"])
+def test_a_monomial_token_parses_as_its_spaced_text(ring):
+    """Every text parses to the same value, or fails with the same message at
+    the same place, as its spaced copy, which the lexer reads in pieces."""
+    for text in SPACED_CASES:
+        _assert_parses_as_spaced(text, ("X", "T"), ring)
+    rng = random.Random(f"spaced:{ring.name()}")
+    for _ in range(60):
+        coeffs = [rng.choice((0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(rng.randint(0, 8))]
+        if ring == QQ:
+            coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+        _assert_parses_as_spaced(print_poly(Poly(ring, "X", coeffs)), X, ring)
+        terms = {(rng.randint(0, 9), rng.randint(0, 9)): rng.randint(-10**6, 10**6) for _ in range(8)}
+        text = print_poly(MPoly(ring, ("X", "T"), terms))
+        _assert_parses_as_spaced(text, ("X", "T"), ring)
+        _assert_parses_as_spaced(f"({text})^2 - ({text})*X*T", ("X", "T"), ring)
