@@ -19,17 +19,20 @@ Symbolic Comput. 32, 2001).  The pivot rule is the dense one: the smallest
 place, so R, E and the pivots are the dense sweep's entry for entry and the
 certificates do not depend on the representation.
 
-feasible_mod_p is a sound pre-filter over F_2.  Columns and targets are
-int bitsets (bit i holds row i mod 2); the columns are reduced layer by
-layer to an echelon basis keyed by leading (highest) bit, a reduction step
-being one XOR, as in the Macaulay matrices of F4 (Faugere, J. Pure Appl.
+feasible_mod_p is a sound pre-filter over F_2 or F_3.  Over F_2 columns
+and targets are int bitsets (bit i holds row i mod 2), over F_3 pairs (h, l)
+of bitsets (bit i of l set where entry i is 1, of h where it is 2).  The
+columns are reduced layer by layer to an echelon basis keyed by leading
+(highest) bit, as in the Macaulay matrices of F4 (Faugere, J. Pure Appl.
 Algebra 139, 1999) packed into machine words as in M4RI (Albrecht, Bard and
-Hart, ACM TOMS 37, 2010).  Each target is top-reduced against the basis.
-The leading bits are distinct, so a target lies in the span of the first k
+Hart, ACM TOMS 37, 2010): a step is one XOR over F_2, and seven OR/XOR over
+F_3, where negation swaps the pair and each pivot is normalised to leading
+coefficient 1 (after Kawahara, Aoki and Takagi, 2008, and Boothby and
+Bradshaw, 2009).  Each target is top-reduced against the basis.  The
+leading bits are distinct, so a target lies in the span of the first k
 layers exactly when its reduction uses only basis vectors born in them.  An
-integer solution reduces mod 2, so "not in that span mod 2" implies "no
-integer solution from those columns"; the converse may fail.  The name
-says mod p because callers and tracers know the filter by it.
+integer solution reduces mod p, so "not in that span mod p" implies "no
+integer solution from those columns"; the converse may fail.
 """
 
 from __future__ import annotations
@@ -151,11 +154,13 @@ def solve_integer(a_rows, b, ncols: int | None = None):
     return None if x is None else [x.get(j, 0) for j in range(ncols)]
 
 
-def feasible_mod_p(layers, targets):
+def feasible_mod_p(layers, targets, p=2):
     """Per target, the length of the shortest prefix of layers (lists of
-    columns) whose span mod 2 holds it, or None when no prefix does: None
-    means certainly unsolvable over Z with all the columns.  Columns and
-    targets are int bitsets, bit i the entry of row i mod 2."""
+    columns) whose span mod p holds it, or None when no prefix does: None
+    means certainly unsolvable over Z with all the columns.  p is 2 (int
+    bitsets) or 3 ((h, l) pairs of bitsets)."""
+    if p == 3:
+        return _feasible_mod_3(layers, targets)
     basis = {}  # leading bit -> (column, layers to reach it)
     for born, layer in enumerate(layers, start=1):
         for v in layer:
@@ -170,4 +175,25 @@ def feasible_mod_p(layers, targets):
             piv, born = basis[lead]
             v, used = v ^ piv, max(used, born)
         out.append(None if v else used)
+    return out
+
+
+def _feasible_mod_3(layers, targets):
+    """feasible_mod_p over F_3, every pivot with leading coefficient 1."""
+    basis, out = {}, []  # leading bit -> (h, l, layers to reach it)
+    for born, layer in enumerate([*layers, targets], start=1):  # targets last, never in the basis
+        for h, l in layer:
+            used = 0  # the latest layer among the basis vectors the reduction uses
+            while (lead := (h | l).bit_length() - 1) in basis:
+                bh, bl, b = basis[lead]
+                if h.bit_length() <= lead:  # a leading 1: add the pivot's negation
+                    bh, bl = bl, bh
+                t = (l | bh) ^ (h | bl)
+                h, l = (l | bl) ^ t, (h | bh) ^ t
+                if b > used:
+                    used = b
+            if born > len(layers):
+                out.append(None if lead >= 0 else used)
+            elif lead >= 0:
+                basis[lead] = (l, h, born) if h.bit_length() > lead else (h, l, born)
     return out

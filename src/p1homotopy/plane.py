@@ -7,16 +7,17 @@ meets only the origin is a membership certificate: polynomials A_i, B_i with
 
 i.e. (T0,T1)^N is contained in the ideal (F0, F1).  Certificates are
 searched for over Z with bounded N and bounded coefficient total degree: one
-pass mod 2 per family on int bitsets (a sound filter, since a certificate
-over Z reduces mod 2), then exact integer linear algebra with one system
-per degree shared by all N.  A failed search is inconclusive, never a proof
-of nonexistence.
+pass mod 2 per family on int bitsets, and one mod 3 once an integer system
+has failed (sound filters, since a certificate over Z reduces mod p), then
+exact integer linear algebra with one system per degree shared by all N.  A
+failed search is inconclusive, never a proof of nonexistence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 from .chains import Chain, ChainReport, Link, exact, walk_chain
 from .linsolve import IntegerSolver, feasible_mod_p
@@ -107,25 +108,23 @@ def _monomials_upto(d: int):
     return out  # in lex order
 
 
-def _monomial_code(fam: PlaneFamily):
-    """e -> (e0*B + e1)*B + et, B above every exponent a search within the
-    limits meets, so codes sort as monomials do in lex order and add as they
-    do.  One code keys both the filter's ranks and the integer rows."""
+def _coded_terms(fam: PlaneFamily):
+    """The code e -> (e0*B + e1)*B + et, B above every exponent a search
+    within the limits meets, so codes sort as monomials do in lex order and
+    add as they do, and F0's and F1's terms as (code, coefficient).  One
+    code keys the filters' ranks and the integer rows."""
     B = max(fam.F0.total_degree(), fam.F1.total_degree(), 0) + DEGREE_LIMIT + N_LIMIT + 1
-    return lambda e: (e[0] * B + e[1]) * B + e[2]
+    code = lambda e: (e[0] * B + e[1]) * B + e[2]
+    return code, [[(code(e), c) for e, c in F.raw.items()] for F in (fam.F0, fam.F1)]
 
 
 def _exact_solver(fam: PlaneFamily, degree: int):
     """N -> certificate or None from one integer system: columns F0*m, then
     F1*m, over _monomials_upto(degree), as sparse columns keyed by the code
-    of each monomial (_monomial_code)."""
-    code = _monomial_code(fam)
+    of each monomial (_coded_terms)."""
+    code, terms = _coded_terms(fam)
     monos = _monomials_upto(degree)
-    solver = IntegerSolver([
-        {code(e) + code(m): c for e, c in poly.raw.items()}
-        for poly in (fam.F0, fam.F1)
-        for m in monos
-    ])
+    solver = IntegerSolver([{ce + cm: c for ce, c in F} for F in terms for cm in map(code, monos)])
     half = len(monos)
 
     def certificate(N):
@@ -145,11 +144,11 @@ def _exact_solver(fam: PlaneFamily, degree: int):
 
 
 # Largest N and coefficient degree cap a search accepts: the systems grow with
-# the cube of the cap.  At both limits the dense mod-q family
-# (3*(T0 + T1) + 2*T*(T0 + 2*T1), (T0 + 2*T1)^2), the slowest seen, takes
-# about 0.17 s in process (Python 3.11, 2-vCPU VM shared with other jobs),
-# nearly all in the integer echelon at the cap: it passes the filter mod 2
-# from N = 2 on, and the cap rules out every N.
+# the cube of the cap.  At both limits (5*(T0 + T1) + 2*T*(T0 + 2*T1)^2,
+# (T0 + 2*T1)^3), the slowest family seen that passes both filters, takes
+# about 0.07 s in process (Python 3.11, 2-vCPU VM shared with other jobs),
+# nearly all in the integer echelon at the cap, which rules out every N; the
+# same with 3 for 5, (T0 + 2*T1)^2 for the cube, is ruled out mod 3 in 3 ms.
 N_LIMIT = 12
 DEGREE_LIMIT = 12
 
@@ -165,12 +164,14 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     whose columns span its targets mod 2.  A row's bit is the rank of its
     monomial's code among the rows of the system, so a bitset costs the
     size of the system, not the degrees of the family; the same code
-    (_monomial_code) keys the rows of the integer systems.  A solution over Z
-    reduces mod 2, and one at degree d is one at d + 1, so the exact search
-    for N starts there, skips N when the cap fails too, and else ascends to
-    the least degree solvable over Z.  An integer system is built only for
-    a degree some N needs; once the cap's exists, it is asked first, so an
-    N it rules out builds no other.  Deterministic given the bounds.
+    (_coded_terms) keys the rows of the integer systems.  A solution over Z
+    reduces mod p, and one at degree d is one at d + 1, so the exact search
+    for N starts there.  When that start fails, one pass mod 3 on the same
+    rows gives a second least degree: from then on each N starts at the
+    larger, is skipped when either filter or the cap rules it out, and else
+    ascends to the least degree solvable over Z.  An integer system is built
+    only for a degree some N needs; once the cap's exists, it is asked first,
+    so an N it rules out builds no other.  Deterministic given the bounds.
     Raises ValueError above N_LIMIT or DEGREE_LIMIT, and MembershipNotFound
     when the bounds are exhausted.
     """
@@ -178,19 +179,27 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
     if n_max > N_LIMIT or d_cap > DEGREE_LIMIT:
         raise ValueError(f"membership search bounds N <= {n_max}, degree <= {d_cap} exceed "
                          f"the limits N <= {N_LIMIT}, degree <= {DEGREE_LIMIT}")
-    code = _monomial_code(fam)
-    odd = [[code(e) for e, c in F.raw.items() if c & 1] for F in (fam.F0, fam.F1)]
+    code, terms = _coded_terms(fam)
     monos = [(sum(m), code(m)) for m in _monomials_upto(d_cap)]
     wanted = [code((i, N - i, 0)) for N in range(1, n_max + 1) for i in range(N + 1)]
-    rows = {c + cm for cs in odd for c in cs for _, cm in monos}.union(wanted)
+    rows = {ce + cm for F in terms for ce, _ in F for _, cm in monos}.union(wanted)
     rank = {c: r for r, c in enumerate(sorted(rows))}
-    layers = [[] for _ in range(d_cap + 1)]
-    for cs in odd:  # F*m mod 2 for every m: a sum over the odd terms of F
-        per_term = ([1 << rank[c + cm] for _, cm in monos] for c in cs)
-        for (d, _), column in zip(monos, map(sum, zip(*per_term))):
-            layers[d].append(column)
-    targets = [1 << rank[c] for c in wanted]
-    prefixes = iter(feasible_mod_p(layers, targets))
+
+    def least_degrees(p):
+        """Per N, the least degree whose columns span its targets mod p, or None."""
+        layers = [[] for _ in range(d_cap + 1)]
+        for F in terms:  # F*m for every m: sums over F's terms = 1 mod 2, = 2 and = 1 mod 3
+            by_residue = [map(sum, zip(*([1 << rank[ce + cm] for _, cm in monos]
+                                         for ce, c in F if c % p == r)))
+                          for r in range(p - 1, 0, -1)]
+            columns = by_residue[0] if p == 2 else zip_longest(*by_residue, fillvalue=0)
+            for (d, _), column in zip(monos, columns):
+                layers[d].append(column)
+        targets = [1 << rank[c] if p == 2 else (0, 1 << rank[c]) for c in wanted]
+        lengths = iter(feasible_mod_p(layers, targets, p))
+        per_n = [[next(lengths) for _ in range(N + 1)] for N in range(1, n_max + 1)]
+        return [None] + [None if None in ls else max(ls) - 1 for ls in per_n]
+
     solvers = {}
 
     def solve(N, degree):
@@ -198,17 +207,22 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
             solvers[degree] = _exact_solver(fam, degree)
         return solvers[degree](N)
 
+    mod2, mod3 = least_degrees(2), None
     for N in range(1, n_max + 1):
-        lengths = [next(prefixes) for _ in range(N + 1)]
-        if None in lengths:
+        if mod2[N] is None:
             continue
-        degree = max(lengths) - 1
-        cert = None if d_cap in solvers else solve(N, degree)
-        if cert is None and solve(N, d_cap) is None:
-            continue  # unsolvable at the cap, so at every degree
-        while cert is None:
-            cert = solve(N, degree)
-            degree += 1
+        cert = None if mod3 else solve(N, mod2[N])  # no failure yet: no cap built
+        if cert is None:
+            mod3 = mod3 or least_degrees(3)
+            if mod3[N] is None:
+                continue
+            degree = max(mod2[N], mod3[N])
+            cert = None if d_cap in solvers else solve(N, degree)
+            if cert is None and solve(N, d_cap) is None:
+                continue  # unsolvable at the cap, so at every degree
+            while cert is None:
+                cert = solve(N, degree)
+                degree += 1
         if not verify_membership(fam, cert).ok:
             raise AssertionError("solver produced a bad certificate")
         return cert

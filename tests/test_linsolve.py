@@ -1,4 +1,5 @@
 import random
+import signal
 
 from p1homotopy.linsolve import IntegerSolver, _echelon_transposed, feasible_mod_p, solve_integer
 
@@ -252,6 +253,81 @@ def test_least_prefix_agrees_with_rank_over_q():
         expect = [next((k for k in range(len(layers) + 1) if spans(k, b)), None) for b in targets]
         got = feasible_mod_p([[bits(c) for c in layer] for layer in layers], [bits(b) for b in targets])
         assert got == expect
+        seen.update(expect)
+    assert None in seen and 0 in seen and {1, 2, 3, 4} & seen == {1, 2, 3, 4}
+
+
+def trits(vector):
+    """An integer vector mod 3 as the filter's (h, l) pair: bit i of l is set
+    where entry i is 1 mod 3, bit i of h where it is 2."""
+    return bits([v % 3 == 2 for v in vector]), bits([v % 3 == 1 for v in vector])
+
+
+def rank_f3(rows):
+    """Rank over F_3 by Gaussian elimination on plain lists of 0, 1 and 2."""
+    m = [[v % 3 for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col]  # 1 and 2 are their own inverses mod 3
+        m[rank] = [x * inv % 3 for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % 3 for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the reduction mod 3 did not finish")
+
+
+def test_filter_mod_3_agrees_with_rank_over_f3():
+    # layers of random columns (entries |a| <= 6, at most 6 rows): the
+    # reported prefix length is the first k whose columns span b mod 3, by a
+    # rank test over F_3 per prefix; a target rejected mod 3 has no integer
+    # solution.  A pivot left with leading coefficient 2 makes the reduction
+    # cycle forever, so the test fails itself after 30 s (it takes well under
+    # one)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(30)
+    try:
+        check_filter_mod_3()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_filter_mod_3():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        layers = [[[rng.randint(-6, 6) for _ in range(m)] for _ in range(s)] for s in sizes]
+        targets = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(3)]
+        targets.append([0] * m)
+        if rng.random() < 0.5:  # a target inside some prefix's span
+            k = rng.randrange(len(layers))
+            cols = [c for layer in layers[: k + 1] for c in layer]
+            targets.append([sum(rng.randint(-2, 2) * c[i] for c in cols) for i in range(m)])
+
+        def spans(k, b):
+            cols = [c for layer in layers[:k] for c in layer]
+            rows = [[c[i] for c in cols] for i in range(m)]
+            return rank_f3(rows) == rank_f3([r + [v] for r, v in zip(rows, b)])
+
+        expect = [next((k for k in range(len(layers) + 1) if spans(k, b)), None) for b in targets]
+        got = feasible_mod_p([[trits(c) for c in layer] for layer in layers], [trits(b) for b in targets], 3)
+        assert got == expect
+        cols = [c for layer in layers for c in layer]
+        for b, k in zip(targets, got):
+            if k is None:
+                assert reference_solve([[c[i] for c in cols] for i in range(m)], b, len(cols)) is None
         seen.update(expect)
     assert None in seen and 0 in seen and {1, 2, 3, 4} & seen == {1, 2, 3, 4}
 

@@ -200,9 +200,10 @@ class TestSearchMatchesReferenceScan:
         f = fam("T*T0 + T1^2", "-T0")
         assert find_membership(f, 3) == reference_search(f, 3, default_degree_cap(f, 3))
 
-    def test_ascent_from_the_mod_2_degree(self, monkeypatch):
-        # T0 + 2*T*T1^3, T1 is (T0, T1) mod 2: N = 1 starts at degree 0, the
-        # cap is solvable, and the search climbs to the degree over Z
+    @staticmethod
+    def built_degrees(monkeypatch, f, n_max, d_max):
+        """The degrees of the integer systems the search builds, in order,
+        and its certificate (None when not found)."""
         real, built = plane._exact_solver, []
 
         def spy(family, degree):
@@ -210,24 +211,36 @@ class TestSearchMatchesReferenceScan:
             return real(family, degree)
 
         monkeypatch.setattr(plane, "_exact_solver", spy)
-        cert = find_membership(fam("T0 + 2*T*T1^3", "T1"), 1, 4)
+        return built, search(f, n_max, d_max)
+
+    def test_ascent_from_the_mod_2_degree(self, monkeypatch):
+        # T0 + 6*T*T1^3, T1 is (T0, T1) mod 2 and mod 3: N = 1 starts at
+        # degree 0, the cap is solvable, and the search climbs to the degree
+        # over Z
+        built, cert = self.built_degrees(monkeypatch, fam("T0 + 6*T*T1^3", "T1"), 1, 4)
         assert built == [0, 4, 1, 2, 3]
         assert cert.N == 1 and cert.coefficient_degree() == 3
 
     def test_a_failed_cap_is_asked_first(self, monkeypatch):
-        # T0 + 2*T, T1 is (T0, T1) mod 2 but has no certificate over Z: every
-        # N passes the filter, N = 1 builds its start degree and the cap, and
-        # each later N is ruled out by the cap alone
-        real, built = plane._exact_solver, []
+        # T0 + 6*T, T1 is (T0, T1) mod 2 and mod 3 but has no certificate
+        # over Z: every N passes both filters, N = 1 builds its start degree
+        # and the cap, and each later N is ruled out by the cap alone
+        built, cert = self.built_degrees(monkeypatch, fam("T0 + 6*T", "T1"), 4, 4)
+        assert built == [0, 4] and cert is None
 
-        def spy(family, degree):
-            built.append(degree)
-            return real(family, degree)
+    def test_the_mod_3_degree_is_asked_after_a_failed_start(self, monkeypatch):
+        # T0 + 2*T*T1^3, T1 is (T0, T1) mod 2, so degree 0 is built and fails;
+        # mod 3 the family is itself, whose least degree is 3, so degree 3 is
+        # built next, not the cap
+        built, cert = self.built_degrees(monkeypatch, fam("T0 + 2*T*T1^3", "T1"), 1, 4)
+        assert built == [0, 3]
+        assert cert.N == 1 and cert.coefficient_degree() == 3
 
-        monkeypatch.setattr(plane, "_exact_solver", spy)
-        with pytest.raises(MembershipNotFound):
-            find_membership(fam("T0 + 2*T", "T1"), 4, 4)
-        assert built == [0, 4]
+    def test_the_filter_mod_3_rules_out_the_cap(self, monkeypatch):
+        # T0 + 2*T, T1 vanishes at (T0, T1, T) = (1, 0, 1) mod 3, so after the
+        # failed start at degree 0 every N is ruled out with no other system
+        built, cert = self.built_degrees(monkeypatch, fam("T0 + 2*T", "T1"), 4, 4)
+        assert built == [0] and cert is None
 
     def test_ascent_above_the_mod_p_degree(self, monkeypatch):
         # families with even coefficients climb above their mod-2 degree
