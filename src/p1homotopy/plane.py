@@ -16,7 +16,7 @@ failed search is inconclusive, never a proof of nonexistence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import zip_longest
 
 from .chains import Chain, ChainReport, Link, exact, walk_chain
@@ -202,6 +202,7 @@ def find_membership(fam: PlaneFamily, n_max: int = 6, d_max: int | None = None) 
 
     solvers = {}
 
+    @cache  # no (N, degree) is asked twice
     def solve(N, degree):
         if degree not in solvers:
             solvers[degree] = _exact_solver(fam, degree)

@@ -8,14 +8,26 @@ only the result becomes a Scalar or a T-Poly.  Over Q the engine runs on the
 integers of A*D, D the diagonal of column denominator lcms d_j, with the
 last row's entry or symbol in column j scaled by d_j like its column and
 every coefficient of the result divided by det D: det A = det(A*D) / det D,
-and last-row cofactor j is that of A*D times d_j / det D.  Over Z[T] and
-Q[T] (scaled the same way) each entry is packed into one int by Kronecker
-substitution T = 2^B, with B from Hadamard's bound, and the determinant is
-read back as balanced base-2^B digits.  F_p[T] packs the residues' balanced
-lifts, or, when p > D (a bound on the T-degree) and that route's work count
-takes the smaller share of its limit, interpolates the engine's values over
-F_p at T = 0..D.  The oracle, expansion by minors (capped at 8x8), boxes its
-entries and shares no code with the engine.
+and last-row cofactor j is that of A*D times d_j / det D.  Over F_p it runs
+on balanced lifts, the result reduced mod p.  Each symbol of the last row is
+a carried row: updated like the others, never a pivot.  Over Z, Q and F_p
+the route rule may pack each row into one int of balanced base-2^W slots,
+column k lowest at step k, so the step on row i is one big-int update
+R_i = ((piv*R_i - a*R_k) >> W) / prev, piv and a the lowest slots; every
+slot divides exactly (Bareiss, Math. Comp. 22, 1968), so a remainder raises.
+Each slot is a minor of the pivot rows and one carried row, below Hadamard's
+bound H < 2^(W-1); a zero pivot swaps two slots in place in every row.  The
+rule weighs (W + 30)(b + 30) per packed slot, b the pivot's bits, against
+40000 + (e + 30)^2 per entry, e = b over Z and Q and 0 over F_p (fitted on
+Sylvester matrices of sizes 4-96): wide entries at large sizes, and large p,
+stay per entry.  Over Z[T] and Q[T] (scaled the
+same way) each entry is packed into one int by Kronecker substitution
+T = 2^B, with B from Hadamard's bound, and the determinant is read back as
+balanced base-2^B digits.  F_p[T] packs the residues' balanced lifts, or,
+when p > D (a bound on the T-degree) and that route's work count takes the
+smaller share of its limit, interpolates the engine's values over F_p at
+T = 0..D; both eliminate entry by entry.  The oracle, expansion by minors
+(capped at 8x8), boxes its entries and shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from operator import mul
 
 from .mpoly import MPoly
 from .poly import Poly
-from .rings import QQ, ZZ, RingMismatchError, Scalar
+from .rings import QQ, ZZ, ExactDivisionError, RingMismatchError, Scalar
 
 ORACLE_SIZE_CAP = 8
 
@@ -135,14 +147,15 @@ def _sylvester_rows(f, g, n, m):
 def _last_row_cofactors(top, forms, divider):
     """Eliminate the int rows `top` above a last row of sparse linear forms.
 
-    forms[j] is {symbol: coefficient} in column j.  The last row never
-    pivots, so the final entry is the form sum_j C[last][j] * forms[j], with
-    C[last][j] the last-row cofactors.  divider(prev) divides a new entry by
-    the previous pivot and reduces it (prev None: reduction alone), so a
-    reduced entry is zero exactly when it is 0; every division is exact (an
-    inexact one raises and signals a bug).  A zero pivot is swapped for a
-    later nonzero entry of its row (columns swap, forms included, and the
-    sign flips); a row that is zero from the pivot on makes the result zero.
+    forms[j] is {symbol: coefficient} in column j.  Each symbol is a carried
+    row that never pivots (_packed_cofactors packs them, and top), so the
+    final entry is the form sum_j C[last][j] * forms[j], C[last][j] the
+    last-row cofactors.  divider(prev) divides a new entry by the previous
+    pivot and reduces it (prev None: reduction alone), so a reduced entry is
+    zero exactly when it is 0; every division is exact (an inexact one raises
+    and signals a bug).  A zero pivot is swapped for a later nonzero entry of
+    its row (columns swap, forms included, and the sign flips); a row that is
+    zero from the pivot on makes the result zero.
     """
     size, last = len(forms), len(top)
     m = [list(r) for r in top] + [list(forms)]
@@ -170,16 +183,67 @@ def _last_row_cofactors(top, forms, divider):
     return y if sign == 1 else {s: -a for s, a in y.items()}
 
 
+def _row_width(top, forms, p=None):
+    """W for packing top above the carried rows of forms, or None where the
+    per-entry work count is the smaller (module docstring)."""
+    sq = [max(1, sum(map(mul, r, r))) for r in top]
+    width = ((prod(sq) * max(1, sum(c * c for f in forms for c in f.values()))).bit_length() + 1) // 2 + 1
+    if width <= 172:  # every term of the work count is negative
+        return width
+    work, rows = 0, len(top) + len({s for f in forms for s in f})
+    for k, bits in enumerate(accumulate(s.bit_length() // 2 for s in sq)):
+        entry = 30 if p else bits + 30
+        work += (rows - 1 - k) * (len(forms) - k) * ((width + 30) * (bits + 30) - entry * entry - 40000)
+    return width if work < 0 else None
+
+
+def _packed_cofactors(top, forms, width):
+    """_last_row_cofactors packed (module docstring): slot j of carried row s is forms[j][s]."""
+    m, mask, half, sign, prev = _pack([top], width)[0], (1 << width) - 1, 1 << (width - 1), 1, 1
+    carried = {}
+    for j, f in enumerate(forms):
+        for s, c in f.items():
+            carried[s] = carried.get(s, 0) + (c << j * width)
+    m += carried.values()
+    for k in range(len(top)):
+        piv = ((m[k] + half) & mask) - half
+        if not piv:
+            if not m[k]:
+                return {}
+            # swap slot 0 with the lowest nonzero slot; offset by half, no slot borrows
+            shift = ((m[k] & -m[k]).bit_length() - 1) // width * width
+            offset = half * ((1 << shift) - 1) // mask
+            for i in range(k, len(m)):
+                a, c = m[i] + half & mask, (m[i] + offset >> shift) + half & mask
+                m[i] += c - a + ((a - c) << shift)
+            sign, piv = -sign, ((m[k] + half) & mask) - half
+        for i in range(k + 1, len(m)):
+            m[i], r = divmod((piv * m[i] - (((m[i] + half) & mask) - half) * m[k]) >> width, prev)
+            if r:
+                raise ExactDivisionError(f"row {i} not divisible by {prev} at pivot {k}")
+        prev = piv
+    return {s: sign * v for s, v in zip(carried, m[len(top):]) if v}
+
+
+def _scalar_cofactors(top, forms, ring, divider):
+    """_last_row_cofactors, or _packed_cofactors where _row_width routes."""
+    width = _row_width(top, forms, ring.modulus)
+    return _last_row_cofactors(top, forms, divider) if width is None else _packed_cofactors(top, forms, width)
+
+
 def _raw_rows(rows, ring, tpoly=False):
     """The int rows to eliminate, their divider, the column scales d and the
     map back to the result: over Q the rows of A*D (d_j clearing every
     coefficient in column j, also of tuples when tpoly) and division by det D;
-    over F_p[T] the balanced lifts of the residues and exact division in Z
-    (the result's Poly reduces each digit mod p); elsewhere the rows, d_j = 1
-    and the identity.
+    over F_p the balanced lifts of the residues, over F_p[T] with exact
+    division in Z (the result's Scalar or Poly reduces mod p); elsewhere the
+    rows, d_j = 1 and the identity.
     """
-    if tpoly and ring.kind == "Fp":
+    if ring.kind == "Fp":
         p = ring.modulus
+        if not tpoly:
+            lifts = [[c - p if 2 * c > p else c for c in r] for r in rows]
+            return lifts, ring.divider, [1] * len(rows), lambda c: c
         lifts = [[tuple(c - p if 2 * c > p else c for c in e) for e in r] for r in rows]
         return lifts, ZZ.divider, [1] * len(rows), lambda c: c
     if ring.kind != "Q":
@@ -281,34 +345,29 @@ def bareiss_det(rows, one):
 
     The entries carry no ring; one (a Scalar, or a T-Poly over R[T]) gives it:
     ints, Fractions or residues in [0, p), or over R[T] tuples of raw
-    T-coefficients, lowest first, with no trailing zero.  The engine is
-    _last_row_cofactors (Bareiss with column swaps, which also yields the
-    last-row cofactors for res_bezout) on int rows (_raw_rows).  Over Z[T],
-    Q[T] and F_p[T] the entries (lifts over F_p[T]) are packed into ints
-    (_pack) and the digits of the result read back, the elimination's
-    estimated work (_packed_work) checked first.  Over F_p[T] with p above
-    the T-degree bound D the determinant is instead interpolated from its
-    values at T = 0..D (_evaluated_det) when the exact count of that work
-    takes a smaller share of its limit than the packed estimate of its own.
-    cofactor_det is the independent oracle.
+    T-coefficients, lowest first, with no trailing zero.  The last row is the
+    engine's one carried row (module docstring): over Z, Q and F_p row-packed
+    or entry by entry as the route rule picks; over R[T] on Kronecker-packed
+    entries (_pack, its work _packed_work) or, over F_p[T], by evaluation at
+    T = 0..D (_evaluated_det).  cofactor_det is the independent oracle.
     """
     if not rows:
         return one
     ring, tpoly = one.ring, isinstance(one, Poly)
     raw, divider, _, unscale = _raw_rows(rows, ring, tpoly)
-    if tpoly:
-        width, work = _packed_work(raw)
-        coeffs = _evaluated_det(rows, ring, work) if ring.kind == "Fp" else None
-        if coeffs is not None:
-            return Poly(ring, one.var, coeffs)
-        if work > PACKED_WORK_LIMIT:
-            raise ValueError(f"determinant of size {len(raw)} over {ring.name()}[{one.var}]"
-                             f" exceeds the work budget ({work} > {PACKED_WORK_LIMIT})")
-        raw = _pack(raw, width)
+    if not tpoly:
+        det = _scalar_cofactors(raw[:-1], [{0: e} for e in raw[-1]], ring, divider).get(0, 0)
+        return Scalar(ring, unscale(det))
+    width, work = _packed_work(raw)
+    coeffs = _evaluated_det(rows, ring, work) if ring.kind == "Fp" else None
+    if coeffs is not None:
+        return Poly(ring, one.var, coeffs)
+    if work > PACKED_WORK_LIMIT:
+        raise ValueError(f"determinant of size {len(raw)} over {ring.name()}[{one.var}]"
+                         f" exceeds the work budget ({work} > {PACKED_WORK_LIMIT})")
+    raw = _pack(raw, width)
     det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider).get(0, 0)
-    if tpoly:
-        return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))
-    return Scalar(ring, unscale(det))
+    return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))
 
 
 def cofactor_det(rows, one):
@@ -384,8 +443,9 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     f and g are Polys over Z, Q or F_p (a TypeError otherwise).  Coefficients
     are the last-row cofactors of the Sylvester matrix (Cramer on the linear
     system whose matrix is Sylvester's), all found in one fraction-free
-    elimination with the last row replaced by symbols z_j, so everything
-    stays in the base ring; works even when the resultant is zero.
+    elimination with the last row replaced by symbols z_j (carried rows,
+    packed as bareiss_det's), so everything stays in the base ring; works
+    even when the resultant is zero.
     """
     if not (isinstance(f, Poly) and isinstance(g, Poly)):
         raise TypeError("res_bezout takes two Polys over Z, Q or F_p")
@@ -394,7 +454,7 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")
     raw, divider, d, unscale = _raw_rows(rows, f.ring)
-    cof = _last_row_cofactors(raw[:-1], [{j: dj} for j, dj in enumerate(d)], divider)
+    cof = _scalar_cofactors(raw[:-1], [{j: dj} for j, dj in enumerate(d)], f.ring, divider)
     y = [unscale(cof.get(j, 0)) for j in range(size)]
     return tuple(Poly(f.ring, f.var, c[::-1]) for c in (y[:m], y[m:]))
 

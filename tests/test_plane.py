@@ -242,6 +242,23 @@ class TestSearchMatchesReferenceScan:
         built, cert = self.built_degrees(monkeypatch, fam("T0 + 2*T", "T1"), 4, 4)
         assert built == [0] and cert is None
 
+    @pytest.mark.parametrize("f0, f1, n_max, d_max", [
+        ("T0 + 6*T*T1^3", "T1", 1, 4),  # the start fails, the cap is asked, then the climb
+        ("T0 + 6*T", "T1", 4, 4),
+        ("T0 + 2*T*T1^3", "T1", 1, 4),
+        ("T*T0 + T1^2", "-T0", 3, 4),
+    ])
+    def test_each_system_is_asked_once(self, monkeypatch, f0, f1, n_max, d_max):
+        real, asked = plane._exact_solver, []
+
+        def spy(family, degree):
+            solve = real(family, degree)
+            return lambda N: asked.append((N, degree)) or solve(N)
+
+        monkeypatch.setattr(plane, "_exact_solver", spy)
+        search(fam(f0, f1), n_max, d_max)
+        assert asked and len(asked) == len(set(asked)), asked
+
     def test_ascent_above_the_mod_p_degree(self, monkeypatch):
         # families with even coefficients climb above their mod-2 degree
         # (the test above); a fake that is monotone in the degree also makes

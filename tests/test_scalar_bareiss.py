@@ -1,6 +1,7 @@
 """Scalar Bareiss on raw ring values: the F_p reduction hazard, resultants
-and Bezout witnesses above the cofactor oracle's cap, and the boundary of
-the elimination: the Sylvester matrix is raw from layout to result."""
+and Bezout witnesses above the cofactor oracle's cap, the boundary of the
+elimination (the Sylvester matrix is raw from layout to result), and the
+row-packed engine against the per-entry loop, with the rule between them."""
 
 import random
 from collections import Counter
@@ -8,13 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from p1homotopy import rings
+from p1homotopy import resultants, rings
 from p1homotopy.exprio import parse_poly
 from p1homotopy.homotopy import CertResultantNotUnitError, validate_cert
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
-from p1homotopy.randgen import RandomMapSpec, gen_valid_map
+from p1homotopy.randgen import RandomMapSpec, gen_valid_map, rand_poly
 from p1homotopy.resultants import (
+    _last_row_cofactors,
+    _packed_cofactors,
+    _raw_rows,
+    _row_width,
     _sylvester_rows,
     bareiss_det,
     cofactor_det,
@@ -23,7 +28,7 @@ from p1homotopy.resultants import (
     resultant_product_oracle,
     split_poly,
 )
-from p1homotopy.rings import QQ, RingTag, Scalar, ZZ
+from p1homotopy.rings import QQ, ExactDivisionError, RingTag, Scalar, ZZ
 
 F3, F5, F101 = RingTag("Fp", 3), RingTag("Fp", 5), RingTag("Fp", 101)
 
@@ -203,6 +208,83 @@ class TestScalarBoundary:
         with pytest.raises(CertResultantNotUnitError):
             validate_cert(F, G)
         assert made["Poly.__init__"] <= 2 and made["MPoly.__init__"] == 0, made
+
+
+def zero_heavy(rng, size, bound):
+    """A size x size int matrix, each entry 0 with probability 0.2 to 0.8."""
+    zeros = rng.choice((0.2, 0.5, 0.8))
+    return [[0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(size)]
+            for _ in range(size)]
+
+
+def routed(ring, n, bound, seed):
+    """The int rows above the last row's forms of a random Sylvester matrix
+    at formal degrees n, n, as bareiss_det hands them to the route rule."""
+    rng = random.Random(seed)
+    f, g = rand_poly(rng, ring, n, bound), rand_poly(rng, ring, n, bound)
+    raw = _raw_rows(sylvester(f, g, n, n), ring)[0]
+    return raw[:-1], [{0: e} for e in raw[-1]]
+
+
+class TestRowPackedEngine:
+    """The row-packed engine against the per-entry loop, and the route rule
+    that picks between them."""
+
+    @pytest.mark.parametrize("bound", [1, 5, 1000])
+    def test_packed_matches_the_per_entry_loop(self, bound):
+        # the last row as itself (one symbol) and as the column-scaled
+        # symbols d_j * z_j of res_bezout; zero-heavy rows make zero pivots,
+        # so columns swap, and rows that vanish from the pivot on
+        rng = random.Random(67 + bound)
+        for size in list(range(1, 15)) * 12:
+            rows = zero_heavy(rng, size, bound)
+            for forms in ([{0: e} for e in rows[-1]], [{j: rng.randint(1, 7)} for j in range(size)]):
+                width = _row_width(rows[:-1], forms)
+                assert width is not None  # small entries always pack
+                want = _last_row_cofactors(rows[:-1], forms, ZZ.divider)
+                assert _packed_cofactors(rows[:-1], forms, width) == {s: v for s, v in want.items() if v}
+
+    def test_a_row_zero_from_the_pivot_on(self):
+        # row 1 is twice row 0, so it vanishes after the first step
+        rows = [[1, 2, 3], [2, 4, 6], [0, 5, 7]]
+        for forms in ([{0: e} for e in rows[-1]], [{j: 1} for j in range(3)]):
+            assert _packed_cofactors(rows[:-1], forms, _row_width(rows[:-1], forms)) == {}
+            assert _last_row_cofactors(rows[:-1], forms, ZZ.divider) == {}
+        assert bareiss_det(rows, ZZ.one()).is_zero()
+
+    def test_size_one(self):
+        assert _packed_cofactors([], [{0: -7}], _row_width([], [{0: -7}])) == {0: -7}
+        assert bareiss_det([[-7]], ZZ.one()) == Scalar(ZZ, -7)
+        assert bareiss_det([[5]], RingTag("Fp", 7).one()) == Scalar(RingTag("Fp", 7), 5)
+
+    def test_an_inexact_division_raises(self):
+        # a slot width too narrow for the entries misreads -9 as 7; the
+        # division by the misread pivot leaves a remainder, which raises (a
+        # check, not an assert: it holds under python -O too)
+        rows = [[3, -3, 4], [-9, 7, -2], [5, 6, 8]]
+        with pytest.raises(ExactDivisionError):
+            _packed_cofactors(rows[:-1], [{0: e} for e in rows[-1]], 4)
+
+    @pytest.mark.parametrize("ring, n, bound, packs", [
+        (ZZ, 8, 5, True),  # size 16, small coefficients
+        (RingTag("Fp", 7), 12, 0, True),  # size 24 over F_7, on the lifts
+        (ZZ, 48, 9999, False),  # size 96, 4-digit coefficients
+        (RingTag("Fp", 1000003), 12, 0, False),  # size 24, large p
+    ], ids=["Z-16", "F7-24", "Z-wide-96", "F1000003-24"])
+    def test_route_rule(self, ring, n, bound, packs):
+        for seed in range(5):
+            top, forms = routed(ring, n, bound, seed)
+            assert (_row_width(top, forms, ring.modulus) is not None) == packs
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F3, F101], ids=["Z", "Q", "F3", "F101"])
+    def test_both_routes_agree_through_the_public_api(self, ring, monkeypatch):
+        # the same determinants and witnesses, packed and forced per entry
+        rng = random.Random(71)
+        pairs = [(rand_poly(rng, ring, n, 9), rand_poly(rng, ring, m, 9), n, m)
+                 for n, m in ((3, 4), (6, 6), (9, 7), (12, 12))]
+        packed = [(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs]
+        monkeypatch.setattr(resultants, "_row_width", lambda top, forms, p=None: None)
+        assert packed == [(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs]
 
 
 def counting(monkeypatch, *targets):
