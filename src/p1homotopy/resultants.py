@@ -185,7 +185,7 @@ def _last_row_cofactors(top, forms, divider):
 
 def _row_width(top, forms, p=None):
     """W for packing top above the carried rows of forms, or None where the
-    per-entry work count is the smaller (module docstring)."""
+    per-entry work count (an entry one limb over F_p, p given) is smaller."""
     sq = [max(1, sum(map(mul, r, r))) for r in top]
     width = ((prod(sq) * max(1, sum(c * c for f in forms for c in f.values()))).bit_length() + 1) // 2 + 1
     if width <= 172:  # every term of the work count is negative
