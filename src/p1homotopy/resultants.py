@@ -8,26 +8,23 @@ only the result becomes a Scalar or a T-Poly.  Over Q the engine runs on the
 integers of A*D, D the diagonal of column denominator lcms d_j, with the
 last row's entry or symbol in column j scaled by d_j like its column and
 every coefficient of the result divided by det D: det A = det(A*D) / det D,
-and last-row cofactor j is that of A*D times d_j / det D.  Over F_p it runs
-on balanced lifts, the result reduced mod p.  Each symbol of the last row is
-a carried row: updated like the others, never a pivot.  Over Z, Q and F_p
-the route rule may pack each row into one int of balanced base-2^W slots,
-column k lowest at step k, so the step on row i is one big-int update
-R_i = ((piv*R_i - a*R_k) >> W) / prev, piv and a the lowest slots; every
-slot divides exactly (Bareiss, Math. Comp. 22, 1968), so a remainder raises.
-Each slot is a minor of the pivot rows and one carried row, below Hadamard's
-bound H < 2^(W-1); a zero pivot swaps two slots in place in every row.  The
-rule weighs (W + 30)(b + 30) per packed slot, b the pivot's bits, against
-40000 + (e + 30)^2 per entry, e = b over Z and Q and 0 over F_p (fitted on
-Sylvester matrices of sizes 4-96): wide entries at large sizes, and large p,
-stay per entry.  Over Z[T] and Q[T] (scaled the
-same way) each entry is packed into one int by Kronecker substitution
-T = 2^B, with B from Hadamard's bound, and the determinant is read back as
-balanced base-2^B digits.  F_p[T] packs the residues' balanced lifts, or,
-when p > D (a bound on the T-degree) and that route's work count takes the
-smaller share of its limit, interpolates the engine's values over F_p at
-T = 0..D; both eliminate entry by entry.  The oracle, expansion by minors
-(capped at 8x8), boxes its entries and shares no code with the engine.
+and last-row cofactor j is that of A*D times d_j / det D.  Each symbol of
+the last row is a carried row: eliminated like the others, never a pivot.
+Over Z, Q and F_p (on balanced lifts, the result reduced mod p) each row is
+one int of balanced base-2^W slots, column k lowest at step k, so the step
+on row i is one big-int update R_i = ((piv*R_i - a*R_k) >> W) / prev, piv
+and a the lowest slots, and a zero pivot swaps two slots in every row.  Each
+slot is a minor of the pivot rows and one carried row, so with Hadamard's
+bound H < 2^(W-1) it is read exactly and prev divides it (Bareiss, Math.
+Comp. 22, 1968); W above PACKED_WIDTH_LIMIT runs entry by entry.  Over Z[T]
+and Q[T] (scaled the same way) each entry is packed into one int by
+Kronecker substitution T = 2^B, with B from Hadamard's bound, and the
+determinant is read back as balanced base-2^B digits.  F_p[T] packs the
+residues' balanced lifts, or, when p > D (a bound on the T-degree) and that
+route's work count takes the smaller share of its limit, interpolates the
+engine's values over F_p at T = 0..D; both eliminate entry by entry.  The
+oracle, expansion by minors (capped at 8x8), boxes its entries and shares no
+code with the engine.
 """
 
 from __future__ import annotations
@@ -53,6 +50,11 @@ SYLVESTER_SIZE_LIMIT = 100
 # whose work takes the smaller share of its limit runs
 PACKED_WORK_LIMIT = 2 * 10**12
 EVALUATED_WORK_LIMIT = 10**7
+# Widest slot of the row-packed scalar engine, in bits: on the benchmark
+# pools' and the law suites' calls it is at least as fast up to here, while
+# wider (F_1000003 from size 20, composition draws over Z at W 1654 and 2600)
+# the per-entry loop is
+PACKED_WIDTH_LIMIT = 400
 
 
 class FormalDegreeError(ValueError):
@@ -184,21 +186,21 @@ def _last_row_cofactors(top, forms, divider):
 
 
 def _row_width(top, forms, p=None):
-    """W for packing top above the carried rows of forms, or None where the
-    per-entry work count (an entry one limb over F_p, p given) is smaller."""
-    sq = [max(1, sum(map(mul, r, r))) for r in top]
-    width = ((prod(sq) * max(1, sum(c * c for f in forms for c in f.values()))).bit_length() + 1) // 2 + 1
-    if width <= 172:  # every term of the work count is negative
-        return width
-    work, rows = 0, len(top) + len({s for f in forms for s in f})
-    for k, bits in enumerate(accumulate(s.bit_length() // 2 for s in sq)):
-        entry = 30 if p else bits + 30
-        work += (rows - 1 - k) * (len(forms) - k) * ((width + 30) * (bits + 30) - entry * entry - 40000)
-    return width if work < 0 else None
+    """W, least with Hadamard's bound H < 2^(W-1) on the minors of top and
+    one carried row of forms, H from the row norms; over F_p (p given) the
+    norms are bounded on the residues, each nonzero's lift at most p // 2."""
+
+    def sq(r):
+        return (len(r) - r.count(0)) * (p // 2) ** 2 if p else sum(map(mul, r, r))
+
+    h2 = prod(max(1, sq(r)) for r in top) * max(1, sq([c for f in forms for c in f.values()]))
+    return (h2.bit_length() + 1) // 2 + 1
 
 
 def _packed_cofactors(top, forms, width):
-    """_last_row_cofactors packed (module docstring): slot j of carried row s is forms[j][s]."""
+    """_last_row_cofactors on packed rows (module docstring), slot j of carried
+    row s holding forms[j][s].  The remainder check is on the whole row: it
+    raises on a misread slot only by chance, as exactness rests on width."""
     m, mask, half, sign, prev = _pack([top], width)[0], (1 << width) - 1, 1 << (width - 1), 1, 1
     carried = {}
     for j, f in enumerate(forms):
@@ -225,25 +227,28 @@ def _packed_cofactors(top, forms, width):
     return {s: sign * v for s, v in zip(carried, m[len(top):]) if v}
 
 
-def _scalar_cofactors(top, forms, ring, divider):
-    """_last_row_cofactors, or _packed_cofactors where _row_width routes."""
-    width = _row_width(top, forms, ring.modulus)
-    return _last_row_cofactors(top, forms, divider) if width is None else _packed_cofactors(top, forms, width)
+def _scalar_cofactors(top, forms, divider, ring):
+    """_last_row_cofactors, packed (over F_p on the balanced lifts) where W is
+    at most PACKED_WIDTH_LIMIT."""
+    p, width = ring.modulus, _row_width(top, forms, ring.modulus)
+    if width > PACKED_WIDTH_LIMIT:
+        return _last_row_cofactors(top, forms, divider)
+    if p:
+        top = [[c - p if 2 * c > p else c for c in r] for r in top]
+        forms = [{s: c - p if 2 * c > p else c for s, c in f.items()} for f in forms]
+    return _packed_cofactors(top, forms, width)
 
 
 def _raw_rows(rows, ring, tpoly=False):
     """The int rows to eliminate, their divider, the column scales d and the
     map back to the result: over Q the rows of A*D (d_j clearing every
     coefficient in column j, also of tuples when tpoly) and division by det D;
-    over F_p the balanced lifts of the residues, over F_p[T] with exact
-    division in Z (the result's Scalar or Poly reduces mod p); elsewhere the
-    rows, d_j = 1 and the identity.
+    over F_p[T] the balanced lifts of the residues and exact division in Z
+    (the result's Poly reduces each digit mod p); elsewhere the rows, d_j = 1
+    and the identity.
     """
-    if ring.kind == "Fp":
+    if tpoly and ring.kind == "Fp":
         p = ring.modulus
-        if not tpoly:
-            lifts = [[c - p if 2 * c > p else c for c in r] for r in rows]
-            return lifts, ring.divider, [1] * len(rows), lambda c: c
         lifts = [[tuple(c - p if 2 * c > p else c for c in e) for e in r] for r in rows]
         return lifts, ZZ.divider, [1] * len(rows), lambda c: c
     if ring.kind != "Q":
@@ -347,27 +352,29 @@ def bareiss_det(rows, one):
     ints, Fractions or residues in [0, p), or over R[T] tuples of raw
     T-coefficients, lowest first, with no trailing zero.  The last row is the
     engine's one carried row (module docstring): over Z, Q and F_p row-packed
-    or entry by entry as the route rule picks; over R[T] on Kronecker-packed
-    entries (_pack, its work _packed_work) or, over F_p[T], by evaluation at
-    T = 0..D (_evaluated_det).  cofactor_det is the independent oracle.
+    where the slots are at most PACKED_WIDTH_LIMIT bits wide, else entry by
+    entry; over R[T] on Kronecker-packed entries (_pack, its work
+    _packed_work) or, over F_p[T], by evaluation at T = 0..D (_evaluated_det).
+    cofactor_det is the independent oracle.
     """
     if not rows:
         return one
     ring, tpoly = one.ring, isinstance(one, Poly)
     raw, divider, _, unscale = _raw_rows(rows, ring, tpoly)
-    if not tpoly:
-        det = _scalar_cofactors(raw[:-1], [{0: e} for e in raw[-1]], ring, divider).get(0, 0)
-        return Scalar(ring, unscale(det))
-    width, work = _packed_work(raw)
-    coeffs = _evaluated_det(rows, ring, work) if ring.kind == "Fp" else None
-    if coeffs is not None:
-        return Poly(ring, one.var, coeffs)
-    if work > PACKED_WORK_LIMIT:
-        raise ValueError(f"determinant of size {len(raw)} over {ring.name()}[{one.var}]"
-                         f" exceeds the work budget ({work} > {PACKED_WORK_LIMIT})")
-    raw = _pack(raw, width)
-    det = _last_row_cofactors(raw[:-1], [{0: e} for e in raw[-1]], divider).get(0, 0)
-    return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))
+    if tpoly:
+        width, work = _packed_work(raw)
+        coeffs = _evaluated_det(rows, ring, work) if ring.kind == "Fp" else None
+        if coeffs is not None:
+            return Poly(ring, one.var, coeffs)
+        if work > PACKED_WORK_LIMIT:
+            raise ValueError(f"determinant of size {len(raw)} over {ring.name()}[{one.var}]"
+                             f" exceeds the work budget ({work} > {PACKED_WORK_LIMIT})")
+        raw = _pack(raw, width)
+    engine = _last_row_cofactors if tpoly else partial(_scalar_cofactors, ring=ring)
+    det = engine(raw[:-1], [{0: e} for e in raw[-1]], divider).get(0, 0)
+    if tpoly:
+        return Poly(ring, one.var, list(map(unscale, _unpack(det, width))))
+    return Scalar(ring, unscale(det))
 
 
 def cofactor_det(rows, one):
@@ -454,7 +461,7 @@ def res_bezout(f: Poly, g: Poly, n: int | None = None, m: int | None = None):
     if size < 1:
         raise ValueError("res_bezout needs n + m >= 1")
     raw, divider, d, unscale = _raw_rows(rows, f.ring)
-    cof = _scalar_cofactors(raw[:-1], [{j: dj} for j, dj in enumerate(d)], f.ring, divider)
+    cof = _scalar_cofactors(raw[:-1], [{j: dj} for j, dj in enumerate(d)], divider, f.ring)
     y = [unscale(cof.get(j, 0)) for j in range(size)]
     return tuple(Poly(f.ring, f.var, c[::-1]) for c in (y[:m], y[m:]))
 

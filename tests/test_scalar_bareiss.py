@@ -16,6 +16,7 @@ from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.randgen import RandomMapSpec, gen_valid_map, rand_poly
 from p1homotopy.resultants import (
+    PACKED_WIDTH_LIMIT,
     _last_row_cofactors,
     _packed_cofactors,
     _raw_rows,
@@ -40,8 +41,10 @@ def sylvester(f, g, n, m):
 
 def first_step_hazard(rows, p):
     """The second pivot's entry after one Bareiss step, on the raw residues,
-    is a nonzero multiple of p: left unreduced it would be taken as a pivot
-    where the elimination over F_p must swap columns."""
+    is a nonzero multiple of p: left unreduced, the per-entry loop over F_p
+    would take it as a pivot where it must swap columns.  Over Z, on the
+    lifts, the packed engine may pivot on it: its result is reduced mod p
+    only at the end."""
     (a00, a01, *_), (a10, a11, *_) = rows[:2]
     e11 = a00 * a11 - a10 * a01
     return a00 != 0 and e11 != 0 and e11 % p == 0
@@ -62,6 +65,11 @@ def fp(ring, *coeffs):
 
 
 class TestFpReduction:
+    @pytest.fixture(autouse=True)
+    def route(self, monkeypatch):
+        # every elimination packed; TestFpReductionPerEntry takes the other side
+        monkeypatch.setattr(resultants, "PACKED_WIDTH_LIMIT", 10**9)
+
     # f = X^2 + 4X + c, g = 2X + 3 over F_5: the rows start [1, 2, 0] and
     # [4, 3, 2], so the first step leaves 1*3 - 4*2 = -5 where the next pivot
     # would be, and column 2 must be swapped in.  g has the root 1 and
@@ -104,6 +112,14 @@ class TestFpReduction:
             assert res_bezout(f, g, n, m) == oracle_witness(f, g, n, m), (f, g)
             zeros += det.is_zero()
         assert zeros >= 5
+
+
+class TestFpReductionPerEntry(TestFpReduction):
+    """The same hazards on the per-entry loop, which reduces every entry."""
+
+    @pytest.fixture(autouse=True)
+    def route(self, monkeypatch):
+        monkeypatch.setattr(resultants, "PACKED_WIDTH_LIMIT", 0)
 
 
 def split_pair(rng, ring, n, m, shared):
@@ -218,8 +234,9 @@ def zero_heavy(rng, size, bound):
 
 
 def routed(ring, n, bound, seed):
-    """The int rows above the last row's forms of a random Sylvester matrix
-    at formal degrees n, n, as bareiss_det hands them to the route rule."""
+    """The int rows (residues over F_p) above the last row's forms of a random
+    Sylvester matrix at formal degrees n, n, as bareiss_det hands them to the
+    route rule."""
     rng = random.Random(seed)
     f, g = rand_poly(rng, ring, n, bound), rand_poly(rng, ring, n, bound)
     raw = _raw_rows(sylvester(f, g, n, n), ring)[0]
@@ -240,7 +257,7 @@ class TestRowPackedEngine:
             rows = zero_heavy(rng, size, bound)
             for forms in ([{0: e} for e in rows[-1]], [{j: rng.randint(1, 7)} for j in range(size)]):
                 width = _row_width(rows[:-1], forms)
-                assert width is not None  # small entries always pack
+                assert width <= PACKED_WIDTH_LIMIT  # small entries always pack
                 want = _last_row_cofactors(rows[:-1], forms, ZZ.divider)
                 assert _packed_cofactors(rows[:-1], forms, width) == {s: v for s, v in want.items() if v}
 
@@ -274,17 +291,29 @@ class TestRowPackedEngine:
     def test_route_rule(self, ring, n, bound, packs):
         for seed in range(5):
             top, forms = routed(ring, n, bound, seed)
-            assert (_row_width(top, forms, ring.modulus) is not None) == packs
+            assert (_row_width(top, forms, ring.modulus) <= PACKED_WIDTH_LIMIT) == packs
+
+    def test_the_width_bounds_the_lifts_over_fp(self):
+        # over F_p the rule reads the residues: its W is at least the one of
+        # the balanced lifts' own norms, which the packed engine runs on
+        p = 1000003
+        for seed in range(20):
+            top, forms = routed(RingTag("Fp", p), random.Random(seed).randint(1, 12), 0, seed)
+            lift = [[c - p if 2 * c > p else c for c in r] for r in top]
+            lifted = [{s: c - p if 2 * c > p else c for s, c in f.items()} for f in forms]
+            assert _row_width(top, forms, p) >= _row_width(lift, lifted)
 
     @pytest.mark.parametrize("ring", [ZZ, QQ, F3, F101], ids=["Z", "Q", "F3", "F101"])
     def test_both_routes_agree_through_the_public_api(self, ring, monkeypatch):
-        # the same determinants and witnesses, packed and forced per entry
+        # the same determinants and witnesses, forced packed and per entry
         rng = random.Random(71)
         pairs = [(rand_poly(rng, ring, n, 9), rand_poly(rng, ring, m, 9), n, m)
                  for n, m in ((3, 4), (6, 6), (9, 7), (12, 12))]
-        packed = [(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs]
-        monkeypatch.setattr(resultants, "_row_width", lambda top, forms, p=None: None)
-        assert packed == [(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs]
+        results = []
+        for limit in (10**9, 0):
+            monkeypatch.setattr(resultants, "PACKED_WIDTH_LIMIT", limit)
+            results.append([(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs])
+        assert results[0] == results[1]
 
 
 def counting(monkeypatch, *targets):
