@@ -50,10 +50,9 @@ SYLVESTER_SIZE_LIMIT = 100
 # whose work takes the smaller share of its limit runs
 PACKED_WORK_LIMIT = 2 * 10**12
 EVALUATED_WORK_LIMIT = 10**7
-# Widest slot of the row-packed scalar engine, in bits: on the benchmark
-# pools' and the law suites' calls it is at least as fast up to here, while
-# wider (F_1000003 from size 20, composition draws over Z at W 1654 and 2600)
-# the per-entry loop is
+# Widest slot of the row-packed scalar engine, in bits: on the benchmark's
+# and the law suites' scalar calls, packing is the faster side up to here and
+# the per-entry loop above (F_1000003 from size 20, wide composition draws)
 PACKED_WIDTH_LIMIT = 400
 
 
@@ -189,18 +188,14 @@ def _row_width(top, forms, p=None):
     """W, least with Hadamard's bound H < 2^(W-1) on the minors of top and
     one carried row of forms, H from the row norms; over F_p (p given) the
     norms are bounded on the residues, each nonzero's lift at most p // 2."""
-
-    def sq(r):
-        return (len(r) - r.count(0)) * (p // 2) ** 2 if p else sum(map(mul, r, r))
-
-    h2 = prod(max(1, sq(r)) for r in top) * max(1, sq([c for f in forms for c in f.values()]))
-    return (h2.bit_length() + 1) // 2 + 1
+    rows = [*top, [c for f in forms for c in f.values()]]  # pooled: no carried row is longer
+    sq = [(len(r) - r.count(0)) * (p // 2) ** 2 if p else sum(map(mul, r, r)) for r in rows]
+    return (prod(max(1, s) for s in sq).bit_length() + 1) // 2 + 1
 
 
 def _packed_cofactors(top, forms, width):
     """_last_row_cofactors on packed rows (module docstring), slot j of carried
-    row s holding forms[j][s].  The remainder check is on the whole row: it
-    raises on a misread slot only by chance, as exactness rests on width."""
+    row s holding forms[j][s]; the remainder check sees whole rows, not slots."""
     m, mask, half, sign, prev = _pack([top], width)[0], (1 << width) - 1, 1 << (width - 1), 1, 1
     carried = {}
     for j, f in enumerate(forms):

@@ -276,8 +276,10 @@ class TestRowPackedEngine:
 
     def test_an_inexact_division_raises(self):
         # a slot width too narrow for the entries misreads -9 as 7; the
-        # division by the misread pivot leaves a remainder, which raises (a
-        # check, not an assert: it holds under python -O too)
+        # division by the misread pivot leaves a remainder in this row, which
+        # raises (a check, not an assert: it holds under python -O too).  The
+        # check sees whole rows, so it catches a misread slot only by chance:
+        # exactness rests on the width
         rows = [[3, -3, 4], [-9, 7, -2], [5, 6, 8]]
         with pytest.raises(ExactDivisionError):
             _packed_cofactors(rows[:-1], [{0: e} for e in rows[-1]], 4)
