@@ -286,7 +286,7 @@ class TestRowPackedEngine:
 
     @pytest.mark.parametrize("ring, n, bound, packs", [
         (ZZ, 8, 5, True),  # size 16, small coefficients
-        (RingTag("Fp", 7), 12, 0, True),  # size 24 over F_7, on the lifts
+        (RingTag("Fp", 7), 12, 0, True),  # size 24 over F_7, bounded on the residues
         (ZZ, 48, 9999, False),  # size 96, 4-digit coefficients
         (RingTag("Fp", 1000003), 12, 0, False),  # size 24, large p
     ], ids=["Z-16", "F7-24", "Z-wide-96", "F1000003-24"])
