@@ -50,9 +50,9 @@ SYLVESTER_SIZE_LIMIT = 100
 # whose work takes the smaller share of its limit runs
 PACKED_WORK_LIMIT = 2 * 10**12
 EVALUATED_WORK_LIMIT = 10**7
-# Widest slot of the row-packed scalar engine, in bits: on the benchmark's
-# and the law suites' scalar calls, packing is the faster side up to here and
-# the per-entry loop above (F_1000003 from size 20, wide composition draws)
+# Widest slot of the row-packed scalar engine, in bits: summed over the
+# benchmark's and the law suites' scalar calls, packing is faster up to here
+# and the per-entry loop above (F_1000003 from size 20, wide Z compositions)
 PACKED_WIDTH_LIMIT = 400
 
 
