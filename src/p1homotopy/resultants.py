@@ -10,6 +10,10 @@ last row's entry or symbol in column j scaled by d_j like its column and
 every coefficient of the result divided by det D: det A = det(A*D) / det D,
 and last-row cofactor j is that of A*D times d_j / det D.  Each symbol of
 the last row is a carried row: eliminated like the others, never a pivot.
+A step updates x to (piv*x - a*y) / prev, a in the pivot column, y in the
+pivot row, prev the last pivot (1 at first).  At piv == prev a row with
+a = 0, and a column with y = 0 (carried rows included), stays as it is; a
+pivot of 1 leaves the next step no division; every other one is checked.
 Over Z, Q and F_p (on balanced lifts, the result reduced mod p) each row is
 one int of balanced base-2^W slots, column k lowest at step k, so the step
 on row i is one big-int update R_i = ((piv*R_i - a*R_k) >> W) / prev, piv
@@ -152,15 +156,17 @@ def _last_row_cofactors(top, forms, divider):
     row that never pivots (_packed_cofactors packs them, and top), so the
     final entry is the form sum_j C[last][j] * forms[j], C[last][j] the
     last-row cofactors.  divider(prev) divides a new entry by the previous
-    pivot and reduces it (prev None: reduction alone), so a reduced entry is
-    zero exactly when it is 0; every division is exact (an inexact one raises
-    and signals a bug).  A zero pivot is swapped for a later nonzero entry of
-    its row (columns swap, forms included, and the sign flips); a row that is
-    zero from the pivot on makes the result zero.
+    pivot and reduces it (prev None, after a pivot of 1: reduction alone), so
+    a reduced entry is zero exactly when it is 0; every division is exact (an
+    inexact one raises and signals a bug).  An equal pivot updates only the
+    entries with a != 0 and y != 0, forms included (module docstring).  A
+    zero pivot is swapped for a later nonzero entry of its row (columns swap,
+    forms included, and the sign flips); a row that is zero from the pivot on
+    makes the result zero.
     """
     size, last = len(forms), len(top)
     m = [list(r) for r in top] + [list(forms)]
-    forms, sign, div = m[last], 1, divider(None)
+    forms, sign, prev, div = m[last], 1, 1, divider(None)
     for k in range(last):
         c = next((c for c in range(k, size) if m[k][c]), None)
         if c is None:
@@ -170,16 +176,21 @@ def _last_row_cofactors(top, forms, divider):
                 row[k], row[c] = row[c], row[k]
             sign = -sign
         pivot, tail = m[k][k], m[k][k + 1 :]
+        live = [(j, y) for j, y in enumerate(tail, k + 1) if y or pivot != prev]
         for row_i in m[k + 1 : last]:
             a = row_i[k]
-            row_i[k + 1 :] = [div(pivot * x - a * y) for x, y in zip(row_i[k + 1 :], tail)]
-        for j, b in enumerate(tail, k + 1):
+            if pivot != prev:
+                row_i[k + 1 :] = [div(pivot * x - a * y) for x, y in zip(row_i[k + 1 :], tail)]
+            elif a:
+                for j, y in live:
+                    row_i[j] = div(pivot * row_i[j] - a * y)
+        for j, b in live:
             e = {s: pivot * a for s, a in forms[j].items()}
             if b:
                 for s, a in forms[k].items():
                     e[s] = e[s] - b * a if s in e else -(b * a)
             forms[j] = {s: a for s, a in zip(e, map(div, e.values())) if a}
-        div = divider(pivot)
+        prev, div = pivot, divider(None if pivot == 1 else pivot)
     y = forms[last]
     return y if sign == 1 else {s: -a for s, a in y.items()}
 
@@ -195,7 +206,10 @@ def _row_width(top, forms, p=None):
 
 def _packed_cofactors(top, forms, width):
     """_last_row_cofactors on packed rows (module docstring), slot j of carried
-    row s holding forms[j][s]; the remainder check sees whole rows, not slots."""
+    row s holding forms[j][s].  At piv == prev a row whose lowest slot is 0
+    becomes R_i >> W, and at piv == prev == 1 a row becomes (R_i - a*R_k) >> W,
+    with no product and no divmod; every other row is divided by prev, and
+    the remainder check sees whole rows, not slots."""
     m, mask, half, sign, prev = _pack([top], width)[0], (1 << width) - 1, 1 << (width - 1), 1, 1
     carried = {}
     for j, f in enumerate(forms):
@@ -215,9 +229,15 @@ def _packed_cofactors(top, forms, width):
                 m[i] += c - a + ((a - c) << shift)
             sign, piv = -sign, ((m[k] + half) & mask) - half
         for i in range(k + 1, len(m)):
-            m[i], r = divmod((piv * m[i] - (((m[i] + half) & mask) - half) * m[k]) >> width, prev)
-            if r:
-                raise ExactDivisionError(f"row {i} not divisible by {prev} at pivot {k}")
+            a = ((m[i] + half) & mask) - half
+            if piv == prev and not a:
+                m[i] >>= width
+            elif piv == prev == 1:
+                m[i] = (m[i] - a * m[k]) >> width
+            else:
+                m[i], r = divmod((piv * m[i] - a * m[k]) >> width, prev)
+                if r:
+                    raise ExactDivisionError(f"row {i} not divisible by {prev} at pivot {k}")
         prev = piv
     return {s: sign * v for s, v in zip(carried, m[len(top):]) if v}
 

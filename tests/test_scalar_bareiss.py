@@ -1,7 +1,8 @@
 """Scalar Bareiss on raw ring values: the F_p reduction hazard, resultants
 and Bezout witnesses above the cofactor oracle's cap, the boundary of the
-elimination (the Sylvester matrix is raw from layout to result), and the
-row-packed engine against the per-entry loop, with the rule between them."""
+elimination (the Sylvester matrix is raw from layout to result), the
+row-packed engine against the per-entry loop, with the rule between them,
+and both engines' equal-pivot steps against a plain Bareiss."""
 
 import random
 from collections import Counter
@@ -21,17 +22,20 @@ from p1homotopy.resultants import (
     _packed_cofactors,
     _raw_rows,
     _row_width,
+    _scalar_cofactors,
     _sylvester_rows,
     bareiss_det,
     cofactor_det,
     res_bezout,
     resultant,
+    resultant_oracle,
     resultant_product_oracle,
     split_poly,
 )
 from p1homotopy.rings import QQ, ExactDivisionError, RingTag, Scalar, ZZ
 
-F3, F5, F101 = RingTag("Fp", 3), RingTag("Fp", 5), RingTag("Fp", 101)
+F3, F5, F7, F101 = RingTag("Fp", 3), RingTag("Fp", 5), RingTag("Fp", 7), RingTag("Fp", 101)
+F1000003 = RingTag("Fp", 1000003)
 
 
 def sylvester(f, g, n, m):
@@ -316,6 +320,154 @@ class TestRowPackedEngine:
             monkeypatch.setattr(resultants, "PACKED_WIDTH_LIMIT", limit)
             results.append([(resultant(f, g, n, m), res_bezout(f, g, n, m)) for f, g, n, m in pairs])
         assert results[0] == results[1]
+
+
+def plain_det(rows):
+    """(det, pivots) of an int matrix by Bareiss with column swaps and no
+    skip: every entry is updated at every step and every division checked."""
+    m, sign, prev, pivots = [list(r) for r in rows], 1, 1, []
+    for k in range(len(m)):
+        c = next((c for c in range(k, len(m)) if m[k][c]), None)
+        if c is None:
+            return 0, pivots
+        if c != k:
+            for row in m:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        pivots.append(m[k][k])
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j], r = divmod(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                if r:
+                    raise ArithmeticError(f"{prev} does not divide entry ({i}, {j}) at step {k}")
+        prev = m[k][k]
+    return sign * prev, pivots
+
+
+def plain_cofactors(top, forms, p=None):
+    """The engines' result by plain_det, one determinant per symbol: its last
+    row holds the symbol's coefficient in each column (reduced mod p)."""
+    out = {}
+    for s in {s for f in forms for s in f}:
+        v = plain_det([*top, [f.get(s, 0) for f in forms]])[0]
+        out[s] = v % p if p else v
+    return {s: v for s, v in out.items() if v}
+
+
+def equal_steps(rows):
+    """How many Bareiss steps of rows have the pivot of the step before (1
+    before the first)."""
+    pivots = plain_det(rows)[1]
+    return sum(a == b for a, b in zip([1, *pivots], pivots))
+
+
+def certificate(consts_a, consts_b, units):
+    """F, G in Z[T][X] from the SL2 product of [[X + c, -u], [u, 0]], c moving
+    from a to b along T and u = +-1: F is monic and res(F, G) is +-1."""
+    vars_ = ("X", "T")
+
+    def mp(terms):
+        return MPoly(ZZ, vars_, terms)
+
+    m = ((mp({(0, 0): 1}), mp({})), (mp({}), mp({(0, 0): 1})))
+    for a, b, u in zip(consts_a, consts_b, units):
+        e = ((mp({(1, 0): 1, (0, 0): a, (0, 1): b - a}), mp({(0, 0): -u})), (mp({(0, 0): u}), mp({})))
+        m = tuple(tuple(r[0] * e[0][j] + r[1] * e[1][j] for j in range(2)) for r in m)
+    return m[0][0], m[1][0]
+
+
+class TestEqualPivotSteps:
+    """A step whose pivot equals the one before leaves a row with 0 in the
+    pivot column, and a column with 0 in the pivot row, as they are, and a
+    pivot of 1 leaves the next step nothing to divide: both engines against
+    plain_det, which skips nothing."""
+
+    def check(self, top, forms, ring=ZZ, monkeypatch=None):
+        p = ring.modulus
+        want = plain_cofactors(top, forms, p)
+        if monkeypatch is None:  # over Z, each engine called directly
+            assert _last_row_cofactors(top, forms, ZZ.divider) == want
+            assert _packed_cofactors(top, forms, _row_width(top, forms)) == want
+            return
+        for limit in (0, 10**9):  # per entry on the residues, packed on the lifts
+            monkeypatch.setattr(resultants, "PACKED_WIDTH_LIMIT", limit)
+            got = _scalar_cofactors(top, forms, ring.divider, ring)
+            got = {s: v % p if p else v for s, v in got.items()}
+            assert {s: v for s, v in got.items() if v} == want, limit
+
+    @pytest.mark.parametrize("ring, bound", [(ZZ, 9), (F7, 0), (F1000003, 0)], ids=["Z", "F7", "F1000003"])
+    def test_sylvester_of_monic_f(self, ring, bound, monkeypatch):
+        # f monic, so the first pivots are 1; g with zero coefficients, so
+        # pivot rows and columns hold zeros; the last row as one symbol and as
+        # the symbols z_j of res_bezout
+        rng = random.Random(73)
+        equal = 0
+        for _ in range(60):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            f = Poly(ring, "X", [*rand_poly(rng, ring, n - 1, bound).raw, *[0] * n][:n] + [1])
+            g = Poly(ring, "X", [0 if rng.random() < 0.4 else c for c in rand_poly(rng, ring, m, bound).raw])
+            rows = _raw_rows(sylvester(f, g, n, m), ring)[0]
+            equal += equal_steps(rows)
+            for forms in ([{0: e} for e in rows[-1]], [{j: 1} for j in range(n + m)]):
+                self.check(rows[:-1], forms, ring, monkeypatch)
+        assert equal >= 60
+
+    def test_certificates_over_z_t(self):
+        # the chain workload's shape: below the oracle's cap against it, above
+        # it against plain_det at T = 0..D, D the sum of the rows' T-degrees;
+        # a doubled G makes the resultant +-2^n, not a unit
+        rng = random.Random(79)
+        for n in range(1, 8):
+            for doubled in (False, True):
+                a, b = ([rng.randint(-2, 2) for _ in range(n)] for _ in range(2))
+                F, G = certificate(a, b, [rng.choice((1, -1)) for _ in range(n)])
+                G = G * MPoly(ZZ, G.vars, {(0, 0): 2}) if doubled else G
+                res = resultant(F, G)
+                assert res.actual_degree() <= 0 and abs(res.coeff(0).value) == 2 ** (n * doubled)
+                if n <= 4:
+                    assert res == resultant_oracle(F, G)
+                    continue
+                rows = _sylvester_rows(F, G, None, None)[0]
+                for t in range(sum(max(len(e) for e in r) - 1 for r in rows) + 1):
+                    at = [[sum(c * t**j for j, c in enumerate(e)) for e in r] for r in rows]
+                    assert sum(c * t**j for j, c in enumerate(res.raw)) == plain_det(at)[0], (n, t)
+
+    def test_equal_pivots_that_are_not_1(self):
+        # pivots 3, 3, 3, -2: after a pivot of 3 equal to the one before,
+        # the next step still divides by 3; row 3 has 0 in column 1 at the
+        # second step, and the second pivot row 0 in column 2
+        rows = [[3, 0, 1, 2, 0], [0, 1, 0, 1, 1], [3, 1, 2, 0, 1], [1, 0, 0, 1, 2], [2, 1, 1, 1, 1]]
+        assert plain_det(rows)[1][:3] == [3, 3, 3]
+        for forms in ([{0: e} for e in rows[-1]], [{j: 1} for j in range(5)]):
+            self.check(rows[:-1], forms)
+        assert bareiss_det(rows, ZZ.one()) == Scalar(ZZ, 2) == cofactor_det(rows, ZZ.one())
+
+    def test_a_unit_pivot_then_a_column_swap(self, monkeypatch):
+        # the first step leaves 0 at (1, 1), so column 2 swaps in, and its
+        # pivot, 1 again, equals the one before
+        rows = [[1, 2, 0, 1], [1, 2, 1, 0], [0, 1, 1, 1], [2, 1, 0, 3]]
+        assert plain_det(rows) == (-7, [1, 1, 1, 7])
+        for forms in ([{0: e} for e in rows[-1]], [{j: 1} for j in range(4)]):
+            self.check(rows[:-1], forms)
+            self.check(rows[:-1], forms, F7, monkeypatch)
+        assert bareiss_det(rows, ZZ.one()) == Scalar(ZZ, -7)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F7], ids=["Z", "Q", "F7"])
+    def test_bezout_with_zero_last_row_entries(self, ring, monkeypatch):
+        # f(0) = 0 or g(0) = 0, so the Sylvester matrix's last row has one
+        # nonzero entry or none; the carried forms also leave columns empty
+        rng = random.Random(83)
+        for _ in range(20):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            f = Poly(ring, "X", [0, *rand_poly(rng, ring, n - 2, 5).raw, *[0] * n][:n] + [1])
+            g = Poly(ring, "X", [rng.choice((0, 1)) * 3, *rand_poly(rng, ring, m - 1, 5).raw][: m + 1])
+            p, q = res_bezout(f, g, n, m)
+            if n + m <= 8:
+                assert (p, q) == oracle_witness(f, g, n, m)
+            assert p * f + q * g == Poly.constant(ring, "X", resultant(f, g, n, m))
+            rows = _raw_rows(sylvester(f, g, n, m), ring)[0]  # over Q the scaled ints
+            forms = [{j: 1} if rng.random() < 0.7 else {} for j in range(n + m)]
+            self.check(rows[:-1], forms, ZZ if ring is QQ else ring, monkeypatch)
 
 
 def counting(monkeypatch, *targets):
