@@ -3,8 +3,9 @@
 
 Each case in golden/cases.json is one CLI invocation; its human stdout,
 its --json stdout and its exit code are pinned byte for byte under
-golden/expected/.  Argument paths starting with "inputs/" are read from
-golden/inputs/.
+golden/expected/.  A case that exits 2 also pins its stderr, the one
+`error:` line, in cases.json.  Argument paths starting with "inputs/" are
+read from golden/inputs/.
 
 To re-capture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -26,10 +27,10 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 def _invoke(argv):
     argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _expected(case, suffix):
@@ -40,18 +41,22 @@ def _expected(case, suffix):
 @pytest.mark.parametrize("mode", ["txt", "json"])
 def test_golden(case, mode):
     argv = case["argv"] + (["--json"] if mode == "json" else [])
-    code, out = _invoke(argv)
+    code, out, err = _invoke(argv)
     assert code == case["exit"]
     assert out == _expected(case, mode).read_text(encoding="utf-8")
+    if "stderr" in case:
+        assert err == case["stderr"]
 
 
 def capture():
     (GOLDEN / "expected").mkdir(exist_ok=True)
     for case in CASES:
-        code, out = _invoke(case["argv"])
-        json_code, json_out = _invoke(case["argv"] + ["--json"])
-        assert code == json_code, case["name"]
+        code, out, err = _invoke(case["argv"])
+        json_code, json_out, json_err = _invoke(case["argv"] + ["--json"])
+        assert (code, err) == (json_code, json_err), case["name"]
         case["exit"] = code
+        if code == 2:
+            case["stderr"] = err
         _expected(case, "txt").write_text(out, encoding="utf-8")
         _expected(case, "json").write_text(json_out, encoding="utf-8")
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n", encoding="utf-8")
