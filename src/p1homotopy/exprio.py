@@ -18,15 +18,17 @@ Grammar (whitespace-insensitive; multiplication always explicit):
 
 '^' binds tighter than '*', '*' tighter than '+'/'-'; a leading '-' negates
 the whole first term, so printed polynomials round-trip exactly.  Integers
-are ASCII digits.  Where a term starts, a monomial [c*]V[^e]*... without
-whitespace is one token, checked and charged as its rules would be.  A
-parse accumulates one raw term dict {exponent vector: raw coefficient}; '*'
-and '^' go through `mpoly.mul_terms`, which applies MPoly's one
-normalisation (over Q integral values stay ints until the end, so they
-multiply at the speed of Z), except that a power of a monomial is one power
-of its coefficient.  A parse spends at most MAX_PARSE_WORK units on
-coefficient products, each weighted by its operands' sizes
-(_Parser.charge).  Canonical printing orders terms by descending exponent
+are ASCII digits.  A parse accumulates one raw term dict {exponent vector:
+raw coefficient}; '*' and '^' go through `mpoly.mul_terms`, which applies
+MPoly's one normalisation (over Q integral values stay ints until the end,
+so they multiply at the speed of Z), except that a power of a monomial is
+one power of its coefficient.  A parse spends at most MAX_PARSE_WORK units
+on coefficient products, each weighted by its operands' sizes
+(_Parser.charge).  A flat text, a signed sum of terms [c*]V[^e]*... or c
+(over Q c may be a/b or (a/b)) in at most one pair of parentheses, is read
+in one pass (_flat_terms) to the same terms and charges; any other text,
+and any these rules refuse, goes to the recursive descent, which raises
+every ParseError.  Canonical printing orders terms by descending exponent
 (descending lexicographic exponent vectors for multivariate polynomials).
 """
 
@@ -75,13 +77,13 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # Parser
 
-_LEXEME = r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)"
-_POWER = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?"
-# The lexer inside a term and where a term starts; there, [c*]V[^e]*...
-# without whitespace is one token, unless it is the base of a '^' or the
-# head of a longer number or name.
-_TOKENS = (re.compile(rf"\s*(?:{_LEXEME})"), re.compile(
-    rf"\s*(?:(?P<mono>(?:[0-9]+\*)?{_POWER}(?:\*{_POWER})*(?![0-9A-Za-z_])(?!\s*\^))|{_LEXEME})"))
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+_POWERS = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?(?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?)*"
+# A term of a flat text: at the text's start at most one '(' (the only one
+# not around a coefficient) and a '-', elsewhere a sign; then a coefficient
+# c, a/b, (c) or (a/b) and its powers *V[^e]*..., or the powers alone.
+_TERM = re.compile(rf"(^\s*(?:\((?![0-9]+(?:/[0-9]+)?\))\s*)?-?|(?!^)\s*[-+])\s*"
+                   rf"(?:(\()?([0-9]+)(?:/([0-9]+))?(?(2)\))(?:\*({_POWERS}))?|({_POWERS}))")
 
 
 def _literal(text: str, pos: int, cap=None) -> int:
@@ -112,24 +114,16 @@ def _sized(terms: dict) -> tuple:
 
 class _Parser:
     """Recursive descent over (kind, text, position) tokens, kind being 'int',
-    'name', 'mono', 'end' or the operator; every rule returns a fresh raw term
-    dict, factor and atom as a sized one, (terms, bits, fraction) as in _sized."""
+    'name', 'end' or the operator; every rule returns a fresh raw term dict,
+    factor and atom as a sized one, (terms, bits, fraction) as in _sized."""
 
     def __init__(self, text: str, vars: tuple, ring: RingTag):
-        # A term starts at the text's start, after '(' or '+', and after a '-'
-        # that does not negate an atom (one not after an operator).  Elsewhere
-        # the rules group a monomial's products otherwise, or bind a '-'
-        # tighter than its '^', so there it is lexed in pieces.
-        self.tokens, prev, starts, end = [], "(", True, 0
-        while m := _TOKENS[starts].match(text, end):
-            kind, end = m.lastgroup, m.end()
-            tok, pos = m.group(kind), m.start(kind)
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind, tok, pos = m.lastgroup, m.group(), m.start()
             if kind == "bad":
                 raise ParseError(f"unexpected character {tok!r}", pos)
-            kind = tok if kind == "op" else kind
-            self.tokens.append((kind, tok, pos))
-            starts = kind in ("(", "+") or kind == "-" and prev not in "+-*^/"
-            prev = kind
+            self.tokens.append((tok if kind == "op" else kind, tok, pos))
         self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.ring = ring
@@ -174,6 +168,14 @@ class _Parser:
         bits = sa + sb + min(len(a), len(b)).bit_length()
         return mul_terms(a, b, self.norm), bits, fa or fb
 
+    def read(self) -> tuple:
+        """(terms, work) of the whole text."""
+        terms = self.expr()
+        kind, tok, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {tok!r}", pos)
+        return terms, self.work
+
     def expr(self) -> dict:
         acc, sign = {}, 1
         if self.peek()[0] == "-":
@@ -211,35 +213,14 @@ class _Parser:
             acc = self.mul(acc, base, pos)
         return acc
 
-    def monomial(self, text: str, pos: int) -> tuple:
-        """The sized term of a name or a monomial token [c*]V[^e]*..., with the
-        checks and charges of its rules in their order: e products at each
-        '^', as factor charges V^e, then one product at each '*'."""
-        exps, c, bits = [0] * len(self.zero), 1, None
-        for part in text.split("*"):
-            name, caret, e = part.partition("^")
-            if name.isdigit():
-                c = self.norm(_literal(name, pos))
-                bits = c.bit_length() + 1 if c else 0
-            elif name not in self.index:
-                declared = ", ".join(self.index)
-                raise ParseError(f"undeclared variable {name!r} (declared: {declared})", pos)
-            else:
-                if caret:
-                    e = _literal(e, pos + len(name) + 1, MAX_EXPONENT)
-                    self.charge(e, e, 2, False, pos + len(name))
-                exps[self.index[name]] += e if caret else 1
-                if bits is not None:  # a product by a nonzero term adds a bit
-                    self.charge(1 if c else 0, bits, 2, False, pos - 1)
-                bits = 2 if bits is None else bits + (3 if c else 2)
-            pos += len(part) + 1
-        return {tuple(exps): c} if c else {}, bits, False
-
     def atom(self) -> tuple:
         kind, text, pos = self.peek()
-        if kind in ("mono", "name"):
+        if kind == "name":
+            if text not in self.index:
+                declared = ", ".join(self.index)
+                raise ParseError(f"undeclared variable {text!r} (declared: {declared})", pos)
             self.take()
-            return self.monomial(text, pos)
+            return {tuple(int(v == text) for v in self.index): 1}, 2, False
         if kind == "int":
             value = self.integer("expected a number, variable, '(' or '-'")[0]
             if self.peek()[0] == "/":
@@ -266,14 +247,44 @@ class _Parser:
         self.fail("expected a number, variable, '(' or '-'")
 
 
+def _flat_terms(text: str, vars: tuple, ring: RingTag):
+    """(terms, work) as _Parser(text, vars, ring).read() gives them for a
+    flat text, a sum of _TERMs (see the module docstring); else None."""
+    index, zero, p = {v: k for k, v in enumerate(vars)}, [0] * len(vars), ring.modulus
+    terms, work, end = {}, 0, 0
+    try:
+        for m in _TERM.finditer(text):
+            sign, _, num, den, more, powers = m.groups()
+            if m.start() != end or den and ring != QQ:
+                return None
+            end, exps, c, bits = m.end(), zero.copy(), 1, -1
+            if num:  # the atom's value, and its size as _sized gives it
+                c = int(num) % p if p else int(num)
+                c = _q_parse_norm(Fraction(c, int(den))) if den else c
+                bits, powers = c.numerator.bit_length() + c.denominator.bit_length(), more
+            for part in powers.split("*") if powers else ():
+                name, caret, e = part.partition("^")
+                e = int(e) if caret else 1
+                if e > MAX_EXPONENT:
+                    return None
+                exps[index[name]] += e
+                work += e * (1 + 2 * e // BITS_PER_UNIT) if caret else 0  # factor, on V^e
+                if c and bits >= 0:  # term, on a product by a term of 2 bits
+                    work += (FRACTION_COST if type(c) is Fraction else 1) + 2 * bits // BITS_PER_UNIT
+                bits += 3
+            if c:
+                exps = tuple(exps)
+                terms[exps] = terms.get(exps, 0) + (-c if sign[-1:] == "-" else c)
+    except (KeyError, ValueError, ZeroDivisionError):  # a name, a literal, a denominator
+        return None
+    closed = text[end:].strip() in ("", ")") and text.count("(") == text.count(")")
+    return (terms, work) if end and closed and work <= MAX_PARSE_WORK else None
+
+
 def parse_poly(text: str, variables, ring: RingTag):
     """Parse into a Poly (one declared variable) or MPoly (several)."""
     vars = tuple(variables)
-    parser = _Parser(text, vars, ring)
-    terms = parser.expr()
-    kind, tok, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {tok!r}", pos)
+    terms = (_flat_terms(text, vars, ring) or _Parser(text, vars, ring).read())[0]
     value = MPoly(ring, vars, terms)
     return value.to_poly(vars[0]) if len(vars) == 1 else value
 

@@ -259,17 +259,14 @@ class MembershipLinkDetail:
         return f"certified with N = {self.cert.N}, degree <= {self.cert.coefficient_degree()}"
 
 
-def _certify_family(link: Link, n_max: int, d_max: int | None):
+def _certify_family(link: Link, search):
     cert, note = link.proof, None
     if cert is not None:
         verdict = verify_membership(link.family, cert)
         if not verdict.ok:
             cert, note = None, f"supplied certificate fails identity {verdict.failing_index}"
     else:
-        try:
-            cert = find_membership(link.family, n_max, d_max)
-        except MembershipNotFound as exc:
-            note = str(exc)
+        cert, note = search(link.family)
     ends = (plane_endpoint(link.family, 0), plane_endpoint(link.family, 1))
     return [note] if note else [], ends, MembershipLinkDetail(cert, note)
 
@@ -277,5 +274,12 @@ def _certify_family(link: Link, n_max: int, d_max: int | None):
 def verify_plane_chain(chain: Chain, n_max: int = 6, d_max: int | None = None) -> ChainReport:
     """Certify every family (found or supplied certificate), then check the
     junctions under the link orientations and the end pairs, all exactly."""
-    certify = partial(_certify_family, n_max=n_max, d_max=d_max)
+    @cache  # a family that recurs in the chain is searched once
+    def search(fam):
+        try:
+            return find_membership(fam, n_max, d_max), None
+        except MembershipNotFound as exc:
+            return None, str(exc)
+
+    certify = partial(_certify_family, search=search)
     return walk_chain("plane", chain.links, certify, exact, chain.from_, chain.to)

@@ -556,3 +556,111 @@ def test_a_monomial_token_parses_as_its_spaced_text(ring):
         text = print_poly(MPoly(ring, ("X", "T"), terms))
         _assert_parses_as_spaced(text, ("X", "T"), ring)
         _assert_parses_as_spaced(f"({text})^2 - ({text})*X*T", ("X", "T"), ring)
+
+
+def _descent(text, vars, ring):
+    """The recursive descent's reading: (raw terms, work) or (message, position)."""
+    try:
+        return exprio._Parser(text, vars, ring).read()
+    except ParseError as exc:
+        return exc.msg, exc.pos
+
+
+def _typed(reading):
+    """A reading with each raw coefficient paired with its type."""
+    terms, work = reading
+    if isinstance(terms, str):
+        return reading
+    return {e: (type(c), c) for e, c in terms.items()}, work
+
+
+def _parsed_value(terms, vars, ring):
+    value = MPoly(ring, vars, terms)
+    return value.to_poly(vars[0]) if len(vars) == 1 else value
+
+
+def _flat_mutants(text, vars, rng):
+    """text with one defect each: a space inside a term, '^^', a missing
+    sign, an exponent above the cap, an undeclared name and (1/0)."""
+    marks = [i for i, ch in enumerate(text) if ch in "*^"]
+    if marks:
+        i = rng.choice(marks) + rng.randint(0, 1)
+        yield text[:i] + " " + text[i:]
+    yield text.replace("^", "^^", 1) if "^" in text else f"{text} + {vars[0]}^^2"
+    yield re.sub(r" [-+] ", " ", text, count=1) if " " in text else f"{text} {vars[-1]}"
+    yield f"{text} - 2*{vars[0]}^4097"
+    yield f"{text} + 3*Y^2"
+    yield f"(1/0)*{vars[0]} + {text}"
+
+
+def _random_flat_poly(rng, ring, vars):
+    """A random polynomial: up to 8 terms, coefficients from 0 to 30 digits
+    (over Q with denominators), exponents mostly small, a few up to the cap."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps = tuple(rng.choice((0, 1, 2, rng.randint(0, 9), rng.randint(0, 4096))) for _ in vars)
+        c = rng.choice((0, 1, -1, rng.randint(-10**6, 10**6), rng.randint(-10**30, 10**30)))
+        terms[exps] = Fraction(c, rng.choice((1, 2, 3, 10**12))) if ring == QQ else c
+    return MPoly(ring, vars, terms)
+
+
+# Texts at the reader's edges, over (X, T), and whether it reads them: each
+# (1/2)*X*T charges two Fraction products, so 20,000 of them fill the budget;
+# a product's size charge, 2 * bits // BITS_PER_UNIT, is 0 until a term has
+# 2^18 bits, after about 87,000 '*' (3 bits each) or a long coefficient.
+FLAT_EDGES = [
+    ("", ZZ, False), ("()", ZZ, False), ("+X", ZZ, False), ("( - X)", ZZ, True),
+    ("X + 1)", ZZ, False), ("((X + 1)", ZZ, False), ("(X + 1) )", ZZ, False),
+    ("(1/2)*X + (1/3)", QQ, True), ("((1/2)*X + 1)", QQ, True), ("(4/2)*X - (0/5)", QQ, True),
+    ("(1/2)*X", ZZ, False), ("2/4*X^2*T", QQ, True), ("(5)*X + (7)", RingTag("Fp", 7), True),
+    ("X^4096 + 0*X^4096*T^7", ZZ, True), ("7" * 4301 + "*X", ZZ, False),
+    ("X^" + "7" * 4301, ZZ, False), ("X^4097", ZZ, False), ("2X", ZZ, False),
+    ("X T", ZZ, False), ("X +  - T", ZZ, False), ("X^2^3", ZZ, False), ("X*X*T", ZZ, True),
+    (" + ".join(["X^4096*T^4096"] * 24), ZZ, True),
+    (" + ".join(["X^4096*T^4096"] * 25), ZZ, False),
+    (" + ".join(["9" * 4000 + "*X*T*X*T"] * 2), ZZ, True),
+    (" + ".join(["(1/2)*X*T"] * 20000), QQ, True),
+    (" + ".join(["(1/2)*X*T"] * 20001), QQ, False),
+    ("X" + "*T" * 100000, ZZ, True), ("9" * 4000 + "*X" + "*T" * 90000, ZZ, True),
+]
+
+
+class TestFlatReader:
+    """The one-pass reader of flat texts against the recursive descent."""
+
+    def _check(self, text, vars, ring):
+        """Whether the reader read text; the same raw terms and work as the
+        descent when it did, parse_poly's outcome the descent's when not."""
+        flat, want = exprio._flat_terms(text, vars, ring), _descent(text, vars, ring)
+        if flat is not None:
+            assert _typed(flat) == _typed(want), (text, ring)
+            return True
+        try:
+            got = parse_poly(text, vars, ring)
+        except ParseError as exc:
+            got = exc.msg, exc.pos
+        assert got == (want if isinstance(want[0], str) else _parsed_value(want[0], vars, ring)), text
+        return False
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, RingTag("Fp", 1000003)], ids=["Z", "Q", "F1000003"])
+    def test_printed_polynomials_and_their_mutants(self, ring):
+        rng = random.Random(f"flat reader:{ring.name()}")
+        read = handed = 0
+        for k in range(120):
+            vars = (("X",), ("X", "T"), ("T0", "T1", "T"))[k % 3]
+            text = print_poly(_random_flat_poly(rng, ring, vars))
+            texts = [text, f"({text})"]
+            if ring == QQ:  # the (a/b) form of a coefficient
+                texts += [re.sub(r"([0-9]+/[0-9]+)", r"(\1)", t) for t in texts]
+            for t in texts:
+                assert self._check(t, vars, ring), t
+                read += 1
+            for t in _flat_mutants(text, vars, rng):
+                handed += not self._check(t, vars, ring)
+        assert read >= 240 and handed >= 5 * 120
+
+    @pytest.mark.parametrize("text, ring, flat", FLAT_EDGES, ids=[str(k) for k in range(len(FLAT_EDGES))])
+    def test_edges(self, text, ring, flat):
+        if "7" * 4301 in text and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("this interpreter converts integer literals of any length")
+        assert self._check(text, ("X", "T"), ring) == flat

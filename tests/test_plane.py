@@ -336,6 +336,28 @@ class TestChain:
         assert "inconclusive" in report.first_failure
 
 
+    def test_a_recurring_family_is_searched_once(self, monkeypatch):
+        """The search of a family that recurs in a chain is reused, its
+        MembershipNotFound included, and each link reads as it does alone."""
+        searched, search = [], plane.find_membership
+
+        def spy(family, *bounds):
+            searched.append(family)
+            return search(family, *bounds)
+
+        monkeypatch.setattr(plane, "find_membership", spy)
+        there, stuck = builtin_chain("plane", "prop_3_4_5").links[0].family, fam("T0*T1", "T1")
+        links = tuple(Link(f, o) for f, o in (
+            (there, FORWARD), (stuck, FORWARD), (there, REVERSED), (stuck, REVERSED)))
+        ends = (p2("T0^2"), p2("T1"))
+        report = verify_plane_chain(Chain(links, ends, ends), n_max=2, d_max=4)
+        assert searched == [there, stuck]
+        alone = [verify_plane_chain(Chain((link,), ends, ends), n_max=2, d_max=4).links[0].detail
+                 for link in links]
+        assert [lr.detail for lr in report.links] == alone
+        assert alone[0].cert and "inconclusive" in alone[3].note
+
+
 class TestCertificateProperties:
     def test_found_certificates_verify(self):
         for link in builtin_chain("plane", "prop_3_4_5").links:
