@@ -23,13 +23,13 @@ raw coefficient}; '*' and '^' go through `mpoly.mul_terms`, which applies
 MPoly's one normalisation (over Q integral values stay ints until the end,
 so they multiply at the speed of Z), except that a power of a monomial is
 one power of its coefficient.  A parse spends at most MAX_PARSE_WORK units
-on coefficient products, each weighted by its operands' sizes
-(_Parser.charge).  A flat text, a signed sum of terms [c*]V[^e]*... or c
-(over Q c may be a/b or (a/b)) in at most one pair of parentheses, is read
-in one pass (_flat_terms) to the same terms and charges; any other text,
-and any these rules refuse, goes to the recursive descent, which raises
-every ParseError.  Canonical printing orders terms by descending exponent
-(descending lexicographic exponent vectors for multivariate polynomials).
+on coefficient products, each weighted by its operands' sizes (_cost).  A
+flat text, a signed sum of terms [c*]V[^e]*... or c (over Q c may be a/b or
+(a/b)) in at most one pair of parentheses, is read in one pass (_flat_terms)
+to the same terms and charges; any other text, and any these rules refuse,
+goes to the recursive descent, which raises every ParseError.  Canonical
+printing orders terms by descending exponent (descending lexicographic
+exponent vectors for multivariate polynomials).
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ class SchemaError(ValueError):
 
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 _POWERS = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?(?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?)*"
-# A term of a flat text: at the text's start at most one '(' (the only one
-# not around a coefficient) and a '-', elsewhere a sign; then a coefficient
-# c, a/b, (c) or (a/b) and its powers *V[^e]*..., or the powers alone.
-_TERM = re.compile(rf"(^\s*(?:\((?![0-9]+(?:/[0-9]+)?\))\s*)?-?|(?!^)\s*[-+])\s*"
+# A flat text's term: at the start at most one '(' (not around a coefficient)
+# and a '-', elsewhere a sign; then c, a/b, (c) or (a/b) and its powers
+# *V[^e]*..., or the powers alone.  No two \s* meet: a failed match is linear.
+_TERM = re.compile(rf"(^\s*(?:\((?![0-9]+(?:/[0-9]+)?\))\s*)?(?:-\s*)?|(?!^)\s*[-+]\s*)"
                    rf"(?:(\()?([0-9]+)(?:/([0-9]+))?(?(2)\))(?:\*({_POWERS}))?|({_POWERS}))")
 
 
@@ -110,6 +110,11 @@ def _sized(terms: dict) -> tuple:
     values = terms.values()
     bits = max((c.numerator.bit_length() + c.denominator.bit_length() for c in values), default=0)
     return terms, bits, any(type(c) is Fraction for c in values)
+
+
+def _cost(products: int, sa: int, sb: int, fraction: bool) -> int:
+    """The work of `products` coefficient products of sa-bit by sb-bit values."""
+    return products * ((FRACTION_COST if fraction else 1) + sa * sb // BITS_PER_UNIT)
 
 
 class _Parser:
@@ -151,9 +156,8 @@ class _Parser:
         return _literal(text, pos, cap), pos
 
     def charge(self, products: int, sa: int, sb: int, fraction: bool, pos: int):
-        """Spend the work of `products` coefficient products of an sa-bit by an
-        sb-bit value; ParseError at pos past MAX_PARSE_WORK."""
-        self.work += products * ((FRACTION_COST if fraction else 1) + sa * sb // BITS_PER_UNIT)
+        """Spend their _cost; ParseError at pos past MAX_PARSE_WORK."""
+        self.work += _cost(products, sa, sb, fraction)
         if self.work > MAX_PARSE_WORK:
             raise ParseError(
                 f"parse exceeds its budget of {MAX_PARSE_WORK} coefficient products"
@@ -170,8 +174,7 @@ class _Parser:
 
     def read(self) -> tuple:
         """(terms, work) of the whole text."""
-        terms = self.expr()
-        kind, tok, pos = self.peek()
+        terms, (kind, tok, pos) = self.expr(), self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {tok!r}", pos)
         return terms, self.work
@@ -253,9 +256,9 @@ def _flat_terms(text: str, vars: tuple, ring: RingTag):
     index, zero, p = {v: k for k, v in enumerate(vars)}, [0] * len(vars), ring.modulus
     terms, work, end = {}, 0, 0
     try:
-        for m in _TERM.finditer(text):
+        while m := _TERM.match(text, end):
             sign, _, num, den, more, powers = m.groups()
-            if m.start() != end or den and ring != QQ:
+            if den and ring != QQ:
                 return None
             end, exps, c, bits = m.end(), zero.copy(), 1, -1
             if num:  # the atom's value, and its size as _sized gives it
@@ -264,18 +267,16 @@ def _flat_terms(text: str, vars: tuple, ring: RingTag):
                 bits, powers = c.numerator.bit_length() + c.denominator.bit_length(), more
             for part in powers.split("*") if powers else ():
                 name, caret, e = part.partition("^")
-                e = int(e) if caret else 1
-                if e > MAX_EXPONENT:
-                    return None
+                e = _literal(e, 0, MAX_EXPONENT) if caret else 1
                 exps[index[name]] += e
-                work += e * (1 + 2 * e // BITS_PER_UNIT) if caret else 0  # factor, on V^e
+                work += _cost(e, e, 2, False) if caret else 0  # factor, on V^e
                 if c and bits >= 0:  # term, on a product by a term of 2 bits
-                    work += (FRACTION_COST if type(c) is Fraction else 1) + 2 * bits // BITS_PER_UNIT
+                    work += _cost(1, bits, 2, type(c) is Fraction)
                 bits += 3
             if c:
                 exps = tuple(exps)
-                terms[exps] = terms.get(exps, 0) + (-c if sign[-1:] == "-" else c)
-    except (KeyError, ValueError, ZeroDivisionError):  # a name, a literal, a denominator
+                terms[exps] = terms.get(exps, 0) + (-c if "-" in sign else c)
+    except (KeyError, ValueError, ZeroDivisionError):  # name, literal or exponent, denominator
         return None
     closed = text[end:].strip() in ("", ")") and text.count("(") == text.count(")")
     return (terms, work) if end and closed and work <= MAX_PARSE_WORK else None

@@ -664,3 +664,19 @@ class TestFlatReader:
         if "7" * 4301 in text and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
             pytest.skip("this interpreter converts integer literals of any length")
         assert self._check(text, ("X", "T"), ring) == flat
+
+    @pytest.mark.parametrize("text, flat", [
+        ("X + 1" + " " * 100_000, True), ("(" + " " * 100_000 + "X - T)", True),
+        ("X" + " " * 100_000 + "T", False), (" " * 100_000 + "*", False),
+        ("X +" + " " * 100_000 + "*", False), ("(" + " " * 100_000 + "*", False),
+    ], ids=["trailing", "leading", "inside", "before_junk", "after_sign", "after_paren"])
+    def test_a_long_whitespace_run_is_read_in_linear_time(self, text, flat):
+        start = time.perf_counter()
+        try:
+            parse_poly(text, ("X", "T"), QQ)
+        except ParseError:
+            pass
+        # about 0.03 s on a 2-core VM; a match that splits a whitespace run
+        # two ways, or one tried at every position of it, ran for minutes
+        assert time.perf_counter() - start < 1.0
+        assert self._check(text, ("X", "T"), QQ) == flat
