@@ -48,12 +48,14 @@ def exact(a, b):
 
 @dataclass
 class LinkReport:
-    """start/end are oriented and None when the link has no endpoints; the
-    kind's detail renders itself with json_fields() and line()."""
+    """start/end are oriented and None when the link has no endpoints; fields
+    holds the kind's link facts by name ({"res"} or {"error"}; {"det",
+    "basepoint_ok"}; {"cert"} or {"note"}), which exprio writes into the
+    link's entry of the report's document."""
 
     index: int
     ok: bool
-    detail: object
+    fields: dict
     start: object = None
     end: object = None
 
@@ -90,9 +92,10 @@ class ChainReport:
 def walk_chain(kind, links, certify, match, from_, to, end_failure=None) -> ChainReport:
     """Certify every link, then check the junctions and both ends.
 
-    certify(link) returns (reasons, ends, detail): why the link fails (empty
+    certify(link) returns (reasons, ends, fields): why the link fails (empty
     when it holds), its (T = 0, T = 1) endpoints or None, and the kind's
-    detail.  match(a, b) returns (ok, unit), unit being None for exact kinds.
+    link facts as a {field: value} dict, the LinkReport's fields.
+    match(a, b) returns (ok, unit), unit being None for exact kinds.
     end_failure says why from_/to are unusable; it is reported first and the
     ends are not compared.  An empty chain compares from_ with to.
 
@@ -102,7 +105,7 @@ def walk_chain(kind, links, certify, match, from_, to, end_failure=None) -> Chai
     """
     reports, junctions, failures = [], [], []
     for i, link in enumerate(links, start=1):
-        reasons, ends, detail = certify(link)
+        reasons, ends, fields = certify(link)
         start, end = (None, None) if ends is None else ends
         if link.orientation == REVERSED:
             start, end = end, start
@@ -113,7 +116,7 @@ def walk_chain(kind, links, certify, match, from_, to, end_failure=None) -> Chai
             junctions.append(JunctionReport(left.index, ok, unit))
             if comparable and not ok:
                 failures.append(f"junction {junctions[-1].label}")
-        reports.append(LinkReport(i, not reasons, detail, start, end))
+        reports.append(LinkReport(i, not reasons, fields, start, end))
         failures += [f"link {i}: {r}" for r in reasons]
     head = reports[0].start if reports else to
     tail = reports[-1].end if reports else from_

@@ -41,11 +41,17 @@ def cmd_res(args) -> int:
     return 0
 
 
-def _map_error(exc: MapValidationError):
-    """Error kind and detail of a rejected map; the detail of a non-unit
-    resultant is the resultant itself."""
+def _refuse(args, exc: MapValidationError, operand=None) -> int:
+    """Print the document {"valid", "error", "detail"[, "operand"]} of a
+    rejected map, or its invalid line; the detail of a non-unit resultant
+    is the resultant itself.  Returns the exit code 1."""
     detail = exc.res if isinstance(exc, ResultantNotUnitError) else exc
-    return type(exc).__name__.removesuffix("Error"), str(detail)
+    doc = {"valid": False, "error": type(exc).__name__.removesuffix("Error"), "detail": str(detail)}
+    if operand is not None:
+        doc["operand"] = operand
+    where = f" operand {doc['operand']!r}" if "operand" in doc else ""
+    _emit(args, f"invalid{where}: {doc['error']}({doc['detail']})", doc)
+    return 1
 
 
 def cmd_validate(args) -> int:
@@ -54,13 +60,7 @@ def cmd_validate(args) -> int:
     try:
         u = validate(f, g, ring)
     except MapValidationError as exc:
-        kind, detail = _map_error(exc)
-        _emit(
-            args,
-            f"invalid: {kind}({detail})",
-            {"valid": False, "error": kind, "detail": detail},
-        )
-        return 1
+        return _refuse(args, exc)
     _emit(
         args,
         f"valid: {exprio.print_map(u)} over {ring.name()} with n = {u.n}, res = {u.res}",
@@ -75,9 +75,7 @@ def cmd_bezout(args) -> int:
     try:
         u = validate(f, g, ring)
     except MapValidationError as exc:
-        kind, detail = _map_error(exc)
-        _emit(args, f"invalid: {kind}({detail})", {"valid": False, "error": kind})
-        return 1
+        return _refuse(args, exc)
     w = bezout_pair(u)
     mat = w.matrix()
     rows = ", ".join(
@@ -101,10 +99,7 @@ def cmd_oplus(args) -> int:
         try:
             maps.append(validate(f, g, ring))
         except MapValidationError as exc:
-            kind, detail = _map_error(exc)
-            _emit(args, f"invalid operand {text!r}: {kind}({detail})",
-                  {"valid": False, "error": kind, "operand": text})
-            return 1
+            return _refuse(args, exc, text)
     acc = maps[0]
     for v in maps[1:]:
         acc = oplus(acc, v)
@@ -114,39 +109,6 @@ def cmd_oplus(args) -> int:
 
 def _load_json(path: str) -> dict:
     return exprio.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _chain_payload(report) -> dict:
-    return {
-        "kind": report.kind,
-        "passed": report.passed,
-        "links": [
-            {"index": lr.index, "ok": lr.ok, **lr.detail.json_fields()} for lr in report.links
-        ],
-        "junctions": [
-            {"label": jr.label, "ok": jr.ok, **({} if jr.unit is None else {"unit": jr.unit})}
-            for jr in report.junctions
-        ],
-        "from_ok": report.from_ok,
-        "to_ok": report.to_ok,
-        "first_failure": report.first_failure,
-    }
-
-
-def _print_chain_report(args, report) -> int:
-    """Print a chain report; the exit code is 0 when it passed, else 1."""
-    if args.json:
-        print(json.dumps(_chain_payload(report)))
-    else:
-        for lr in report.links:
-            print(f"link {lr.index}: {lr.detail.line()}")
-        for jr in report.junctions:
-            unit = "" if jr.unit is None else f" (unit {jr.unit})"
-            print(f"junction {jr.label}: {'ok' if jr.ok else 'MISMATCH'}{unit}")
-        print(f"from: {'ok' if report.from_ok else 'MISMATCH'}")
-        print(f"to: {'ok' if report.to_ok else 'MISMATCH'}")
-        print("PASS" if report.passed else f"FAIL ({report.first_failure})")
-    return 0 if report.passed else 1
 
 
 # command -> (chain kind, verifier with the command's flags); the lambdas
@@ -161,10 +123,13 @@ CHAIN_COMMANDS = {
 
 
 def cmd_verify(args) -> int:
-    """Read the chain document, builtin or from the file, and verify it."""
+    """Read the chain document, builtin or from the file, verify it, and
+    print the report's document or the text rendered from it."""
     kind, verify = CHAIN_COMMANDS[args.command]
-    doc = exprio.BUILTIN_CHAINS[kind][args.builtin] if args.builtin else _load_json(args.file)
-    return _print_chain_report(args, verify(exprio.chain_from_json(doc, kind), args))
+    source = exprio.BUILTIN_CHAINS[kind][args.builtin] if args.builtin else _load_json(args.file)
+    doc = exprio.chain_report_to_json(verify(exprio.chain_from_json(source, kind), args))
+    _emit(args, exprio.print_chain_report(doc), doc)
+    return 0 if doc["passed"] else 1
 
 
 def cmd_selftest(args) -> int:

@@ -39,7 +39,7 @@ import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .chains import Chain, Link
+from .chains import Chain, ChainReport, Link
 from .monoid import PointedMap, SL2Witness, validate
 from .mpoly import MPoly, mul_terms
 from .poly import Poly
@@ -292,7 +292,9 @@ def parse_poly(text: str, variables, ring: RingTag):
 
 def parse_pair(text: str, variables, ring: RingTag):
     """Split '<f>/<g>' at the rightmost workable top-level '/' and parse both
-    sides (parenthesize a side to protect rational literals over Q)."""
+    sides (parenthesize a side to protect rational literals over Q).  Only Q
+    has '/' in its literals, so over Z and F_p a side with a top-level '/'
+    never parses and only the leftmost '/' is tried."""
     depth = 0
     slashes = []
     for i, ch in enumerate(text):
@@ -305,7 +307,7 @@ def parse_pair(text: str, variables, ring: RingTag):
     if not slashes:
         raise ParseError("expected '<f>/<g>'", len(text))
     last_error = None
-    for i in reversed(slashes):
+    for i in reversed(slashes) if ring == QQ else slashes[:1]:
         try:
             f = parse_poly(text[:i], variables, ring)
         except ParseError as exc:
@@ -324,42 +326,10 @@ def parse_pair(text: str, variables, ring: RingTag):
 # Canonical printing
 
 
-def _term_string(magnitude: str, vars, exps) -> str:
-    factors = []
-    powers = []
-    for v, e in zip(vars, exps):
-        if e == 1:
-            powers.append(v)
-        elif e >= 2:
-            powers.append(f"{v}^{e}")
-    if magnitude != "1" or not powers:
-        factors.append(magnitude)
-    factors.extend(powers)
-    return "*".join(factors)
-
-
 def print_poly(p) -> str:
-    """Canonical text form: descending exponents, explicit '*', '^' powers.
-    Raw values print as they are: F_p residues are never negative."""
-    if isinstance(p, Poly):
-        vars = (p.var,)
-        items = [((k,), c) for k, c in reversed(list(enumerate(p.raw))) if c]
-    elif isinstance(p, MPoly):
-        vars = p.vars
-        items = sorted(p.raw.items(), reverse=True)
-    else:
-        raise TypeError(f"cannot print {type(p).__name__}")
-    if not items:
-        return "0"
-    parts = []
-    for idx, (exps, c) in enumerate(items):
-        neg = c < 0
-        t = _term_string(str(-c if neg else c), vars, exps)
-        if idx == 0:
-            parts.append("-" + t if neg else t)
-        else:
-            parts.append((" - " if neg else " + ") + t)
-    return "".join(parts)
+    """The canonical text of a Poly or MPoly (`poly.print_terms`); every
+    codec writes its polynomials through it."""
+    return str(p)
 
 
 def _wrap_side(s: str) -> str:
@@ -520,6 +490,7 @@ class _ChainKind:
     """How chains of one kind read and write.  label prefixes every error
     path, a link holds its family under link_key and may hold a proof under
     "cert"; family, end and proof are (to_json, from_json(d, what)) pairs.
+    line(entry) is the text of a link's entry in a report document.
     check_ends(from_, to) and check_link(family, from_) say why decoded
     parts do not fit together, or return None."""
 
@@ -527,6 +498,7 @@ class _ChainKind:
     link_key: str
     family: tuple
     end: tuple
+    line: object
     proof: tuple | None = None
     check_ends: object = lambda from_, to: None
     check_link: object = lambda family, from_: None
@@ -538,6 +510,7 @@ CHAIN_KINDS = {
         (lambda fam: _ring_pair_to_json(fam[0].degree_in("X"), *fam), _cert_from_json),
         (lambda end: _ring_pair_to_json(max(end[0].actual_degree(), 0), *end),
          _map_pair_from_json),
+        lambda e: f"INVALID ({e['error']})" if "error" in e else f"valid, res = {e['res']}",
         check_ends=_same_ring("from/to rings differ"),
         check_link=_same_ring("ring differs from the chain ring"),
     ),
@@ -546,6 +519,7 @@ CHAIN_KINDS = {
         (lambda fam: _fields_to_json(("a", "b", "c", "d"), fam.entries()),
          lambda d, what: MatrixFamily(*_fields_from_json(d, ("a", "b", "c", "d"), ("T",), what))),
         (asdict, _mat2_from_json),
+        lambda e: f"det = {e['det']}, base point {'ok' if e['basepoint_ok'] else 'leaves the T1-chart'}",
     ),
     "plane": _ChainKind(
         "plane chain", "family",
@@ -553,6 +527,8 @@ CHAIN_KINDS = {
          lambda d, what: PlaneFamily(*_fields_from_json(d, ("F0", "F1"), PLANE_VARS, what))),
         (lambda end: _fields_to_json(("F0", "F1"), end),
          lambda d, what: _fields_from_json(d, ("F0", "F1"), POINT_VARS, what)),
+        lambda e: f"NOT CERTIFIED ({e['note']})" if "note" in e
+        else f"certified with N = {e['cert']['N']}, degree <= {e['degree']}",
         proof=(membership_to_json, membership_from_json),
     ),
 }
@@ -643,6 +619,49 @@ def chain_from_json(d, kind: str) -> Chain:
         except ValueError as exc:  # the orientation
             raise SchemaError(f"{what}: {exc}") from None
     return Chain(tuple(links), from_, to)
+
+
+def chain_report_to_json(report: ChainReport) -> dict:
+    """The document of a chain report.  A link's entry is its index, its
+    verdict and its fields, a polynomial as text and a membership
+    certificate in its codec, with its coefficient degree beside it (not
+    inside, so the cert stays readable as a supplied proof)."""
+    links = []
+    for lr in report.links:
+        entry = {"index": lr.index, "ok": lr.ok}
+        for key, value in lr.fields.items():
+            if key == "cert":
+                entry.update(cert=membership_to_json(value), degree=value.coefficient_degree())
+            else:
+                entry[key] = print_poly(value) if isinstance(value, Poly) else value
+        links.append(entry)
+    return {
+        "kind": report.kind,
+        "passed": report.passed,
+        "links": links,
+        "junctions": [
+            {"label": jr.label, "ok": jr.ok, **({} if jr.unit is None else {"unit": jr.unit})}
+            for jr in report.junctions
+        ],
+        "from_ok": report.from_ok,
+        "to_ok": report.to_ok,
+        "first_failure": report.first_failure,
+    }
+
+
+def print_chain_report(doc: dict) -> str:
+    """The text of a chain report's document: a line per link (the kind's
+    line), junction and end, then PASS or FAIL with the first failure."""
+    verdict = {True: "ok", False: "MISMATCH"}
+    line = CHAIN_KINDS[doc["kind"]].line
+    return "\n".join([
+        *(f"link {e['index']}: {line(e)}" for e in doc["links"]),
+        *(f"junction {j['label']}: {verdict[j['ok']]}" + (f" (unit {j['unit']})" if "unit" in j else "")
+          for j in doc["junctions"]),
+        f"from: {verdict[doc['from_ok']]}",
+        f"to: {verdict[doc['to_ok']]}",
+        "PASS" if doc["passed"] else f"FAIL ({doc['first_failure']})",
+    ])
 
 
 def builtin_chain(kind: str, name: str) -> Chain:

@@ -61,11 +61,6 @@ class HomotopyCert:
     G: MPoly
     res: Poly
 
-    def __str__(self):
-        from .exprio import print_poly
-
-        return f"({print_poly(self.F)})/({print_poly(self.G)})"
-
 
 def validate_cert(F, G, ring: RingTag | None = None) -> HomotopyCert:
     """Check certificate invariants; raises the failing one."""
@@ -115,27 +110,14 @@ def reverse(cert: HomotopyCert) -> HomotopyCert:
 # Chains
 
 
-@dataclass(frozen=True)
-class CertLinkDetail:
-    """A link's certificate resultant, or why the link is invalid."""
-
-    res: Poly | None = None
-    error: str | None = None
-
-    def json_fields(self) -> dict:
-        return {"error": self.error} if self.error else {"res": str(self.res)}
-
-    def line(self) -> str:
-        return f"INVALID ({self.error})" if self.error else f"valid, res = {self.res}"
-
-
 def _certify_link(link: Link, ring: RingTag):
+    """The link's fields: its certificate's resultant, or why it is invalid."""
     try:
         cert = validate_cert(*link.family, ring)
         ends = (endpoint(cert, 0), endpoint(cert, 1))
     except CertValidationError as exc:
-        return [str(exc)], None, CertLinkDetail(error=str(exc))
-    return [], ends, CertLinkDetail(res=cert.res)
+        return [str(exc)], None, {"error": str(exc)}
+    return [], ends, {"res": cert.res}
 
 
 def verify_chain(chain: Chain) -> ChainReport:

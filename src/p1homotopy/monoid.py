@@ -46,11 +46,6 @@ class PointedMap:
     res: Scalar
     witness: tuple | None = field(default=None, compare=False, repr=False)
 
-    def __str__(self):
-        from .exprio import print_map
-
-        return print_map(self)
-
 
 @dataclass(frozen=True)
 class SL2Witness:

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import add
 
 from .rings import RingMismatchError, RingTag, Scalar
-from .poly import Poly
+from .poly import Poly, print_terms
 
 
 def norm_terms(terms: dict, norm) -> dict:
@@ -222,6 +222,4 @@ class MPoly:
         return f"MPoly({self.ring.name()}, {self.vars}, {{{', '.join(f'{e}: {c}' for e, c in sorted(self.raw.items(), reverse=True))}}})"
 
     def __str__(self):
-        from .exprio import print_poly
-
-        return print_poly(self)
+        return print_terms(self.vars, sorted(self.raw.items(), reverse=True))

@@ -241,25 +241,8 @@ def plane_endpoint(fam: PlaneFamily, t: int):
     return fam.F0.subst("T", t), fam.F1.subst("T", t)
 
 
-@dataclass(frozen=True)
-class MembershipLinkDetail:
-    """A family's membership certificate, or why it has none."""
-
-    cert: MembershipCertificate | None = None
-    note: str | None = None
-
-    def json_fields(self) -> dict:
-        from .exprio import membership_to_json
-
-        return {"note": self.note} if self.note else {"cert": membership_to_json(self.cert)}
-
-    def line(self) -> str:
-        if self.note:
-            return f"NOT CERTIFIED ({self.note})"
-        return f"certified with N = {self.cert.N}, degree <= {self.cert.coefficient_degree()}"
-
-
 def _certify_family(link: Link, search):
+    """The link's fields: the family's membership certificate, or why it has none."""
     cert, note = link.proof, None
     if cert is not None:
         verdict = verify_membership(link.family, cert)
@@ -268,7 +251,7 @@ def _certify_family(link: Link, search):
     else:
         cert, note = search(link.family)
     ends = (plane_endpoint(link.family, 0), plane_endpoint(link.family, 1))
-    return [note] if note else [], ends, MembershipLinkDetail(cert, note)
+    return ([note], ends, {"note": note}) if note else ([], ends, {"cert": cert})
 
 
 def verify_plane_chain(chain: Chain, n_max: int = 6, d_max: int | None = None) -> ChainReport:

@@ -9,7 +9,8 @@ Coefficients are stored in `raw` as raw ring values (int for Z, Fraction for
 Q, int in [0, p) for F_p) and the arithmetic runs on them, with the ring's
 `norm` as context.  Scalars are only the boundary: the constructor takes
 ints, Fractions or Scalars of the ring, and `coeffs`, `coeff`, `leading`
-and `eval` return Scalars.
+and `eval` return Scalars.  `str` is the canonical text, written by
+`print_terms` for Poly and MPoly alike.
 """
 
 from __future__ import annotations
@@ -17,6 +18,21 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .rings import RingMismatchError, RingTag, Scalar
+
+
+def print_terms(vars, items) -> str:
+    """The canonical text of (exponent vector, raw value) items, nonzero and in
+    descending order: explicit '*', '^' powers, '0' for no items.  Raw values
+    print as they are: F_p residues are never negative."""
+    parts = []
+    for exps, c in items:
+        neg = c < 0
+        magnitude = str(-c if neg else c)
+        powers = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e]
+        term = "*".join(powers if powers and magnitude == "1" else [magnitude, *powers])
+        sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
+        parts.append(sign + term)
+    return "".join(parts) or "0"
 
 
 def _top(raw) -> int:
@@ -146,6 +162,5 @@ class Poly:
         return f"Poly({self.ring.name()}, {self.var!r}, {[str(c) for c in self.raw]})"
 
     def __str__(self):
-        from .exprio import print_poly
-
-        return print_poly(self)
+        items = [((k,), c) for k, c in enumerate(self.raw) if c]
+        return print_terms((self.var,), reversed(items))

@@ -84,22 +84,8 @@ def fixes_infinity(M: MatrixFamily) -> bool:
 # Chains of matrix families
 
 
-@dataclass(frozen=True)
-class FamilyLinkDetail:
-    """A family's determinant and whether it keeps infinity in the T1-chart."""
-
-    det: Poly
-    basepoint_ok: bool
-
-    def json_fields(self) -> dict:
-        return {"det": str(self.det), "basepoint_ok": self.basepoint_ok}
-
-    def line(self) -> str:
-        base = "ok" if self.basepoint_ok else "leaves the T1-chart"
-        return f"det = {self.det}, base point {base}"
-
-
 def _certify_family(link: Link):
+    """The link's fields: its determinant and whether infinity stays in the T1-chart."""
     fam = link.family
     det = det_family(fam)
     basepoint_ok = image_of_infinity_in_open(fam)
@@ -107,7 +93,7 @@ def _certify_family(link: Link):
     if not basepoint_ok:
         reasons.append("image of infinity leaves the T1-chart")
     ends = (endpoint_matrix(fam, 0), endpoint_matrix(fam, 1))
-    return reasons, ends, FamilyLinkDetail(det, basepoint_ok)
+    return reasons, ends, {"det": det, "basepoint_ok": basepoint_ok}
 
 
 def verify_matrix_chain(chain: Chain, exact_junctions: bool = False) -> ChainReport:

@@ -150,7 +150,7 @@ def check_builtin_plane_chain(seed, trials) -> CheckResult:
     if not report.passed:
         return _fail(name, f"chain failed at {report.first_failure}")
     for lr in report.links:
-        cert = lr.detail.cert
+        cert = lr.fields["cert"]
         if cert.N > 2 or cert.coefficient_degree() > 4:
             return _fail(
                 name,

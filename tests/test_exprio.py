@@ -1,9 +1,11 @@
+import ast
 import json
 import random
 import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,70 @@ class TestPairs:
             parse_pair("X^2", X, ZZ)
         with pytest.raises(ParseError):
             parse_pair("X^2/((", X, ZZ)
+
+    @pytest.mark.parametrize("ring", [ZZ, RingTag("Fp", 7)], ids=["Z", "F7"])
+    def test_the_leftmost_slash_decides_outside_q(self, ring):
+        """Random texts give the same pair, or the same ParseError message
+        and position, as trying every top-level '/' from the right."""
+        rng = random.Random(f"pairs:{ring.name()}")
+        pieces = ["X", "1", "2", "/", "/", "(", ")", "+", "-", "*", "^", " ", "X^2", "T"]
+        parsed = 0
+        for k in range(3000):
+            if k % 2:  # printed polynomials, some in parentheses, joined by '/'
+                sides = [Poly(ring, "X", [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                         for _ in range(rng.randint(1, 4))]
+                text = "/".join(rng.choice((str(s), f"({s})")) for s in sides)
+            else:
+                text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 14)))
+            got = _pair_outcome(parse_pair, text, ring)
+            want = _pair_outcome(_pair_every_slash, text, ring)
+            assert got == want, text
+            parsed += isinstance(got[0], Poly)
+        assert parsed >= 300
+
+    @pytest.mark.parametrize("ring", [ZZ, RingTag("Fp", 7)], ids=["Z", "F7"])
+    def test_many_slashes_fail_in_linear_time(self, ring):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_pair("X/" * 4000 + "*", X, ring)
+        # about 5 ms; trying every '/' took 4.4 s over Z
+        assert time.perf_counter() - start < 0.5
+
+
+def _pair_every_slash(text, variables, ring):
+    """The reference: parse_pair as it was before it tried only the leftmost
+    '/' outside Q, every top-level '/' from the right on every ring."""
+    depth, slashes = 0, []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(depth - 1, 0)
+        elif ch == "/" and depth == 0:
+            slashes.append(i)
+    if not slashes:
+        raise ParseError("expected '<f>/<g>'", len(text))
+    last_error = None
+    for i in reversed(slashes):
+        try:
+            f = parse_poly(text[:i], variables, ring)
+        except ParseError as exc:
+            last_error = exc
+            continue
+        try:
+            g = parse_poly(text[i + 1 :], variables, ring)
+        except ParseError as exc:
+            last_error = ParseError(exc.msg, exc.pos + i + 1)
+            continue
+        return f, g
+    raise last_error
+
+
+def _pair_outcome(parse, text, ring):
+    try:
+        return parse(text, X, ring)
+    except ParseError as exc:
+        return exc.msg, exc.pos
 
 
 class TestPrinting:
@@ -680,3 +746,26 @@ class TestFlatReader:
         # two ways, or one tried at every position of it, ran for minutes
         assert time.perf_counter() - start < 1.0
         assert self._check(text, ("X", "T"), QQ) == flat
+
+
+def test_no_function_imports_exprio():
+    """exprio imports the value modules, so an import of it inside a function
+    of the package hides an import cycle; the printer lives in poly.py."""
+    package = Path(__file__).resolve().parents[1] / "src" / "p1homotopy"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    found = []
+    for path in sources:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = (node.module or "").split(".") + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [part for a in node.names for part in a.name.split(".")]
+                else:
+                    continue
+                if "exprio" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

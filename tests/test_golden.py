@@ -5,7 +5,8 @@ Each case in golden/cases.json is one CLI invocation; its human stdout,
 its --json stdout and its exit code are pinned byte for byte under
 golden/expected/.  A case that exits 2 also pins its stderr, the one
 `error:` line, in cases.json.  Argument paths starting with "inputs/" are
-read from golden/inputs/.
+read from golden/inputs/.  The text of every chain command's case is also
+rendered from its json golden and compared with its txt golden.
 
 To re-capture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from p1homotopy.cli import main
+from p1homotopy.exprio import print_chain_report
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -46,6 +48,16 @@ def test_golden(case, mode):
     assert out == _expected(case, mode).read_text(encoding="utf-8")
     if "stderr" in case:
         assert err == case["stderr"]
+
+
+# the chain commands' cases; one that exits 2 prints no document
+REPORTS = [c for c in CASES if c["argv"][0].startswith("verify-") and c["exit"] != 2]
+
+
+@pytest.mark.parametrize("case", REPORTS, ids=[c["name"] for c in REPORTS])
+def test_the_text_is_rendered_from_the_json(case):
+    doc = json.loads(_expected(case, "json").read_text(encoding="utf-8"))
+    assert print_chain_report(doc) + "\n" == _expected(case, "txt").read_text(encoding="utf-8")
 
 
 def capture():

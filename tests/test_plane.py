@@ -296,8 +296,8 @@ class TestChain:
         report = verify_plane_chain(chain, n_max=2, d_max=4)
         assert report.passed
         for lr in report.links:
-            assert lr.detail.cert.N <= 2
-            assert lr.detail.cert.coefficient_degree() <= 4
+            assert lr.fields["cert"].N <= 2
+            assert lr.fields["cert"].coefficient_degree() <= 4
 
     def test_orientation_flip_fails_at_junction_1_2(self):
         base = builtin_chain("plane", "prop_3_4_5")
@@ -322,7 +322,7 @@ class TestChain:
         )
         report = verify_plane_chain(chain)
         assert report.passed
-        assert report.links[0].detail.cert == cert
+        assert report.links[0].fields["cert"] == cert
 
     def test_uncertifiable_link_reported(self):
         f = fam("T0*T1", "T1")
@@ -352,10 +352,10 @@ class TestChain:
         ends = (p2("T0^2"), p2("T1"))
         report = verify_plane_chain(Chain(links, ends, ends), n_max=2, d_max=4)
         assert searched == [there, stuck]
-        alone = [verify_plane_chain(Chain((link,), ends, ends), n_max=2, d_max=4).links[0].detail
+        alone = [verify_plane_chain(Chain((link,), ends, ends), n_max=2, d_max=4).links[0].fields
                  for link in links]
-        assert [lr.detail for lr in report.links] == alone
-        assert alone[0].cert and "inconclusive" in alone[3].note
+        assert [lr.fields for lr in report.links] == alone
+        assert alone[0]["cert"] and "inconclusive" in alone[3]["note"]
 
 
 class TestCertificateProperties:
