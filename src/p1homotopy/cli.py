@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=None,
                    help="largest certificate coefficient degree (default: input degree + nmax)")
 
-    p = add("selftest", "run the acceptance suite")
+    p = add("selftest", "run the law suites and replay the end-to-end contract")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=1000)
 

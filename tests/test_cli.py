@@ -467,17 +467,24 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch, exc):
 
 
 class TestSelftest:
+    @pytest.fixture(autouse=True)
+    def oplus_cases_only(self, monkeypatch):
+        # the whole contract is replayed by test_golden and test_acceptance;
+        # these tests replay the oplus cases only
+        cases = [c for c in selftest.contract_cases() if c["argv"][0] == "oplus"]
+        monkeypatch.setattr(selftest, "contract_cases", lambda: cases)
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "3")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 9
+        assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "30", "--json")
         payload = json.loads(out)
-        assert code == 0 and len(payload) == 9
+        assert code == 0 and len(payload) == 5
         assert all(entry["passed"] for entry in payload)
 
     def test_a_raising_law_fails_its_suite_only(self, capsys, monkeypatch):
@@ -493,10 +500,10 @@ class TestSelftest:
         monkeypatch.setattr(properties, "resultant", flaky)
         code, out, _ = run(capsys, "selftest", "--trials", "20")
         lines = out.splitlines()
-        assert code == 1 and len(lines) == 10 and lines[-1].startswith("8/9 checks passed")
-        assert lines[5] == ('FAIL resultant_law_suite - oracle_agreement failed: '
+        assert code == 1 and len(lines) == 6 and lines[-1].startswith("4/5 checks passed")
+        assert lines[2] == ('FAIL resultant_law_suite - oracle_agreement failed: '
                             '{"trial": 4, "error": "ExactDivisionError: not exact"}')
-        assert sum(l.startswith("PASS") for l in lines) == 8
+        assert sum(l.startswith("PASS") for l in lines) == 4
 
     def test_a_raising_check_is_a_fail_line(self, capsys, monkeypatch):
         def broken(u):
@@ -505,9 +512,25 @@ class TestSelftest:
         monkeypatch.setattr(selftest, "homogenize", broken)
         code, out, _ = run(capsys, "selftest", "--trials", "20", "--json")
         payload = json.loads(out)
-        assert code == 1 and len(payload) == 9
+        assert code == 1 and len(payload) == 5
         assert [e["name"] for e in payload if not e["passed"]] == ["homogenization"]
-        assert payload[4]["detail"] == "ZeroDivisionError: division by zero"
+        assert payload[1]["detail"] == "ZeroDivisionError: division by zero"
+
+    def test_a_wrong_cli_output_fails_and_names_its_case(self, capsys, monkeypatch):
+        # the selftest replays the contract through the CLI: a wrong sum from
+        # oplus fails every oplus case, the first named with its first line
+        def wrong_sum(args):
+            print("(X^2 + X + 1)/(X - 1)")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_oplus", wrong_sum)
+        code, out, _ = run(capsys, "selftest", "--trials", "20")
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+            "FAIL io_roundtrip_and_cli - contract cases differ: oplus_valid, "
+            "oplus_invalid_operand, oplus_q_three, oplus_fp; first: txt: stdout line 1 "
+            "is '(X^2 + X + 1)/(X - 1)\\n', expected '(X^2 - X + 1)/(X - 1)\\n'"
+        ]
 
 
 class TestArgparseContract:

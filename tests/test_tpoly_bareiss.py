@@ -8,7 +8,7 @@ two routes' work counts."""
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
+from importlib.resources import files
 
 import pytest
 
@@ -20,7 +20,7 @@ from p1homotopy.resultants import bareiss_det, resultant
 from p1homotopy.rings import QQ, RingTag, ZZ
 
 F7, F1000003 = RingTag("Fp", 7), RingTag("Fp", 1000003)
-GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+GOLDEN_INPUTS = files("p1homotopy") / "contract" / "inputs"
 
 
 def tpoly(ring, *coeffs):
