@@ -89,10 +89,11 @@ class ChainReport:
         return self.failures[0] if self.failures else None
 
 
-def walk_chain(kind, links, certify, match, from_, to, end_failure=None) -> ChainReport:
-    """Certify every link, then check the junctions and both ends.
+def walk_chain(kind, links, certified, match, from_, to, end_failure=None) -> ChainReport:
+    """Take every link's certification, then check the junctions and both ends.
 
-    certify(link) returns (reasons, ends, fields): why the link fails (empty
+    certified holds one (reasons, ends, fields) per link, in order (a lazy
+    map of the kind's certify serves): why the link fails (empty
     when it holds), its (T = 0, T = 1) endpoints or None, and the kind's
     link facts as a {field: value} dict, the LinkReport's fields.
     match(a, b) returns (ok, unit), unit being None for exact kinds.
@@ -104,8 +105,7 @@ def walk_chain(kind, links, certify, match, from_, to, end_failure=None) -> Chai
     or end mismatches that follow from them.
     """
     reports, junctions, failures = [], [], []
-    for i, link in enumerate(links, start=1):
-        reasons, ends, fields = certify(link)
+    for i, (link, (reasons, ends, fields)) in enumerate(zip(links, certified), start=1):
         start, end = (None, None) if ends is None else ends
         if link.orientation == REVERSED:
             start, end = end, start

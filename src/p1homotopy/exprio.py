@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .chains import Chain, ChainReport, Link
 from .monoid import PointedMap, SL2Witness, validate
-from .mpoly import MPoly, mul_terms
+from .mpoly import MPoly, mul_terms, norm_terms
 from .poly import Poly
 from .plane import MembershipCertificate, PLANE_VARS, POINT_VARS, PlaneFamily
 from .projlinear import Mat2, MatrixFamily
@@ -283,11 +283,16 @@ def _flat_terms(text: str, vars: tuple, ring: RingTag):
 
 
 def parse_poly(text: str, variables, ring: RingTag):
-    """Parse into a Poly (one declared variable) or MPoly (several)."""
+    """Parse into a Poly (one declared variable) or MPoly (several), built once."""
     vars = tuple(variables)
     terms = (_flat_terms(text, vars, ring) or _Parser(text, vars, ring).read())[0]
-    value = MPoly(ring, vars, terms)
-    return value.to_poly(vars[0]) if len(vars) == 1 else value
+    terms = norm_terms(terms, ring.norm)
+    if len(vars) != 1:
+        return MPoly._of(ring, vars, terms)
+    raw = [ring.norm(0)] * (max(terms, default=(-1,))[0] + 1)
+    for (k,), c in terms.items():
+        raw[k] = c
+    return Poly._of(ring, vars[0], tuple(raw))
 
 
 def parse_pair(text: str, variables, ring: RingTag):

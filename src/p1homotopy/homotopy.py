@@ -10,9 +10,8 @@ together, each traversed forward or reversed, with exact junction equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .chains import Chain, ChainReport, Link, exact, walk_chain
+from .chains import REVERSED, Chain, ChainReport, Link, exact, walk_chain
 from .monoid import MapValidationError, PointedMap, validate
 from .mpoly import MPoly
 from .poly import Poly
@@ -89,13 +88,19 @@ def endpoint(cert: HomotopyCert, t: int) -> PointedMap:
     Sylvester matrix of (F, G) has the fixed formal degrees (n, n), so it
     maps entrywise to that of (f_t, g_t): res(f_t, g_t) = res(F, G)(t),
     which is the constant cert.res, a unit.  F is monic in X of degree n,
-    so f_t is monic of degree n, and deg_X G < n gives deg g_t < n.
+    so f_t is monic of degree n, and deg_X G < n gives deg g_t < n.  f_t and
+    g_t are read off the terms c*X^i*T^j: at T = 0 those with j = 0, at T = 1
+    every j, summed and normalised by the checked Poly constructor.
     """
     if t not in (0, 1):
         raise ValueError("endpoints live at T = 0 and T = 1")
-    f = cert.F.subst(TVAR, t).to_poly(XVAR)
-    g = cert.G.subst(TVAR, t).to_poly(XVAR)
-    return PointedMap(cert.ring, cert.n, f, g, cert.res.coeff(0))
+    def at_t(P: MPoly) -> Poly:
+        cs = [0] * (cert.n + 1)
+        for (i, j), c in P.raw.items():
+            if t or not j:
+                cs[i] += c
+        return Poly(cert.ring, XVAR, cs)
+    return PointedMap(cert.ring, cert.n, at_t(cert.F), at_t(cert.G), cert.res.coeff(0))
 
 
 def reverse(cert: HomotopyCert) -> HomotopyCert:
@@ -125,13 +130,22 @@ def verify_chain(chain: Chain) -> ChainReport:
 
     The chain's ring is that of chain.from_.  Validated maps are canonical,
     so junctions and ends compare exactly.  An invalid end map is the first
-    failure; the ends are then not compared.
+    failure; the ends are then not compared.  Each link is certified once,
+    first.  An end pair equal to the (f, g) of the endpoint its adjacent link
+    proves, under the link's orientation, is that endpoint, valid with the
+    same res (see `endpoint`); only the other ends are validated by elimination.
     """
     ring = chain.from_[0].ring
+    certified = [_certify_link(link, ring) for link in chain.links]
+
+    def end_map(pair, side):  # side 0: from_ by the first link; 1: to by the last
+        ends = certified[-side][1] if certified else None
+        u = ends and ends[side ^ (chain.links[-side].orientation == REVERSED)]
+        return u if u and pair == (u.f, u.g) else validate(*pair, ring)
+
     ends, end_failure = (None, None), None
     try:
-        ends = [validate(f, g, ring) for f, g in (chain.from_, chain.to)]
+        ends = [end_map(chain.from_, 0), end_map(chain.to, 1)]
     except MapValidationError as exc:
         end_failure = f"end map invalid: {exc}"
-    certify = partial(_certify_link, ring=ring)
-    return walk_chain("homotopy", chain.links, certify, exact, *ends, end_failure=end_failure)
+    return walk_chain("homotopy", chain.links, certified, exact, *ends, end_failure=end_failure)

@@ -4,9 +4,11 @@
 variable tuple) to nonzero raw ring values (int for Z, Fraction for Q, int
 in [0, p) for F_p).  One rule normalises raw terms, `norm_terms`: each
 coefficient through the ring's `norm`, zeros dropped; the constructor and
-`mul_terms`, the raw product behind `*` and the parser, apply it.  Scalars
-are only the boundary: the constructor takes ints, Fractions or Scalars,
-and `terms` and `eval` return Scalars.  Any RingTag serves.
+`mul_terms`, the raw product behind `*` and the parser, apply it.  Terms it
+has made enter the trusted `MPoly._of` (or `Poly._of`), which checks
+nothing; every public constructor keeps its checks.  Scalars are only the
+boundary: the constructor takes ints, Fractions or Scalars, and `terms` and
+`eval` return Scalars.  Any RingTag serves.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ class MPoly:
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent {min(exps)}")
         self.raw = norm_terms(terms, ring.norm)
+
+    @staticmethod
+    def _of(ring: RingTag, vars: tuple, raw: dict) -> "MPoly":
+        """The MPoly of terms as `norm_terms` leaves them, with exponent vectors
+        of natural ints aligned with `vars`; nothing is checked."""
+        p = object.__new__(MPoly)
+        p.ring, p.vars, p.raw = ring, vars, raw
+        return p
 
     @property
     def terms(self) -> dict:
@@ -130,7 +140,7 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        return MPoly(self.ring, self.vars, mul_terms(self.raw, other.raw, self.ring.norm))
+        return MPoly._of(self.ring, self.vars, mul_terms(self.raw, other.raw, self.ring.norm))
 
     # -- substitution -------------------------------------------------
 
@@ -149,7 +159,7 @@ class MPoly:
             for e, c in self.raw.items():
                 ne = e[:i] + e[i + 1 :]
                 terms[ne] = terms.get(ne, 0) + c * v ** e[i]
-            return MPoly(self.ring, rest, terms)
+            return MPoly._of(self.ring, rest, norm_terms(terms, self.ring.norm))
         if isinstance(value, Poly):
             value = MPoly.from_poly(value)
         if not isinstance(value, MPoly):
@@ -175,7 +185,7 @@ class MPoly:
             for j, k in zip(idx, e):
                 ne[j] = k
             terms[tuple(ne)] = c
-        return MPoly(self.ring, vars, terms)
+        return MPoly._of(self.ring, vars, terms)
 
     def eval(self, point: dict) -> Scalar:
         """The value at point[name], a ring value for every variable."""
@@ -200,10 +210,10 @@ class MPoly:
             for j, k in enumerate(e):
                 if j != i and k != 0:
                     raise ValueError(f"not univariate in {name!r}: {self.vars}")
-        cs = [0] * (self.degree_in(name) + 1)
+        cs = [self.ring.norm(0)] * (self.degree_in(name) + 1)
         for e, c in self.raw.items():
             cs[e[i]] = c
-        return Poly(self.ring, name, cs)
+        return Poly._of(self.ring, name, tuple(cs))
 
     # -- value --------------------------------------------------------
 

@@ -263,5 +263,5 @@ def verify_plane_chain(chain: Chain, n_max: int = 6, d_max: int | None = None) -
             return find_membership(fam, n_max, d_max), None
         except MembershipNotFound as exc:
             return None, str(exc)
-    certify = partial(_certify_family, search=search)
-    return walk_chain("plane", chain.links, certify, exact, chain.from_, chain.to)
+    certified = map(partial(_certify_family, search=search), chain.links)
+    return walk_chain("plane", chain.links, certified, exact, chain.from_, chain.to)

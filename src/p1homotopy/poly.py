@@ -54,6 +54,13 @@ class Poly:
         raw = tuple(map(ring.norm, coeffs))
         self.raw = raw[: _top(raw) + 1] if raw and not raw[-1] else raw
 
+    @staticmethod
+    def _of(ring: RingTag, var: str, raw: tuple) -> "Poly":
+        """The Poly of a raw tuple as the constructor stores it; nothing is checked."""
+        p = object.__new__(Poly)
+        p.ring, p.var, p.raw = ring, var, raw
+        return p
+
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Scalars, by exponent."""

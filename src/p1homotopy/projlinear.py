@@ -104,4 +104,5 @@ def verify_matrix_chain(chain: Chain, exact_junctions: bool = False) -> ChainRep
         u = (1 if a == b else None) if exact_junctions else projective_unit(a, b)
         return u is not None, u
 
-    return walk_chain("matrix", chain.links, _certify_family, match, chain.from_, chain.to)
+    certified = map(_certify_family, chain.links)
+    return walk_chain("matrix", chain.links, certified, match, chain.from_, chain.to)

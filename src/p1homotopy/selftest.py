@@ -100,16 +100,16 @@ def _run_suite(name, laws, trials, seed) -> CheckResult:
     return CheckResult(name, True, f"{len(laws)} laws x {trials} trials")
 
 
-def check_resultant_laws(seed, trials) -> CheckResult:
+def check_resultant_law_suite(seed, trials) -> CheckResult:
     return _run_suite("resultant_law_suite", RESULTANT_LAWS, trials, seed)
 
 
-def check_monoid_laws(seed, trials) -> CheckResult:
+def check_monoid_law_suite(seed, trials) -> CheckResult:
     # the monoid laws cost far more per trial than the resultant laws
     return _run_suite("monoid_law_suite", MONOID_LAWS, max(1, trials * 3 // 10), seed)
 
 
-def check_io_and_cli(seed, trials) -> CheckResult:
+def check_io_roundtrip_and_cli(seed, trials) -> CheckResult:
     """The I/O round trips, then every contract case but the selftest's own
     through the CLI."""
     name = "io_roundtrip_and_cli"
@@ -125,7 +125,7 @@ def check_io_and_cli(seed, trials) -> CheckResult:
 
 
 CHECKS = (check_monoid_sum_reproduction, check_homogenization,
-          check_resultant_laws, check_monoid_laws, check_io_and_cli)
+          check_resultant_law_suite, check_monoid_law_suite, check_io_roundtrip_and_cli)
 
 
 def _run_check(check, seed, trials) -> CheckResult:

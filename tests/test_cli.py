@@ -532,6 +532,22 @@ class TestSelftest:
             "is '(X^2 + X + 1)/(X - 1)\\n', expected '(X^2 - X + 1)/(X - 1)\\n'"
         ]
 
+    def test_a_raising_check_reports_under_its_one_name(self, capsys, monkeypatch):
+        # the FAIL line of a check that raises uses the name of its PASS line
+        def missing():
+            raise FileNotFoundError("cases.json")
+
+        monkeypatch.setattr(selftest, "contract_cases", missing)
+        code, out, _ = run(capsys, "selftest", "--trials", "20")
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+            "FAIL io_roundtrip_and_cli - FileNotFoundError: cases.json"]
+
+    def test_each_check_is_named_after_its_function(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--trials", "20", "--json")
+        names = [c.__name__.removeprefix("check_") for c in selftest.CHECKS]
+        assert code == 0 and [e["name"] for e in json.loads(out)] == names
+
 
 class TestArgparseContract:
     def test_no_command(self, capsys):

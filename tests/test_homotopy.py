@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from p1homotopy.chains import FORWARD, REVERSED, Chain, Link
+from p1homotopy import homotopy
+from p1homotopy.chains import FORWARD, REVERSED, Chain, Link, exact, walk_chain
 from p1homotopy.exprio import builtin_chain, parse_poly
 from p1homotopy.homotopy import (
     CertResultantNotUnitError,
@@ -15,7 +17,7 @@ from p1homotopy.homotopy import (
     validate_cert,
     verify_chain,
 )
-from p1homotopy.monoid import validate
+from p1homotopy.monoid import MapValidationError, validate
 from p1homotopy.mpoly import MPoly
 from p1homotopy.poly import Poly
 from p1homotopy.resultants import resultant_oracle
@@ -244,3 +246,146 @@ class TestVerifyChain:
             assert lr.start == current
             current = lr.end
         assert current == validate(*chain.to)
+
+
+RINGS = [ZZ, QQ, RingTag("Fp", 7), RingTag("Fp", 1000003)]
+RING_IDS = ["Z", "Q", "F7", "F1000003"]
+
+
+class TestEndpointReadOffTheCertificate:
+    """endpoint reads f_t and g_t off the raw terms; the substitution route
+    gives the same maps, coefficient types included."""
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_random_certificates(self, ring):
+        rng = random.Random(f"endpoint types:{ring.name()}")
+        for _ in range(25):
+            F, G, _ = random_cert(rng, ring, rng.randint(1, 4))
+            cert = validate_cert(F, G, ring)
+            for t in (0, 1):
+                fresh = validate(F.subst("T", t).to_poly("X"), G.subst("T", t).to_poly("X"), ring)
+                got = endpoint(cert, t)
+                assert got == fresh
+                for a, b in ((got.f, fresh.f), (got.g, fresh.g)):
+                    assert [(type(c), c) for c in a.raw] == [(type(c), c) for c in b.raw]
+
+    def test_sums_that_vanish_at_t_1(self):
+        ring = RingTag("Fp", 7)
+        F = MPoly(ring, XT, {(2, 0): 1, (1, 0): 3, (1, 1): 4, (0, 2): 6, (0, 0): 1})
+        cert = validate_cert(F, MPoly(ring, XT, {(0, 0): 1}), ring)
+        assert endpoint(cert, 1).f == Poly(ring, "X", (0, 0, 1))
+        assert endpoint(cert, 0).f == Poly(ring, "X", (1, 3, 1))
+
+
+def _interpolated_chain(rng, ring, links, factors):
+    """A valid chain of `links` certificates: the first column of a product of
+    elementary matrices [[X + c_j(T), -1/u_j], [u_j, 0]], each c_j moving
+    linearly from a_ij to a_(i+1)j; a reversed link holds the reversed family.
+    Its ends are read by substitution, not by `endpoint`."""
+    def column(cs):
+        one, zero = MPoly(ring, XT, {(0, 0): 1}), MPoly(ring, XT, {})
+        m = (one, zero, zero, one)
+        for u, c in zip(us, cs):
+            e = (MPoly(ring, XT, {(1, 0): 1, **c}), MPoly(ring, XT, {(0, 0): -ring.one().exact_div(u)}),
+                 MPoly(ring, XT, {(0, 0): u}), zero)
+            m = (m[0] * e[0] + m[1] * e[2], m[0] * e[1] + m[1] * e[3],
+                 m[2] * e[0] + m[3] * e[2], m[2] * e[1] + m[3] * e[3])
+        return m[0], m[2]
+
+    def draw():
+        return rng.randint(-3, 3) if ring.modulus is None else rng.randrange(ring.modulus)
+
+    us = [Scalar(ring, rng.choice((1, -1) if ring == ZZ else (1, 2, -3))) for _ in range(factors)]
+    stops = [[draw() for _ in range(factors)] for _ in range(links + 1)]
+    chain_links = []
+    for a, b in zip(stops, stops[1:]):
+        orientation = rng.choice((FORWARD, REVERSED))
+        if orientation == REVERSED:
+            a, b = b, a
+        family = column([{(0, 0): x, (0, 1): y - x} for x, y in zip(a, b)])
+        chain_links.append(Link(family, orientation))
+
+    def at(stop):
+        F, G = column([{(0, 0): x} for x in stop])
+        return F.subst("T", 0).to_poly("X"), G.subst("T", 0).to_poly("X")
+
+    return Chain(tuple(chain_links), at(stops[0]), at(stops[-1]))
+
+
+def _verify_every_end(chain):
+    """verify_chain as it was before ends were reused: both ends validated
+    first, every link certified by walk_chain."""
+    ring = chain.from_[0].ring
+    ends, end_failure = (None, None), None
+    try:
+        ends = [validate(f, g, ring) for f, g in (chain.from_, chain.to)]
+    except MapValidationError as exc:
+        end_failure = f"end map invalid: {exc}"
+    certified = map(partial(homotopy._certify_link, ring=ring), chain.links)
+    return walk_chain("homotopy", chain.links, certified, exact, *ends, end_failure=end_failure)
+
+
+class TestChainEnds:
+    """An end equal to its adjacent link's proven endpoint is that endpoint;
+    every other end is validated; each link is certified once."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"validate": 0, "validate_cert": 0}
+        for name in calls:
+            def spy(*args, _fn=getattr(homotopy, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(homotopy, name, spy)
+        return calls
+
+    def test_builtin_makes_no_end_validation(self, spies):
+        chain = builtin_chain("homotopy", "prop_3_4_3")
+        report = verify_chain(chain)
+        assert report.passed and report.from_ok and report.to_ok
+        assert spies == {"validate": 0, "validate_cert": len(chain.links)}
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_random_valid_chains(self, ring, spies):
+        rng = random.Random(f"chain ends:{ring.name()}")
+        for _ in range(6):
+            chain = _interpolated_chain(rng, ring, rng.randint(1, 4), rng.randint(1, 3))
+            spies.update(validate=0, validate_cert=0)
+            report = verify_chain(chain)
+            assert report.passed and report.from_ok and report.to_ok, report.failures
+            assert spies == {"validate": 0, "validate_cert": len(chain.links)}
+            assert report == _verify_every_end(chain)
+
+    def chain(self):
+        return builtin_chain("homotopy", "prop_3_4_3")
+
+    def test_an_end_that_differs_is_validated(self, spies):
+        base, other = self.chain(), (zx("X^2"), zx("X + 1"))
+        for chain, failure in ((Chain(base.links, other, base.to), "from mismatch"),
+                               (Chain(base.links, base.from_, other), "to mismatch")):
+            spies.update(validate=0, validate_cert=0)
+            report = verify_chain(chain)
+            assert report.failures == [failure] and spies["validate"] == 1
+            assert report == _verify_every_end(chain)
+
+    def test_an_invalid_end_is_reported_first(self, spies):
+        base, bad = self.chain(), (zx("X^2"), zx("2"))
+        for chain in (Chain(base.links, bad, base.to), Chain(base.links, base.from_, bad)):
+            report = verify_chain(chain)
+            assert report.first_failure.startswith("end map invalid: ")
+            assert not report.from_ok and not report.to_ok
+            assert report == _verify_every_end(chain)
+
+    def test_ends_next_to_an_invalid_link_and_of_an_empty_chain(self, spies):
+        base = self.chain()
+        broken = Link((xt("X^2"), xt("X + T")), FORWARD)
+        one = (Chain((broken,) + base.links[1:], base.from_, base.to), 1)
+        both = (Chain((broken,), base.from_, base.to), 2)
+        empty = (Chain((), base.from_, base.from_), 2)
+        for chain, validated in (one, both, empty):
+            spies.update(validate=0, validate_cert=0)
+            report = verify_chain(chain)
+            assert spies["validate"] == validated
+            assert spies["validate_cert"] == len(chain.links)
+            assert report == _verify_every_end(chain)

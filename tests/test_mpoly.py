@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from p1homotopy import rings
+from p1homotopy import exprio, rings
 from p1homotopy.exprio import builtin_chain, parse_poly
 from p1homotopy.homotopy import endpoint, validate_cert
 from p1homotopy.monoid import validate
@@ -190,3 +191,112 @@ def test_subst_of_a_polynomial_from_another_ring_is_refused():
         xt("T*X").subst("T", MPoly(QQ, ("T",), {(1,): 1}))
     with pytest.raises(RingMismatchError):
         xt("X + 1").subst("T", Poly(F7, "T", (0, 1)))
+
+
+def _typed(p):
+    """A value with each raw coefficient's type, which a trusted
+    construction must reproduce exactly (over Q a zero is Fraction(0))."""
+    if isinstance(p, Poly):
+        return Poly, p.ring, p.var, [(type(c), c) for c in p.raw]
+    return MPoly, p.ring, p.vars, {e: (type(c), c) for e, c in p.raw.items()}
+
+
+def _raw_terms(rng, ring, nvars, only=None):
+    """Up to 8 raw terms as a caller may pass them: zeros, negatives, values
+    of p or more, ints and Fractions over Q; exponents only at `only`."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        e = tuple(rng.randint(0, 4) if only in (None, k) else 0 for k in range(nvars))
+        c = rng.choice((0, 1, -1, 7, rng.randint(-10**6, 10**6), rng.randint(-10**20, 10**20)))
+        terms[e] = Fraction(c, rng.choice((1, 2, 3))) if ring == QQ and rng.random() < 0.5 else c
+    return terms
+
+
+TRUSTED_RINGS = [ZZ, QQ, RingTag("Fp", 7), RingTag("Fp", 1000003)]
+TRUSTED_VARS = [("X",), ("X", "T"), ("T0", "T1", "T")]
+
+
+class TestTrustedConstructor:
+    """Every value built by MPoly._of or Poly._of is the public
+    constructor's value, coefficient types included."""
+
+    @pytest.fixture(params=TRUSTED_RINGS, ids=["Z", "Q", "F7", "F1000003"])
+    def ring(self, request):
+        return request.param
+
+    def draws(self, ring, tag, only=None):
+        rng = random.Random(f"trusted {tag}:{ring.name()}")
+        for k in range(60):
+            vars = TRUSTED_VARS[k % 3]
+            yield rng, vars, MPoly(ring, vars, _raw_terms(rng, ring, len(vars), only))
+
+    def test_product(self, ring):
+        for rng, vars, a in self.draws(ring, "mul"):
+            b = MPoly(ring, vars, _raw_terms(rng, ring, len(vars)))
+            terms = {}
+            for e1, c1 in a.raw.items():
+                for e2, c2 in b.raw.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    terms[e] = terms.get(e, 0) + c1 * c2
+            assert _typed(a * b) == _typed(MPoly(ring, vars, terms))
+
+    def test_substitution_of_a_ring_value(self, ring):
+        values = [0, 1, -1, 2, 1000004, Scalar(ring, 3)] + [Fraction(-1, 2)] * (ring == QQ)
+        for rng, vars, p in self.draws(ring, "subst"):
+            i = rng.randrange(len(vars))
+            value = rng.choice(values)
+            v, terms = ring.norm(value), {}
+            for e, c in p.raw.items():
+                rest = e[:i] + e[i + 1 :]
+                terms[rest] = terms.get(rest, 0) + c * v ** e[i]
+            want = MPoly(ring, vars[:i] + vars[i + 1 :], terms)
+            assert _typed(p.subst(vars[i], value)) == _typed(want)
+
+    def test_embedding(self, ring):
+        for rng, vars, p in self.draws(ring, "embed"):
+            wider = tuple(rng.sample(vars + ("Y", "Z"), len(vars) + 2))
+            moved = {tuple(dict(zip(vars, e)).get(v, 0) for v in wider): c for e, c in p.raw.items()}
+            assert _typed(p._embed(wider)) == _typed(MPoly(ring, wider, moved))
+
+    def test_to_poly(self, ring):
+        for rng, vars, p in self.draws(ring, "to_poly", only=0):
+            cs = [0] * (p.degree_in(vars[0]) + 1)
+            for e, c in p.raw.items():
+                cs[e[0]] = c
+            assert _typed(p.to_poly(vars[0])) == _typed(Poly(ring, vars[0], cs))
+
+    def parsed(self, text, vars, ring):
+        """parse_poly's value built by the public constructors from the
+        recursive descent's raw terms."""
+        terms = exprio._Parser(text, vars, ring).read()[0]
+        if len(vars) > 1:
+            return MPoly(ring, vars, terms)
+        cs = [0] * (max(terms, default=(-1,))[0] + 1)
+        for (k,), c in terms.items():
+            cs[k] = c
+        return Poly(ring, vars[0], cs)
+
+    def test_parse(self, ring):
+        texts = [  # zero coefficients in the middle; then texts for the descent
+            ("X^3 + 1", ("X",)), ("X^5 - 2*X", ("X",)), ("7*X^4 + 14", ("X",)),
+            ("(X + 1)^2 - X*X", ("X",)), ("(X - 1) - (X - 1)", ("X",)), ("X*(X^2 - 3)", ("X",)),
+            ("X + (2*T - 1)", ("X", "T")), ("(X + T)^3 - X^3", ("X", "T")),
+            ("(T0 + T*T1)^2", ("T0", "T1", "T")), ("-(T0 - T1)*(T0 + T1) + 0*T", ("T0", "T1", "T")),
+        ]
+        if ring == QQ:
+            texts += [("1/2*X^4 - 3/4", ("X",)), ("(1/2)*X^3 + X", ("X",)),
+                      ("(X + 1/2)^2 - X^2", ("X",)), ("2/3*X*T - (1/3)*(X*T + X*T)", ("X", "T"))]
+        for _, vars, p in self.draws(ring, "parse"):
+            texts += [(str(p), vars), (f"({p})*{vars[-1]} - 1", vars)]
+        for text, vars in texts:
+            got = parse_poly(text, vars, ring)
+            assert _typed(got) == _typed(self.parsed(text, vars, ring)), text
+        flat = [exprio._flat_terms(text, vars, ring) is not None for text, vars in texts]
+        assert sum(flat) >= 50 and flat.count(False) >= 50  # the reader's and the descent's
+
+    def test_q_zeros_inside_a_dense_tuple_are_fractions(self):
+        p = parse_poly("X^3 + 1/2", ("X",), QQ)
+        assert _typed(p)[3] == [(Fraction, Fraction(1, 2))] + [(Fraction, Fraction(0))] * 2 + [
+            (Fraction, Fraction(1))]
+        assert _typed(MPoly(QQ, ("X", "T"), {(3, 0): 1, (0, 0): 2}).to_poly("X"))[3][1] == (
+            Fraction, Fraction(0))
