@@ -226,7 +226,7 @@ class MPoly:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.vars, tuple(sorted(self.raw.items()))))
+        return hash((self.ring, self.vars, frozenset(self.raw.items())))
 
     def __repr__(self):
         return f"MPoly({self.ring.name()}, {self.vars}, {{{', '.join(f'{e}: {c}' for e, c in sorted(self.raw.items(), reverse=True))}}})"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprio
-from .monoid import bezout_pair, mat_mul, oplus, validate
+from .monoid import bezout_pair, dehomogenize, homogenize, mat_mul, oplus, validate
 from .mpoly import MPoly
 from .poly import Poly
 from .randgen import RandomMapSpec, _gen_valid_map, rand_poly, rand_scalar
@@ -346,6 +346,14 @@ def det_witness(rng):
     det = u.f * w.p + w.q * u.g
     if det != Poly.one(u.ring, "X"):
         return {"u": _map_note(u), "det": str(det)}
+
+
+@_property("monoid")
+def homogenize_law(rng):
+    u = _rand_map(rng)
+    F0, F1 = homogenize(u)
+    if dehomogenize(F0, F1) != u:
+        return {"u": _map_note(u), "F0": str(F0), "F1": str(F1)}
 
 
 # -- independent Bezout solver (field Gaussian elimination on raw numbers) --

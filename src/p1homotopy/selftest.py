@@ -1,6 +1,6 @@
-"""The acceptance suite behind `p1homotopy selftest`: exact checks, the
-seeded law suites, and the replay of the end-to-end contract, the package
-directory `contract/` (its cases are CLI invocations, pinned byte for byte).
+"""The checks behind `p1homotopy selftest`: the seeded law suites (resultant,
+monoid, I/O) and the replay of the end-to-end contract, the package directory
+`contract/` (its cases are CLI invocations, pinned byte for byte).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .monoid import bezout_pair, homogenize, mat_mul, named, oplus, validate
 from .properties import IO_LAWS, MONOID_LAWS, RESULTANT_LAWS, run_property
 
 
@@ -72,26 +71,6 @@ def invoke_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_monoid_sum_reproduction(seed, trials) -> CheckResult:
-    u, v = named("identity"), named("minus_epsilon")
-    s, mu, mv = oplus(u, v), bezout_pair(u).matrix(), bezout_pair(v).matrix()
-    # the sum, the witnesses of X/1 and (X-1)/(-1), their product, and the
-    # witness of the sum found afresh (s itself carries the product)
-    mats = (((s.f, s.g),), mu, mv, mat_mul(mu, mv), bezout_pair(validate(s.f, s.g)).matrix())
-    got = " | ".join("; ".join(", ".join(map(str, row)) for row in m) for m in mats)
-    want = ("X^2 - X + 1, X - 1 | X, -1; 1, 0 | X - 1, 1; -1, 0"
-            + " | X^2 - X + 1, X; X - 1, 1" * 2)
-    detail = "X/1 + (X-1)/(-1) = (X^2 - X + 1)/(X - 1)" if got == want else f"got {got}"
-    return CheckResult("monoid_sum_reproduction", got == want, detail)
-
-
-def check_homogenization(seed, trials) -> CheckResult:
-    got = [tuple(map(str, homogenize(named(m)))) for m in ("squaring", "minus_epsilon")]
-    ok = got == [("T0^2", "T1^2"), ("T0 - T1", "-T1")]
-    detail = "squaring -> (T0^2, T1^2); minus_epsilon -> (T0 - T1, -T1)" if ok else f"got {got}"
-    return CheckResult("homogenization", ok, detail)
-
-
 def _run_suite(name, laws, trials, seed) -> CheckResult:
     for law in laws:
         result = run_property(law, trials, seed)
@@ -109,23 +88,24 @@ def check_monoid_law_suite(seed, trials) -> CheckResult:
     return _run_suite("monoid_law_suite", MONOID_LAWS, max(1, trials * 3 // 10), seed)
 
 
-def check_io_roundtrip_and_cli(seed, trials) -> CheckResult:
-    """The I/O round trips, then every contract case but the selftest's own
-    through the CLI."""
-    name = "io_roundtrip_and_cli"
-    laws = _run_suite(name, IO_LAWS, trials, seed)
-    if not laws.passed:
-        return laws
+def check_io_law_suite(seed, trials) -> CheckResult:
+    return _run_suite("io_law_suite", IO_LAWS, trials, seed)
+
+
+LAW_SUITES = (check_resultant_law_suite, check_monoid_law_suite, check_io_law_suite)
+
+
+def check_contract(seed, trials) -> CheckResult:
+    """Every contract case but the selftest's own, through the CLI."""
     cases = [c for c in contract_cases() if c["argv"][0] != "selftest"]
     failed = [(c["name"], m) for c in cases if (m := replay(c, invoke_in_process))]
     if failed:
-        detail = f"contract cases differ: {', '.join(n for n, _ in failed)}; first: {failed[0][1]}"
-        return CheckResult(name, False, detail)
-    return CheckResult(name, True, f"round-trips x {trials}, the contract replayed through the CLI")
+        detail = f"cases differ: {', '.join(n for n, _ in failed)}; first: {failed[0][1]}"
+        return CheckResult("contract", False, detail)
+    return CheckResult("contract", True, "every case replayed through the CLI")
 
 
-CHECKS = (check_monoid_sum_reproduction, check_homogenization,
-          check_resultant_law_suite, check_monoid_law_suite, check_io_roundtrip_and_cli)
+CHECKS = (*LAW_SUITES, check_contract)
 
 
 def _run_check(check, seed, trials) -> CheckResult:

@@ -469,8 +469,8 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch, exc):
 class TestSelftest:
     @pytest.fixture(autouse=True)
     def oplus_cases_only(self, monkeypatch):
-        # the whole contract is replayed by test_golden and test_acceptance;
-        # these tests replay the oplus cases only
+        # test_golden replays the whole contract, the selftest_t20 case
+        # among it; these tests replay the oplus cases only
         cases = [c for c in selftest.contract_cases() if c["argv"][0] == "oplus"]
         monkeypatch.setattr(selftest, "contract_cases", lambda: cases)
 
@@ -478,13 +478,13 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "3")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 5
+        assert len(lines) == 4
         assert all(l.startswith("PASS") for l in lines)
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "30", "--json")
         payload = json.loads(out)
-        assert code == 0 and len(payload) == 5
+        assert code == 0 and len(payload) == 4
         assert all(entry["passed"] for entry in payload)
 
     def test_a_raising_law_fails_its_suite_only(self, capsys, monkeypatch):
@@ -500,21 +500,19 @@ class TestSelftest:
         monkeypatch.setattr(properties, "resultant", flaky)
         code, out, _ = run(capsys, "selftest", "--trials", "20")
         lines = out.splitlines()
-        assert code == 1 and len(lines) == 6 and lines[-1].startswith("4/5 checks passed")
-        assert lines[2] == ('FAIL resultant_law_suite - oracle_agreement failed: '
+        assert code == 1 and len(lines) == 5 and lines[-1].startswith("3/4 checks passed")
+        assert lines[0] == ('FAIL resultant_law_suite - oracle_agreement failed: '
                             '{"trial": 4, "error": "ExactDivisionError: not exact"}')
-        assert sum(l.startswith("PASS") for l in lines) == 4
+        assert sum(l.startswith("PASS") for l in lines) == 3
 
     def test_a_raising_check_is_a_fail_line(self, capsys, monkeypatch):
-        def broken(u):
-            raise ZeroDivisionError("division by zero")
-
-        monkeypatch.setattr(selftest, "homogenize", broken)
+        # an unknown law raises out of run_property, not inside a trial
+        monkeypatch.setattr(selftest, "IO_LAWS", ("no_such_law",))
         code, out, _ = run(capsys, "selftest", "--trials", "20", "--json")
         payload = json.loads(out)
-        assert code == 1 and len(payload) == 5
-        assert [e["name"] for e in payload if not e["passed"]] == ["homogenization"]
-        assert payload[1]["detail"] == "ZeroDivisionError: division by zero"
+        assert code == 1 and len(payload) == 4
+        assert [e["name"] for e in payload if not e["passed"]] == ["io_law_suite"]
+        assert payload[2]["detail"].startswith("UnknownPropertyError: unknown property 'no_such_law'")
 
     def test_a_wrong_cli_output_fails_and_names_its_case(self, capsys, monkeypatch):
         # the selftest replays the contract through the CLI: a wrong sum from
@@ -527,7 +525,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "20")
         assert code == 1
         assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
-            "FAIL io_roundtrip_and_cli - contract cases differ: oplus_valid, "
+            "FAIL contract - cases differ: oplus_valid, "
             "oplus_invalid_operand, oplus_q_three, oplus_fp; first: txt: stdout line 1 "
             "is '(X^2 + X + 1)/(X - 1)\\n', expected '(X^2 - X + 1)/(X - 1)\\n'"
         ]
@@ -541,7 +539,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "20")
         assert code == 1
         assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
-            "FAIL io_roundtrip_and_cli - FileNotFoundError: cases.json"]
+            "FAIL contract - FileNotFoundError: cases.json"]
 
     def test_each_check_is_named_after_its_function(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "20", "--json")

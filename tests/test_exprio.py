@@ -770,3 +770,18 @@ def test_no_function_imports_exprio():
                 if "exprio" in names:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_assert_or_debug_in_the_package():
+    """`python -O` strips asserts and sets __debug__ to False, so the package
+    runs the same code with and without it only while it has neither."""
+    package = Path(__file__).resolve().parents[1] / "src" / "p1homotopy"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []

@@ -121,6 +121,15 @@ class TestRawCoefficients:
         with pytest.raises(RingMismatchError):
             built[0].subst("T", Scalar(other, 1))
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ, F7], ids=["Z", "Q", "Fp"])
+    def test_hash_ignores_the_insertion_order_of_terms(self, ring):
+        terms = [((i, j), 1 + i + 3 * j) for i in range(4) for j in range(3)]
+        ahead = MPoly(ring, XT, dict(terms))
+        behind = MPoly(ring, XT, dict(reversed(terms)))
+        assert list(ahead.raw) != list(behind.raw)
+        assert ahead == behind and hash(ahead) == hash(behind)
+        assert len({ahead, behind}) == 1
+
     def test_plain_values_substitute_like_scalars(self):
         p = xt("X^2 + 2*T*X + 2*T")
         for t in (0, 1, -3):
